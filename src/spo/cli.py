@@ -2,12 +2,12 @@
 
 Subcommands:
 
-* ``run``          - one (kind, env, seed) episode, JSON output
+* ``run``          - one (kind, env, seed) episode on the virtual clock, JSON output
 * ``compare``      - all four kinds over a seed list, CSV + JSON + report
 * ``sweep``        - vary one config parameter, CSV curve
 * ``calibrate``    - write an inverse-variance weight file
 * ``serve``        - start the TCP cloud endpoint (socket mode)
-* ``edge-connect`` - run the real-time edge loop against a remote endpoint
+* ``edge-connect`` - one episode in real time against a ``serve`` endpoint
 
 Flag values override config-file values; the effective config is echoed into
 every output JSON. ``SPO_SEED`` supplies the default base seed.
@@ -35,15 +35,15 @@ NET_FLAGS = {
 }
 
 
-def _add_common(parser: argparse.ArgumentParser, with_kind=True) -> None:
+def _add_common(parser, *, kind=False, model=False, out=False, weights=False, jobs=False) -> None:
+    """The environment, config and seed flags, plus the groups the subcommand reads."""
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--env", default="free_space", help="canonical name or spec file path")
     parser.add_argument("--disturbances", help="CSV disturbance schedule for a spec file")
-    if with_kind:
+    if kind:
         parser.add_argument(
             "--kind", default="spo", choices=[k.value for k in BaselineKind]
         )
-    parser.add_argument("--mode", default="virtual", choices=["virtual", "socket"])
     parser.add_argument("--rtt", type=float, default=None)
     parser.add_argument("--jitter", type=float, default=None)
     parser.add_argument("--kmin", type=int, default=None)
@@ -51,12 +51,16 @@ def _add_common(parser: argparse.ArgumentParser, with_kind=True) -> None:
     parser.add_argument("--beta", type=int, default=None)
     parser.add_argument("--epsilon", type=float, default=None)
     parser.add_argument("--seed", type=int, default=None, help="base seed (default $SPO_SEED or 0)")
-    parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--model", default="oracle", choices=["oracle", "drifted"])
-    parser.add_argument("--drift-bias", type=float, default=8e-4)
-    parser.add_argument("--drift-noise", type=float, default=2e-4)
-    parser.add_argument("--weights", help="precomputed weight file (default: calibrate)")
+    if out:
+        parser.add_argument("--out", default="out", help="output directory")
+    if jobs:
+        parser.add_argument("--jobs", type=int, default=1)
+    if model:
+        parser.add_argument("--model", default="oracle", choices=["oracle", "drifted"])
+        parser.add_argument("--drift-bias", type=float, default=8e-4)
+        parser.add_argument("--drift-noise", type=float, default=2e-4)
+    if weights:
+        parser.add_argument("--weights", help="precomputed weight file (default: calibrate)")
 
 
 def _base_seed(args) -> int:
@@ -92,23 +96,26 @@ def _seed_list(args) -> list[int]:
 
 
 def cmd_run(args) -> int:
+    """One episode: ``run`` on the virtual clock, ``edge-connect`` against a remote cloud."""
     cfg = _effective_config(args)
     spec = _spec(args)
     kind = BaselineKind(args.kind)
     seed = _base_seed(args)
     weights = _weights(args, spec, cfg)
-    if args.mode == "socket":
+    if args.command == "edge-connect":
+        mode = "socket"
         host, _, port = args.addr.rpartition(":")
         result = sockets.edge_connect_run(
             (host or "127.0.0.1", int(port)), spec, cfg, kind, seed, weights
         )
     else:
+        mode = "virtual"
         result = harness.run_single(
             kind, spec, cfg, seed, weights,
             model_kind=args.model, drift_bias=args.drift_bias, drift_noise=args.drift_noise,
         )
     path = os.path.join(args.out, f"run_{kind.value}_{spec.name}_{seed}.json")
-    harness.write_run_json(path, result.metrics, cfg, {"env": spec.name, "mode": args.mode})
+    harness.write_run_json(path, result.metrics, cfg, {"env": spec.name, "mode": mode})
     print(harness.run_json_document(result.metrics, cfg, {"env": spec.name}))
     return 0
 
@@ -129,7 +136,7 @@ def cmd_compare(args) -> int:
         for m in metrics:
             harness.write_run_json(
                 os.path.join(args.out, f"run_{kind.value}_{spec.name}_{m.seed}.json"),
-                m, cfg, {"env": spec.name, "mode": args.mode},
+                m, cfg, {"env": spec.name, "mode": "virtual"},
             )
     report = harness.compare_report(results)
     harness.write_metrics_csv(
@@ -192,18 +199,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="spo")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("run", help="run one episode")
-    _add_common(p)
-    p.add_argument("--addr", default="127.0.0.1:7447", help="cloud endpoint (socket mode)")
+    # Exact flag names only: with abbreviations a subcommand would accept a
+    # flag it does not have as a prefix of one it does (--mode for --model).
+    p = sub.add_parser("run", help="run one episode on the virtual clock", allow_abbrev=False)
+    _add_common(p, kind=True, model=True, out=True, weights=True)
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("compare", help="run all baselines over a seed list")
-    _add_common(p, with_kind=False)
+    p = sub.add_parser("compare", help="run all baselines over a seed list", allow_abbrev=False)
+    _add_common(p, model=True, out=True, weights=True, jobs=True)
     p.add_argument("--seeds", type=int, default=5, help="number of seeds from the base seed")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("sweep", help="vary one config parameter")
-    _add_common(p)
+    p = sub.add_parser("sweep", help="vary one config parameter", allow_abbrev=False)
+    _add_common(p, kind=True, model=True, out=True, weights=True, jobs=True)
     p.add_argument("--param", required=True)
     p.add_argument("--from", dest="from_", type=float, required=True)
     p.add_argument("--to", dest="to", type=float, required=True)
@@ -211,28 +219,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=1)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("calibrate", help="write a weight calibration file")
-    _add_common(p)
+    p = sub.add_parser("calibrate", help="write a weight calibration file", allow_abbrev=False)
+    _add_common(p, out=True)
     p.add_argument("--episodes", type=int, default=3)
     p.add_argument("--weights-out", help="output path (default <out>/weights_<env>.txt)")
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("serve", help="start the TCP cloud endpoint")
-    _add_common(p)
+    p = sub.add_parser("serve", help="start the TCP cloud endpoint", allow_abbrev=False)
+    _add_common(p, kind=True, model=True)
     p.add_argument("--port", type=int, default=0)
     p.set_defaults(func=cmd_serve)
 
-    p = sub.add_parser("edge-connect", help="run the edge loop against a remote endpoint")
-    _add_common(p)
-    p.add_argument("--addr", required=True)
-    p.set_defaults(func=cmd_edge_connect)
+    p = sub.add_parser(
+        "edge-connect", help="run the edge loop against a remote endpoint", allow_abbrev=False
+    )
+    _add_common(p, kind=True, out=True, weights=True)
+    p.add_argument("--addr", required=True, help="cloud endpoint, host:port")
+    p.set_defaults(func=cmd_run)
 
     return parser
-
-
-def cmd_edge_connect(args) -> int:
-    args.mode = "socket"
-    return cmd_run(args)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,7 +1,7 @@
 """Cloud-side speculative generation.
 
 Pluggable policy / world-model interfaces, the autoregressive K-step rollout,
-and the refill-request handler that couples the rollout to the adaptive
+and the per-session refill handler that couples the rollout to the adaptive
 horizon controller. Two world-model families are provided: an oracle that
 wraps the environment's true dynamics, and a drifted variant (oracle plus a
 per-step additive bias and seeded Gaussian noise) standing in for a learned
@@ -11,13 +11,13 @@ predictor of modest accuracy.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Protocol
 
 import numpy as np
 
 from .ahs import AhsState, record_violation, update_horizon
-from .environments import Dynamics, EnvironmentSpec
+from .environments import EnvironmentSpec, true_step
 from .types import ActionVector, SpeculativeTuple, SpoConfig, StateVector
 
 
@@ -107,16 +107,10 @@ class OracleWorldModel:
     """The environment's true transition dynamics, minus scheduled disturbances."""
 
     def __init__(self, spec: EnvironmentSpec):
-        self.spec = spec
+        self.spec = replace(spec, disturbance_schedule=())
 
     def step(self, state: StateVector, action: ActionVector) -> StateVector:
-        nxt = state.values.copy()
-        if self.spec.dynamics is Dynamics.INTEGRATOR:
-            nxt[: self.spec.d_a] += action.values * self.spec.dt
-            nxt[self.spec.d_a :] = action.values
-        else:
-            nxt += action.values * self.spec.dt
-        return StateVector(nxt)
+        return true_step(self.spec, state, action, 0)
 
 
 class DriftedWorldModel:
@@ -178,23 +172,6 @@ def speculative_rollout(
     return tuples
 
 
-def handle_request(
-    req: RolloutRequest,
-    ahs: AhsState,
-    cfg: SpoConfig,
-    policy: Policy,
-    model: WorldModel,
-) -> tuple[RolloutResponse, AhsState]:
-    """One refill: apply the AIMD horizon update, then roll out the new horizon."""
-    if req.violation_error > 0:
-        ahs = record_violation(ahs, req.violation_error)
-    ahs = update_horizon(ahs, cfg.epsilon_base)
-    tuples = speculative_rollout(
-        req.observed_state, ahs.horizon, policy, model, start_step=req.step_index
-    )
-    return RolloutResponse(tuples=tuple(tuples), horizon_used=ahs.horizon), ahs
-
-
 class CloudSession:
     """Per-edge-session cloud endpoint state: policy, model, and horizon control.
 
@@ -218,22 +195,19 @@ class CloudSession:
         self.ahs = AhsState.initial(cfg)
 
     def handle(self, req: RolloutRequest) -> RolloutResponse:
-        if self.fixed_horizon == 0:
-            a = self.policy.act(req.observed_state)
-            predicted = self.model.step(req.observed_state, a)
-            tup = SpeculativeTuple(predicted, a, step_index=req.step_index + 1)
-            return RolloutResponse(tuples=(tup,), horizon_used=0)
-        if self.fixed_horizon is not None:
-            tuples = speculative_rollout(
-                req.observed_state,
-                self.fixed_horizon,
-                self.policy,
-                self.model,
-                start_step=req.step_index,
-            )
-            return RolloutResponse(tuples=tuple(tuples), horizon_used=self.fixed_horizon)
-        resp, self.ahs = handle_request(req, self.ahs, self.cfg, self.policy, self.model)
-        return resp
+        """One refill: for the adaptive kind, apply the AIMD horizon update first."""
+        if self.fixed_horizon is None:
+            if req.violation_error > 0:
+                self.ahs = record_violation(self.ahs, req.violation_error)
+            self.ahs = update_horizon(self.ahs, self.cfg.epsilon_base)
+            horizon = self.ahs.horizon
+        else:
+            horizon = self.fixed_horizon
+        tuples = speculative_rollout(
+            req.observed_state, max(1, horizon), self.policy, self.model,
+            start_step=req.step_index,
+        )
+        return RolloutResponse(tuples=tuple(tuples), horizon_used=horizon)
 
 
 def make_policy(spec: EnvironmentSpec) -> ScriptedExpertPolicy:
@@ -266,7 +240,6 @@ __all__ = [
     "RolloutResponse",
     "ScriptedExpertPolicy",
     "WorldModel",
-    "handle_request",
     "make_model",
     "make_policy",
     "speculative_rollout",

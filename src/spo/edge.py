@@ -82,13 +82,6 @@ class TrajectoryCache:
         return self._entries[-1][0].step_index if self._entries else None
 
 
-@dataclass
-class InstallStats:
-    installed: int = 0
-    stale_dropped: int = 0
-    superseded_dropped: int = 0
-
-
 class EdgeSession:
     """One edge control session; drive it one control tick at a time."""
 
@@ -148,11 +141,7 @@ class EdgeSession:
                     tick_index, Outcome.HIT, outcome.error, tup.action, now,
                     self.progress, src,
                 )
-                req = None
-                watermark = self.cfg.prefetch_low_watermark
-                if watermark >= 1 and len(self.cache) <= watermark and self.in_flight_id is None:
-                    req = self._issue_request(observed, 0.0)
-                return rec, req
+                return rec, None
             self.flushed += 1 + self.cache.flush()  # the missed tuple is wasted too
             rec = StepRecord(
                 tick_index, Outcome.MISS, outcome.error, hold, now, self.progress, src
@@ -164,21 +153,16 @@ class EdgeSession:
         rec = StepRecord(tick_index, Outcome.AWAITING_REFILL, None, hold, now, self.progress)
         return rec, None
 
-    def install_response(self, request_id: int, resp: RolloutResponse) -> InstallStats:
+    def install_response(self, request_id: int, resp: RolloutResponse) -> None:
         """Buffer an arrived rollout, dropping superseded or already-passed tuples."""
-        stats = InstallStats()
         if request_id != self.in_flight_id:
-            stats.superseded_dropped = len(resp.tuples)
-            self.superseded_dropped += stats.superseded_dropped
-            return stats
+            self.superseded_dropped += len(resp.tuples)
+            return
         self.in_flight_id = None
         tail = self.cache.tail_step_index()
         floor = self.progress if tail is None else max(self.progress, tail)
         for tup in resp.tuples:
             if tup.step_index <= floor:
-                stats.stale_dropped += 1
+                self.stale_dropped += 1
                 continue
             self.cache.push(tup, request_id)
-            stats.installed += 1
-        self.stale_dropped += stats.stale_dropped
-        return stats

@@ -15,17 +15,16 @@ from __future__ import annotations
 
 import csv
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .types import ActionVector, DimensionError, StateVector
+from .types import ActionVector, ConfigError, DimensionError, StateVector, parse_config_text
 
 
 class Dynamics(enum.Enum):
     INTEGRATOR = "integrator"
     WAYPOINT_TRACKER = "waypoint_tracker"
-    CONTACT_SCRIPTED = "contact_scripted"
 
 
 @dataclass(frozen=True)
@@ -160,7 +159,7 @@ def canonical_specs() -> dict[str, EnvironmentSpec]:
         name="multi_stage",
         d_s=d,
         d_a=d,
-        dynamics=Dynamics.CONTACT_SCRIPTED,
+        dynamics=Dynamics.WAYPOINT_TRACKER,
         max_steps=2000,
         waypoints=(w1, w2, w3),
         goal_center=w3,
@@ -198,40 +197,36 @@ def load_disturbances_csv(path, d_s: int) -> tuple:
     return tuple(sorted((s, v) for s, v in offsets.items()))
 
 
-_VEC = lambda text: np.array([float(x) for x in text.split(",")])
+def _vector(text: str) -> np.ndarray:
+    return np.array([float(x) for x in text.split(",")])
+
+
+# The keys of a spec file, each with the converter of its value.
+_SPEC_FIELD_TYPES = {
+    "name": str, "d_s": int, "d_a": int, "dynamics": Dynamics, "dt": float,
+    "max_steps": int, "goal_radius": float, "start_jitter": float, "gain": float,
+    "a_max": float, "goal_center": _vector, "start": _vector,
+    "waypoints": lambda text: tuple(_vector(p) for p in text.split(";") if p.strip()),
+}
 
 
 def load_environment(path, disturbances_csv=None) -> EnvironmentSpec:
-    """Load an environment spec from the flat key-value config format."""
-    values: dict = {}
+    """Load an environment spec from the flat key-value config format.
+
+    ``d_s`` and ``d_a`` are required; ``goal_center`` defaults to the last
+    waypoint. Any fault in the file raises :class:`~spo.types.ConfigError`.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
-    d_s = int(values["d_s"])
-    kwargs = dict(
-        name=values.get("name", "custom"),
-        d_s=d_s,
-        d_a=int(values["d_a"]),
-        dynamics=Dynamics(values.get("dynamics", "waypoint_tracker")),
-        dt=float(values.get("dt", 0.02)),
-        max_steps=int(values.get("max_steps", 600)),
-        goal_radius=float(values.get("goal_radius", 0.1)),
-        start_jitter=float(values.get("start_jitter", 0.0)),
-        gain=float(values.get("gain", 2.0)),
-        a_max=float(values.get("a_max", 1.0)),
-    )
-    if "waypoints" in values:
-        wps = tuple(_VEC(part) for part in values["waypoints"].split(";") if part.strip())
-        kwargs["waypoints"] = wps
-        kwargs["goal_center"] = wps[-1] if wps else None
-    if "goal_center" in values:
-        kwargs["goal_center"] = _VEC(values["goal_center"])
-    if "start" in values:
-        kwargs["start"] = _VEC(values["start"])
+        values = parse_config_text(fh.read(), _SPEC_FIELD_TYPES)
+    missing = [f"missing required key {key!r}" for key in ("d_s", "d_a") if key not in values]
+    if missing:
+        raise ConfigError(missing)
+    values = {"name": "custom", "dynamics": Dynamics.WAYPOINT_TRACKER, **values}
+    if values.get("waypoints"):
+        values.setdefault("goal_center", values["waypoints"][-1])
     if disturbances_csv is not None:
-        kwargs["disturbance_schedule"] = load_disturbances_csv(disturbances_csv, d_s)
-    return EnvironmentSpec(**kwargs)
+        values["disturbance_schedule"] = load_disturbances_csv(disturbances_csv, values["d_s"])
+    try:
+        return EnvironmentSpec(**values)
+    except ValueError as exc:
+        raise ConfigError([f"{path}: {exc}"]) from None

@@ -141,21 +141,6 @@ class LatencyModel:
         return max(0.0, float(self.rng.uniform(lo, hi)))
 
 
-def sample_delay(model: LatencyModel) -> float:
-    return model.sample()
-
-
-def virtual_channel_deliver(queue: list, now: float) -> list:
-    """Pop and return all (deliver_at, item) entries due at or before ``now``.
-
-    Entries are kept in send order; delivery never reorders them.
-    """
-    due = []
-    while queue and queue[0][0] <= now:
-        due.append(queue.pop(0)[1])
-    return due
-
-
 @dataclass
 class VirtualChannel:
     """Deterministic stop-and-wait channel for the virtual-clock harness.
@@ -183,18 +168,19 @@ class VirtualChannel:
         self.to_edge.append((deliver_at, item))
         return deliver_at
 
-    def cloud_inbox(self, now: float) -> list:
-        return virtual_channel_deliver(self.to_cloud, now)
-
     def cloud_inbox_timed(self, now: float) -> list:
-        """Like :meth:`cloud_inbox` but keeps each item's arrival time."""
+        """Pop the ``(deliver_at, item)`` requests due at or before ``now``, in send order."""
         due = []
         while self.to_cloud and self.to_cloud[0][0] <= now:
             due.append(self.to_cloud.pop(0))
         return due
 
     def edge_inbox(self, now: float) -> list:
-        return virtual_channel_deliver(self.to_edge, now)
+        """Pop the responses due at or before ``now``, in send order."""
+        due = []
+        while self.to_edge and self.to_edge[0][0] <= now:
+            due.append(self.to_edge.pop(0)[1])
+        return due
 
 
 def one_way_latency(rtt_base: float, jitter_half_width: float, rng) -> LatencyModel:

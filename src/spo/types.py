@@ -135,9 +135,8 @@ class WeightMatrix:
 class SpoConfig:
     """Run configuration: tube tolerance, horizon bounds, and network shape.
 
-    ``prefetch_low_watermark`` = 0 keeps the literal request-only-when-blocked
-    behavior; a positive value issues the refill request as soon as the cache
-    depth drops to the watermark.
+    Every default is a plain ``int`` or ``float``; the config file parser
+    takes each field's type from it.
     """
 
     epsilon_base: float = 20.0
@@ -148,23 +147,12 @@ class SpoConfig:
     rtt_base: float = 0.15
     jitter_half_width: float = 0.03
     rng_seed: int = 0
-    prefetch_low_watermark: int = 0
 
     def replace(self, **kwargs) -> "SpoConfig":
         return dataclasses.replace(self, **kwargs)
 
 
-_CONFIG_FIELD_TYPES = {
-    "epsilon_base": float,
-    "k_min": int,
-    "k_max": int,
-    "beta": int,
-    "control_interval": float,
-    "rtt_base": float,
-    "jitter_half_width": float,
-    "rng_seed": int,
-    "prefetch_low_watermark": int,
-}
+_CONFIG_FIELD_TYPES = {f.name: type(f.default) for f in dataclasses.fields(SpoConfig)}
 
 
 def config_errors(cfg: SpoConfig) -> list[str]:
@@ -188,10 +176,6 @@ def config_errors(cfg: SpoConfig) -> list[str]:
         errors.append("jitter_half_width >= 0 violated")
     if cfg.jitter_half_width > cfg.rtt_base:
         errors.append("jitter_half_width <= rtt_base violated")
-    if cfg.prefetch_low_watermark < 0:
-        errors.append("prefetch_low_watermark >= 0 violated")
-    if cfg.prefetch_low_watermark and cfg.prefetch_low_watermark >= cfg.k_min:
-        errors.append("prefetch_low_watermark < k_min violated")
     return errors
 
 
@@ -203,8 +187,11 @@ def validate_config(cfg: SpoConfig) -> SpoConfig:
     return cfg
 
 
-def parse_config_text(text: str) -> dict:
-    """Parse the flat ``key = value`` config format ('#' starts a comment)."""
+def parse_config_text(text: str, field_types: dict = _CONFIG_FIELD_TYPES) -> dict:
+    """Parse the flat ``key = value`` format ('#' starts a comment).
+
+    ``field_types`` maps each allowed key to the converter of its value.
+    """
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -215,10 +202,10 @@ def parse_config_text(text: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _CONFIG_FIELD_TYPES:
+        if key not in field_types:
             raise ConfigError([f"line {lineno}: unknown config key {key!r}"])
         try:
-            values[key] = _CONFIG_FIELD_TYPES[key](value)
+            values[key] = field_types[key](value)
         except ValueError:
             raise ConfigError([f"line {lineno}: bad value for {key}: {value!r}"]) from None
     return values

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -11,22 +10,12 @@ import numpy as np
 from .types import DimensionError, SpeculativeTuple, StateVector, WeightMatrix
 
 
-class Decision(enum.Enum):
-    HIT = "hit"
-    MISS = "miss"
-
-
 @dataclass(frozen=True)
 class VerificationOutcome:
     """Result of checking one observed state against one cached prediction."""
 
     error: float
-    decision: Decision
-    threshold: float
-
-    @property
-    def is_hit(self) -> bool:
-        return self.decision is Decision.HIT
+    is_hit: bool
 
 
 def tracking_error(
@@ -59,5 +48,4 @@ def verify(
     if epsilon_base <= 0:
         raise ValueError("epsilon_base must be positive")
     err = tracking_error(actual, tup.predicted_state, weights)
-    decision = Decision.HIT if err <= epsilon_base else Decision.MISS
-    return VerificationOutcome(error=err, decision=decision, threshold=epsilon_base)
+    return VerificationOutcome(error=err, is_hit=err <= epsilon_base)

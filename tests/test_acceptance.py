@@ -26,7 +26,7 @@ from spo.types import (
     StateVector,
     WeightMatrix,
 )
-from spo.verifier import Decision, verify
+from spo.verifier import verify
 
 CFG = SpoConfig()  # 150 +/- 30 ms RTT, 50 Hz, epsilon 20, K in [2, 10], beta 1
 DRIFT_BIAS = 8e-4
@@ -107,7 +107,7 @@ def test_criterion_3_single_cycle_detection():
         disturbed = predicted + unit * eps * float(rng.uniform(1.0 + 1e-6, 25.0))
         tup = SpeculativeTuple(StateVector(predicted), ActionVector(np.zeros(d)), 0)
         out = verify(StateVector(disturbed), tup, w, eps)
-        assert out.decision is Decision.MISS
+        assert not out.is_hit
         assert out.error > eps
     _report(3, f"{n}/{n} beyond-tube disturbances classified Miss in the same cycle")
 

@@ -134,6 +134,46 @@ def test_custom_environment_file(tmp_path):
     assert doc["env"] == "bench"
 
 
+def test_bad_environment_file_exits_two(tmp_path, capsys):
+    env_path = tmp_path / "bad.cfg"
+    env_path.write_text("d_a = 4\n")
+    code = cli.main(["run", "--env", str(env_path), "--out", str(tmp_path)])
+    assert code == 2
+    assert "config error: missing required key 'd_s'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--mode", "socket"],
+        ["run", "--addr", "127.0.0.1:1"],
+        ["run", "--jobs", "2"],
+        ["compare", "--mode", "socket"],
+        ["sweep", "--param", "k_max", "--from", "2", "--to", "4", "--steps", "2",
+         "--mode", "socket"],
+        ["calibrate", "--kind", "spo"],
+        ["calibrate", "--jobs", "2"],
+        ["calibrate", "--model", "drifted"],
+        ["calibrate", "--drift-bias", "0.1"],
+        ["calibrate", "--drift-noise", "0.1"],
+        ["calibrate", "--weights", "w.txt"],
+        ["serve", "--jobs", "2"],
+        ["serve", "--weights", "w.txt"],
+        ["serve", "--out", "out"],
+        ["edge-connect", "--addr", "127.0.0.1:1", "--model", "drifted"],
+        ["edge-connect", "--addr", "127.0.0.1:1", "--drift-bias", "0.1"],
+        ["edge-connect", "--addr", "127.0.0.1:1", "--drift-noise", "0.1"],
+        ["edge-connect", "--addr", "127.0.0.1:1", "--jobs", "2"],
+    ],
+    ids=lambda argv: " ".join(a for a in argv if a.startswith("--") or a == argv[0]),
+)
+def test_subcommand_rejects_flags_it_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_edge_connect_requires_reachable_endpoint(tmp_path):
     code = cli.main([
         "edge-connect", "--env", "free_space", "--addr", "127.0.0.1:1",

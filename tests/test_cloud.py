@@ -11,12 +11,11 @@ from spo.cloud import (
     RolloutError,
     RolloutRequest,
     ScriptedExpertPolicy,
-    handle_request,
     make_model,
     make_policy,
     speculative_rollout,
 )
-from spo.environments import get_spec, true_step
+from spo.environments import get_spec, start_state, true_step
 from spo.transport import decode_tuple, encode_tuple
 from spo.types import ActionVector, SpoConfig, StateVector
 from spo.verifier import tracking_error
@@ -150,39 +149,55 @@ def test_oracle_consistency_on_free_space():
         assert tracking_error(s, wired.predicted_state, w) < 1e-5
 
 
+def test_oracle_is_true_step_without_disturbances():
+    """The oracle steps like the environment, minus the scheduled bump."""
+    spec = get_spec("multi_stage")
+    bump_tick, bump = spec.disturbance_schedule[0]
+    assert bump_tick == 220
+    model = OracleWorldModel(spec)
+    s = start_state(spec, np.random.default_rng(0))
+    a = make_policy(spec).act(s)
+    assert model.step(s, a) == true_step(spec, s, a, bump_tick - 1)
+    np.testing.assert_allclose(
+        model.step(s, a).values, true_step(spec, s, a, bump_tick).values - bump,
+        rtol=0, atol=1e-12,
+    )
+
+
 def _req(e_miss, step_index=0, d=1):
     return RolloutRequest(StateVector(np.zeros(d)), violation_error=e_miss, step_index=step_index)
 
 
+def _adaptive_session(horizon):
+    session = CloudSession(SpoConfig(), ConstantPolicy(1.0), ToyIntegrator(), fixed_horizon=None)
+    session.ahs = AhsState(horizon=horizon, k_min=2, k_max=10, beta=1)
+    return session
+
+
 def test_handle_request_additive_case():
-    cfg = SpoConfig()
-    ahs = AhsState(horizon=4, k_min=2, k_max=10, beta=1)
-    resp, ahs2 = handle_request(_req(0.0), ahs, cfg, ConstantPolicy(1.0), ToyIntegrator())
+    session = _adaptive_session(4)
+    resp = session.handle(_req(0.0))
     assert resp.horizon_used == 5
     assert len(resp.tuples) == 5
-    assert ahs2.horizon == 5
+    assert session.ahs.horizon == 5
 
 
 def test_handle_request_contraction_case():
-    cfg = SpoConfig()
-    ahs = AhsState(horizon=8, k_min=2, k_max=10, beta=1)
-    resp, _ = handle_request(_req(40.0), ahs, cfg, ConstantPolicy(1.0), ToyIntegrator())
+    session = _adaptive_session(8)
+    resp = session.handle(_req(40.0))
     assert resp.horizon_used == 4
+    assert len(resp.tuples) == 4
 
 
 def test_handle_request_saturated():
-    cfg = SpoConfig()
-    ahs = AhsState(horizon=10, k_min=2, k_max=10, beta=1)
-    resp, _ = handle_request(_req(0.0), ahs, cfg, ConstantPolicy(1.0), ToyIntegrator())
+    session = _adaptive_session(10)
+    resp = session.handle(_req(0.0))
     assert resp.horizon_used == 10
 
 
 def test_response_step_indices_continue_from_request():
-    cfg = SpoConfig()
-    ahs = AhsState(horizon=2, k_min=2, k_max=10, beta=1)
-    resp, _ = handle_request(
-        _req(0.0, step_index=17), ahs, cfg, ConstantPolicy(1.0), ToyIntegrator()
-    )
+    session = _adaptive_session(2)
+    resp = session.handle(_req(0.0, step_index=17))
     assert [t.step_index for t in resp.tuples] == [18, 19, 20]
 
 

@@ -32,7 +32,7 @@ def _install(edge, tuples, observed=None):
     observed = StateVector(np.zeros(D)) if observed is None else observed
     rec, refill = edge.edge_tick(observed, 0, 0.0)
     assert refill is not None
-    return edge.install_response(refill.request_id, RolloutResponse(tuple(tuples), len(tuples)))
+    edge.install_response(refill.request_id, RolloutResponse(tuple(tuples), len(tuples)))
 
 
 def test_hit_executes_cached_action_without_request():
@@ -43,7 +43,7 @@ def test_hit_executes_cached_action_without_request():
     assert rec.outcome is Outcome.HIT
     assert rec.error == 0.0
     assert rec.action_executed == ActionVector(np.full(D, 0.5))
-    assert refill is None  # watermark disabled: request deferred to starvation
+    assert refill is None  # the next request waits for starvation
     assert len(edge.cache) == 0
     assert edge.progress == 1
 
@@ -87,9 +87,9 @@ def test_request_ids_increase_monotonically():
 
 def test_install_fresh_response_installs_all():
     edge = _session()
-    stats = _install(edge, [_tuple(np.zeros(D), s) for s in range(1, 6)])
-    assert stats.installed == 5
-    assert stats.stale_dropped == 0
+    _install(edge, [_tuple(np.zeros(D), s) for s in range(1, 6)])
+    assert edge.stale_dropped == 0
+    assert edge.superseded_dropped == 0
     assert len(edge.cache) == 5
 
 
@@ -98,12 +98,11 @@ def test_install_drops_already_passed_steps():
     edge.progress = 13
     observed = StateVector(np.zeros(D))
     _, refill = edge.edge_tick(observed, 0, 0.0)
-    stats = edge.install_response(
+    edge.install_response(
         refill.request_id,
         RolloutResponse(tuple(_tuple(np.zeros(D), s) for s in range(11, 16)), 5),
     )
-    assert stats.installed == 2  # steps 14, 15
-    assert stats.stale_dropped == 3
+    assert len(edge.cache) == 2  # steps 14, 15
     assert edge.stale_dropped == 3
 
 
@@ -116,9 +115,8 @@ def test_superseded_response_fully_discarded():
     edge.install_response(old.request_id, RolloutResponse((_tuple([25.0, 0, 0], 1),), 1))
     _, newer = edge.edge_tick(observed, 1, 0.02)
     late = RolloutResponse(tuple(_tuple(np.zeros(D), s) for s in (1, 2, 3)), 3)
-    stats = edge.install_response(old.request_id, late)
-    assert stats.superseded_dropped == 3
-    assert stats.installed == 0
+    edge.install_response(old.request_id, late)
+    assert edge.superseded_dropped == 3
     assert len(edge.cache) == 0
     # The in-flight marker still belongs to the newer request.
     assert edge.in_flight_id == newer.request_id
@@ -133,15 +131,6 @@ def test_blocking_session_executes_direct_without_verification():
     assert rec.error is None
     assert not rec.action_executed.is_zero()
     assert edge.progress == 1
-
-
-def test_prefetch_watermark_piggybacks_request_on_hit():
-    edge = _session(prefetch_low_watermark=1)
-    observed = StateVector(np.zeros(D))
-    _install(edge, [_tuple(np.zeros(D), 1), _tuple(np.zeros(D), 2)])
-    rec, refill = edge.edge_tick(observed, 1, 0.02)
-    assert rec.outcome is Outcome.HIT
-    assert refill is not None  # cache depth dropped to the watermark
 
 
 def test_dimension_mismatch_is_fatal():

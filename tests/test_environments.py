@@ -15,7 +15,7 @@ from spo.environments import (
     start_state,
     true_step,
 )
-from spo.types import ActionVector, DimensionError, StateVector, zero_action
+from spo.types import ActionVector, ConfigError, DimensionError, StateVector, zero_action
 
 
 def _integrator_1d():
@@ -41,7 +41,7 @@ def test_scheduled_disturbance_applied_at_its_tick():
     offset = np.zeros(2)
     offset[0] = 5.0
     spec = EnvironmentSpec(
-        name="bumpy", d_s=2, d_a=2, dynamics=Dynamics.CONTACT_SCRIPTED,
+        name="bumpy", d_s=2, d_a=2, dynamics=Dynamics.WAYPOINT_TRACKER,
         max_steps=200, disturbance_schedule=((100, offset),),
     )
     s = StateVector([0.0, 0.0])
@@ -107,7 +107,7 @@ def test_dimension_validation():
 def test_disturbance_schedule_must_be_increasing():
     with pytest.raises(ValueError):
         EnvironmentSpec(
-            name="bad", d_s=1, d_a=1, dynamics=Dynamics.CONTACT_SCRIPTED,
+            name="bad", d_s=1, d_a=1, dynamics=Dynamics.WAYPOINT_TRACKER,
             disturbance_schedule=((5, np.zeros(1)), (5, np.zeros(1))),
         )
 
@@ -162,3 +162,28 @@ def test_load_environment_from_file(tmp_path):
     assert spec.max_steps == 300
     assert np.array_equal(spec.goal_center, [0.5, -0.5, 0.5, -0.5])
     assert spec.gain == 3.0
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("d_s = 4\nd_a = 4\ngoal_raduis = 0.2\n", "unknown config key 'goal_raduis'"),
+        ("d_s = 4\nd_a = 4\ngoal_radius 0.2\n", "expected 'key = value'"),
+        ("d_a = 4\n", "missing required key 'd_s'"),
+        ("d_s = 4\n", "missing required key 'd_a'"),
+        ("d_s = four\nd_a = 4\n", "bad value for d_s"),
+        ("d_s = 4\nd_a = 4\nwaypoints = 0.5,x,0.5,0.5\n", "bad value for waypoints"),
+        ("d_s = 4\nd_a = 4\ndynamics = contact_scripted\n", "bad value for dynamics"),
+        ("d_s = 4\nd_a = 2\n", "tracker dynamics require d_s == d_a"),
+    ],
+    ids=[
+        "unknown-key", "no-equals", "missing-d_s", "missing-d_a", "bad-int",
+        "bad-vector", "bad-dynamics", "spec-invariant",
+    ],
+)
+def test_load_environment_rejects_bad_files(tmp_path, text, message):
+    path = tmp_path / "env.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as exc:
+        load_environment(path)
+    assert any(message in err for err in exc.value.errors), exc.value.errors

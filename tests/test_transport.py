@@ -15,8 +15,6 @@ from spo.transport import (
     encode_response,
     encode_tuple,
     one_way_latency,
-    sample_delay,
-    virtual_channel_deliver,
 )
 from spo.types import ActionVector, SpeculativeTuple, StateVector
 
@@ -122,8 +120,8 @@ def test_response_type_mismatch_raises():
 
 def test_sample_delay_degenerate_cases():
     rng = np.random.default_rng(0)
-    assert sample_delay(LatencyModel(0.075, 0.0, rng)) == 0.075
-    assert sample_delay(LatencyModel(0.0, 0.0, rng)) == 0.0
+    assert LatencyModel(0.075, 0.0, rng).sample() == 0.075
+    assert LatencyModel(0.0, 0.0, rng).sample() == 0.0
 
 
 def test_sample_delay_uniform_moments():
@@ -146,15 +144,18 @@ def test_one_way_latency_splits_rtt_symmetrically():
 
 
 def test_virtual_channel_deliver_basics():
-    queue = [(0.075, "a")]
-    assert virtual_channel_deliver(queue, 0.05) == []
-    assert virtual_channel_deliver(queue, 0.08) == ["a"]
-    assert queue == []
+    channel = VirtualChannel(LatencyModel(0.075, 0.0, np.random.default_rng(0)))
+    channel.send_response("a", now=0.0)
+    assert channel.edge_inbox(0.05) == []  # not due yet
+    assert channel.edge_inbox(0.08) == ["a"]
+    assert channel.to_edge == []
 
 
 def test_virtual_channel_deliver_preserves_send_order():
-    queue = [(0.075, "first"), (0.075, "second")]
-    assert virtual_channel_deliver(queue, 0.1) == ["first", "second"]
+    channel = VirtualChannel(LatencyModel(0.075, 0.0, np.random.default_rng(0)))
+    channel.send_response("first", now=0.0)
+    channel.send_response("second", now=0.0)  # same deliver-at time
+    assert channel.edge_inbox(0.1) == ["first", "second"]
 
 
 def test_virtual_channel_fifo_under_jitter():
@@ -163,7 +164,7 @@ def test_virtual_channel_fifo_under_jitter():
         channel.send_request(i, now=i * 0.001)
     deliver_times = [t for t, _ in channel.to_cloud]
     assert deliver_times == sorted(deliver_times)
-    assert channel.cloud_inbox(10.0) == list(range(50))
+    assert [item for _, item in channel.cloud_inbox_timed(10.0)] == list(range(50))
 
 
 def test_virtual_channel_directions_are_independent():

@@ -126,12 +126,6 @@ def test_jitter_bounded_by_rtt():
     assert "jitter_half_width <= rtt_base violated" in errs
 
 
-def test_prefetch_watermark_bound():
-    errs = config_errors(SpoConfig(prefetch_low_watermark=2, k_min=2))
-    assert "prefetch_low_watermark < k_min violated" in errs
-    assert not config_errors(SpoConfig(prefetch_low_watermark=1, k_min=2))
-
-
 def test_parse_config_text_roundtrip():
     values = parse_config_text(
         """

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spo.types import ActionVector, DimensionError, SpeculativeTuple, StateVector, WeightMatrix
-from spo.verifier import Decision, tracking_error, verify
+from spo.verifier import tracking_error, verify
 
 
 def _brute_force_error(actual, predicted, weights):
@@ -56,9 +56,8 @@ def test_dimension_mismatch_raises():
 def test_verify_zero_error_is_hit():
     s = StateVector(np.zeros(4))
     out = verify(s, _tuple(np.zeros(4)), WeightMatrix(np.ones(4)), 20.0)
-    assert out.decision is Decision.HIT
+    assert out.is_hit
     assert out.error == 0.0
-    assert out.threshold == 20.0
 
 
 def test_verify_error_25_is_miss():
@@ -66,7 +65,7 @@ def test_verify_error_25_is_miss():
     actual = StateVector([25.0, 0.0, 0.0])
     out = verify(actual, _tuple(np.zeros(3)), WeightMatrix(np.ones(3)), 20.0)
     assert _brute_force_error(actual.values, np.zeros(3), np.ones(3)) == 25.0
-    assert out.decision is Decision.MISS
+    assert not out.is_hit
     assert out.error == 25.0
 
 
@@ -130,4 +129,4 @@ def test_single_cycle_detection_closed_loop():
         eps = 20.0
         perturbed = predicted + unit * eps * float(rng.uniform(1.01, 10.0))
         out = verify(StateVector(perturbed), _tuple(predicted), w, eps)
-        assert out.decision is Decision.MISS
+        assert not out.is_hit
