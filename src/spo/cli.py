@@ -81,7 +81,12 @@ def _effective_config(args) -> SpoConfig:
 def _spec(args):
     if os.path.exists(args.env):
         return load_environment(args.env, disturbances_csv=args.disturbances)
-    return get_spec(args.env)
+    if args.disturbances:
+        raise ConfigError([f"--disturbances needs a spec file, not environment {args.env!r}"])
+    try:
+        return get_spec(args.env)
+    except KeyError as exc:
+        raise ConfigError([f"no spec file at {args.env!r}, and {exc.args[0]}"]) from None
 
 
 def _weights(args, spec, cfg):

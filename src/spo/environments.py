@@ -64,9 +64,13 @@ class EnvironmentSpec:
         steps = [s for s, _ in self.disturbance_schedule]
         if steps != sorted(set(steps)):
             raise ValueError("disturbance step indices must be strictly increasing")
-        for _, offset in self.disturbance_schedule:
-            if np.asarray(offset).size != self.d_s:
-                raise DimensionError("disturbance offsets must have dimension d_s")
+        pos = self.position_dims
+        sized = [("waypoint", w, pos) for w in self.waypoints]
+        sized += [("disturbance offset", o, self.d_s) for _, o in self.disturbance_schedule]
+        sized += [("goal_center", self.goal_center, pos), ("start", self.start, self.d_s)]
+        for label, vector, size in sized:
+            if vector is not None and np.asarray(vector).size != size:
+                raise DimensionError(f"{label} must have {size} components")
 
     @property
     def position_dims(self) -> int:
@@ -105,8 +109,6 @@ def is_success(spec: EnvironmentSpec, state: StateVector) -> bool:
 def start_state(spec: EnvironmentSpec, rng: np.random.Generator | None = None) -> StateVector:
     """Initial state; per-seed jitter perturbs the start positions."""
     base = np.zeros(spec.d_s) if spec.start is None else np.asarray(spec.start, dtype=np.float64).copy()
-    if base.size != spec.d_s:
-        raise DimensionError("start vector must have dimension d_s")
     if rng is not None and spec.start_jitter > 0:
         base[: spec.position_dims] += rng.uniform(
             -spec.start_jitter, spec.start_jitter, spec.position_dims
@@ -190,9 +192,13 @@ def load_disturbances_csv(path, d_s: int) -> tuple:
         for row in reader:
             if not row or row[0].strip().startswith("#") or row[0].strip() == "step_index":
                 continue
-            step, dim, offset = int(row[0]), int(row[1]), float(row[2])
+            where = f"{path}:{reader.line_num}"
+            try:
+                step, dim, offset = int(row[0]), int(row[1]), float(row[2])
+            except (IndexError, ValueError):
+                raise ConfigError([f"{where}: expected step_index,dim,offset, got {row}"]) from None
             if not (0 <= dim < d_s):
-                raise DimensionError(f"disturbance dim {dim} out of range for d_s={d_s}")
+                raise ConfigError([f"{where}: disturbance dim {dim} out of range for d_s={d_s}"])
             offsets.setdefault(step, np.zeros(d_s))[dim] += offset
     return tuple(sorted((s, v) for s, v in offsets.items()))
 

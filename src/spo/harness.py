@@ -1,11 +1,12 @@
-"""Experiment runner: virtual-clock episodes, weight calibration, metrics,
+"""Experiment runner: the episode loop, weight calibration, metrics,
 baseline comparison, and result serialization.
 
-One episode couples an :class:`~spo.edge.EdgeSession`, a
-:class:`~spo.cloud.CloudSession`, and a deterministic
-:class:`~spo.transport.VirtualChannel` to a synthetic environment. All
-randomness (start jitter, channel jitter, model noise) derives from one seed,
-so a run is bitwise reproducible.
+One episode couples an :class:`~spo.edge.EdgeSession`, through a link to a
+cloud, to a synthetic environment: on the virtual clock a
+:class:`~spo.cloud.CloudSession` behind a deterministic
+:class:`~spo.transport.VirtualChannel`, in socket mode a TCP peer. All
+randomness (start jitter, channel jitter, model noise) derives from one seed
+through :func:`episode_seeds`, so a virtual run is bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -125,6 +126,44 @@ def calibrate_weights(
     return WeightMatrix(np.minimum(weights, WEIGHT_CAP))
 
 
+def episode_seeds(cfg: SpoConfig, seed: int):
+    """Start rng, channel rng and drift seed of episode ``seed``: the one rule of both modes."""
+    start, channel, drift = np.random.SeedSequence([cfg.rng_seed, seed]).spawn(3)
+    drift_seed = int(drift.generate_state(1)[0])
+    return np.random.default_rng(start), np.random.default_rng(channel), drift_seed
+
+
+class VirtualLink:
+    """The in-process cloud behind a :class:`VirtualChannel`, as a link of :func:`run_episode`.
+
+    A link has ``wait``, ``due``, ``send``, ``dead``, ``horizons`` and ``generated``.
+    """
+
+    dead = False
+
+    def __init__(self, cloud: CloudSession, channel: VirtualChannel):
+        self.cloud = cloud
+        self.channel = channel
+        self.horizons: list[int] = []
+        self.generated = 0
+
+    def wait(self, now: float) -> None:
+        pass
+
+    def due(self, now: float) -> list:
+        # Requests due at the cloud: respond from the arrival instant, not the
+        # next edge tick, so the response leg is not tick-quantized.
+        for arrived_at, (rid, req) in self.channel.cloud_inbox_timed(now):
+            resp = self.cloud.handle(req)
+            self.horizons.append(resp.horizon_used)
+            self.generated += len(resp.tuples)
+            self.channel.send_response((rid, resp), now=arrived_at)
+        return self.channel.edge_inbox(now)
+
+    def send(self, refill, now: float) -> None:
+        self.channel.send_request((refill.request_id, refill.request), now)
+
+
 def run_single(
     kind: BaselineKind,
     spec: EnvironmentSpec,
@@ -137,45 +176,38 @@ def run_single(
 ) -> RunResult:
     """One deterministic virtual-clock episode."""
     validate_config(cfg)
-    ss = np.random.SeedSequence([cfg.rng_seed, seed])
-    start_rng, channel_rng, drift_ss = ss.spawn(3)
+    start_rng, channel_rng, drift_seed = episode_seeds(cfg, seed)
     policy = make_policy(spec)
     model = make_model(
-        spec,
-        model_kind,
-        drift_bias=drift_bias,
-        drift_noise=drift_noise,
-        seed=int(drift_ss.generate_state(1)[0]),
+        spec, model_kind, drift_bias=drift_bias, drift_noise=drift_noise, seed=drift_seed
     )
     cloud = CloudSession(cfg, policy, model, fixed_horizon=FIXED_HORIZON[kind])
-    channel = VirtualChannel(
-        one_way_latency(cfg.rtt_base, cfg.jitter_half_width, np.random.default_rng(channel_rng))
+    channel = VirtualChannel(one_way_latency(cfg.rtt_base, cfg.jitter_half_width, channel_rng))
+    return run_episode(
+        kind, spec, cfg, seed, weights, VirtualLink(cloud, channel), start_state(spec, start_rng)
     )
-    edge = EdgeSession(cfg, weights, spec.d_a, blocking=(kind is BaselineKind.BLOCKING))
-    state = start_state(spec, np.random.default_rng(start_rng))
-    dt = cfg.control_interval
 
+
+def run_episode(
+    kind: BaselineKind, spec: EnvironmentSpec, cfg: SpoConfig, seed: int,
+    weights: WeightMatrix, link, start: StateVector,
+) -> RunResult:
+    """The control loop of both modes; ``link`` hides the clock and the transport."""
+    edge = EdgeSession(cfg, weights, spec.d_a, blocking=(kind is BaselineKind.BLOCKING))
+    state = start
     records: list[StepRecord] = []
-    horizons: list[int] = []
-    generated = 0
     success = False
     diagnostic = None
 
     for tick in range(spec.max_steps):
-        now = tick * dt
-        # Requests due at the cloud: respond from the arrival instant, not the
-        # next edge tick, so the response leg is not tick-quantized.
-        for arrived_at, (rid, req) in channel.cloud_inbox_timed(now):
-            resp = cloud.handle(req)
-            horizons.append(resp.horizon_used)
-            generated += len(resp.tuples)
-            channel.send_response((rid, resp), now=arrived_at)
-        for rid, resp in channel.edge_inbox(now):
+        now = tick * cfg.control_interval
+        link.wait(now)
+        for rid, resp in link.due(now):
             edge.install_response(rid, resp)
         rec, refill = edge.edge_tick(state, tick, now)
         records.append(rec)
         if refill is not None:
-            channel.send_request((refill.request_id, refill.request), now)
+            link.send(refill, now)
         try:
             state = true_step(spec, state, rec.action_executed, tick)
         except ValueError as exc:
@@ -184,9 +216,14 @@ def run_single(
         if is_success(spec, state):
             success = True
             break
+        if link.dead and edge.in_flight_id is not None:
+            diagnostic = "connection lost while awaiting refill"
+            break
 
+    # One copy: a socket link's reader thread may still be appending.
+    horizons = list(link.horizons)
     metrics = compile_metrics(
-        kind, spec, cfg, seed, records, horizons, generated, len(edge.cache),
+        kind, spec, cfg, seed, records, horizons, link.generated, len(edge.cache),
         success, diagnostic,
     )
     return RunResult(metrics=metrics, records=records, horizons=horizons)

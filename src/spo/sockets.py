@@ -1,36 +1,24 @@
-"""Real-socket mode: a TCP cloud endpoint and a real-time edge loop.
+"""Real-socket mode: a TCP cloud endpoint, and a wall-clock link for the episode loop.
 
-Both sides share the virtual mode's :class:`~spo.transport.LatencyModel`.
-Delay injection happens in a shim at each receiver: the cloud sleeps one
-sampled one-way delay before processing a request, and the edge holds an
-arrived response for one sampled one-way delay before the control loop may
-see it. Loopback RTT therefore matches the emulated WAN figure.
+The edge runs :func:`spo.harness.run_episode` with a :class:`SocketLink`. A run of
+seed S draws its start, delays and drift seed from :func:`~spo.harness.episode_seeds`
+as the virtual run of S does; the n-th connection to a server of base seed S serves
+episode S+n-1. Each receiver injects a sampled one-way delay, so loopback RTT
+matches the emulated one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import socket
 import threading
 import time
 
-import numpy as np
-
 from . import transport
-from .cloud import CloudSession, make_model, make_policy
-from .edge import EdgeSession
-from .environments import EnvironmentSpec, is_success, start_state, true_step
-from .harness import (
-    BaselineKind,
-    FIXED_HORIZON,
-    RunResult,
-    calibrate_weights,
-    compile_metrics,
-)
-from .types import SpoConfig, validate_config
-
-
-def _one_way(cfg: SpoConfig, rng) -> transport.LatencyModel:
-    return transport.one_way_latency(cfg.rtt_base, cfg.jitter_half_width, rng)
+from .cloud import CloudSession, RolloutError, make_model, make_policy
+from .environments import EnvironmentSpec, start_state
+from .harness import FIXED_HORIZON, BaselineKind, RunResult, episode_seeds, run_episode
+from .types import SpoConfig, WeightMatrix, validate_config
 
 
 class CloudServer:
@@ -82,133 +70,93 @@ class CloudServer:
         self._stop.set()
 
     def _session(self, conn: socket.socket, session_id: int) -> None:
-        policy = make_policy(self.spec)
+        _, channel_rng, drift_seed = episode_seeds(self.cfg, self.cfg.rng_seed + session_id - 1)
         model = make_model(
             self.spec, self.model_kind,
-            drift_bias=self.drift_bias, drift_noise=self.drift_noise,
-            seed=self.cfg.rng_seed + session_id,
+            drift_bias=self.drift_bias, drift_noise=self.drift_noise, seed=drift_seed,
         )
-        cloud = CloudSession(self.cfg, policy, model, fixed_horizon=FIXED_HORIZON[self.kind])
-        latency = _one_way(
-            self.cfg, np.random.default_rng([self.cfg.rng_seed, session_id, 1])
+        cloud = CloudSession(self.cfg, make_policy(self.spec), model, FIXED_HORIZON[self.kind])
+        latency = transport.one_way_latency(
+            self.cfg.rtt_base, self.cfg.jitter_half_width, channel_rng
         )
         with conn:
-            while True:
-                try:
-                    frame = transport.recv_frame(conn)
-                except (ConnectionError, transport.FrameError):
-                    return
-                if frame is None:
-                    return
-                time.sleep(latency.sample())  # receiver-side uplink delay shim
-                rid, req = transport.decode_request(frame)
-                resp = cloud.handle(req)
-                out = transport.encode_response(rid, resp, step_index=req.step_index)
-                try:
+            try:
+                while (frame := transport.recv_frame(conn)) is not None:
+                    time.sleep(latency.sample())  # receiver-side uplink delay shim
+                    rid, req = transport.decode_request(frame)
+                    resp = cloud.handle(req)
+                    out = transport.encode_response(rid, resp, step_index=req.step_index)
                     transport.send_frame(conn, out)
-                except ConnectionError:
-                    return
+            except (OSError, transport.FrameError, RolloutError):
+                return
 
 
-class _DelayedInbox:
-    """Reader-thread inbox that reveals responses only after the downlink delay."""
+class SocketLink:
+    """A remote cloud over TCP, in real time, as a link of :func:`~spo.harness.run_episode`.
 
-    def __init__(self, sock: socket.socket, d_s: int, d_a: int, latency):
+    A reader thread decodes each response, counts it, and queues it on a
+    :class:`~spo.transport.VirtualChannel` keyed by seconds since the episode began,
+    so the downlink delay and its FIFO clamp are the virtual mode's. Any receive,
+    decode or send error marks the link ``dead``.
+    """
+
+    def __init__(self, sock: socket.socket, spec: EnvironmentSpec, latency, blocking: bool):
         self._sock = sock
-        self._d_s = d_s
-        self._d_a = d_a
-        self._latency = latency
+        self._spec = spec
+        self._blocking = blocking
+        self._channel = transport.VirtualChannel(latency)
         self._lock = threading.Lock()
-        self._pending: list = []
-        self._last_available = 0.0
+        self._t0 = time.monotonic()
+        self.horizons: list[int] = []
         self.generated = 0
         self.dead = False
-        self._thread = threading.Thread(target=self._reader, daemon=True)
-        self._thread.start()
+        threading.Thread(target=self._reader, daemon=True).start()
 
     def _reader(self) -> None:
-        while True:
-            try:
-                frame = transport.recv_frame(self._sock)
-            except (ConnectionError, transport.FrameError, OSError):
-                frame = None
-            if frame is None:
-                self.dead = True
-                return
-            rid, resp = transport.decode_response(frame, self._d_s, self._d_a)
-            available_at = time.monotonic() + self._latency.sample()
-            with self._lock:
-                # FIFO: a later frame never becomes visible before an earlier one.
-                available_at = max(available_at, self._last_available)
-                self._last_available = available_at
-                self._pending.append((available_at, rid, resp))
-                self.generated += len(resp.tuples)
+        try:
+            while (frame := transport.recv_frame(self._sock)) is not None:
+                rid, resp = transport.decode_response(frame, self._spec.d_s, self._spec.d_a)
+                with self._lock:
+                    # The wire carries no horizon; the blocking reply's is 0.
+                    self.horizons.append(0 if self._blocking else len(resp.tuples))
+                    self.generated += len(resp.tuples)
+                    self._channel.send_response((rid, resp), time.monotonic() - self._t0)
+        except (OSError, transport.FrameError):
+            pass
+        self.dead = True
 
-    def due(self) -> list:
-        now = time.monotonic()
-        out = []
+    def wait(self, now: float) -> None:
+        delay = self._t0 + now - time.monotonic()
+        if delay > 0:
+            time.sleep(delay)
+
+    def due(self, now: float) -> list:
         with self._lock:
-            while self._pending and self._pending[0][0] <= now:
-                _, rid, resp = self._pending.pop(0)
-                out.append((rid, resp))
-        return out
+            return self._channel.edge_inbox(time.monotonic() - self._t0)
+
+    def send(self, refill, now: float) -> None:
+        try:
+            transport.send_frame(
+                self._sock, transport.encode_request(refill.request_id, refill.request)
+            )
+        except (OSError, transport.FrameError):
+            self.dead = True
 
 
 def edge_connect_run(
-    addr: tuple[str, int],
-    spec: EnvironmentSpec,
-    cfg: SpoConfig,
-    kind: BaselineKind = BaselineKind.SPO,
-    seed: int = 0,
-    weights=None,
+    addr: tuple[str, int], spec: EnvironmentSpec, cfg: SpoConfig, kind: BaselineKind,
+    seed: int, weights: WeightMatrix,
 ) -> RunResult:
     """Run the edge control loop in real time against a remote cloud endpoint."""
     validate_config(cfg)
-    if weights is None:
-        weights = calibrate_weights(spec, seed=cfg.rng_seed)
-    sock = socket.create_connection(addr, timeout=10.0)
-    sock.settimeout(None)
-    latency = _one_way(cfg, np.random.default_rng([cfg.rng_seed, seed, 2]))
-    inbox = _DelayedInbox(sock, spec.d_s, spec.d_a, latency)
-    edge = EdgeSession(cfg, weights, spec.d_a, blocking=(kind is BaselineKind.BLOCKING))
-    state = start_state(spec, np.random.default_rng([cfg.rng_seed, seed]))
-    dt = cfg.control_interval
-
-    records = []
-    horizons: list[int] = []
-    success = False
-    diagnostic = None
-    t0 = time.monotonic()
-    try:
-        for tick in range(spec.max_steps):
-            target = t0 + tick * dt
-            delay = target - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
-            for rid, resp in inbox.due():
-                if kind is not BaselineKind.BLOCKING:
-                    horizons.append(resp.horizon_used)
-                edge.install_response(rid, resp)
-            rec, refill = edge.edge_tick(state, tick, tick * dt)
-            records.append(rec)
-            if refill is not None:
-                frame = transport.encode_request(refill.request_id, refill.request)
-                try:
-                    transport.send_frame(sock, frame)
-                except OSError:
-                    diagnostic = "connection lost while sending refill request"
-                    break
-            state = true_step(spec, state, rec.action_executed, tick)
-            if is_success(spec, state):
-                success = True
-                break
-            if inbox.dead and edge.in_flight_id is not None:
-                diagnostic = "connection lost while awaiting refill"
-                break
-    finally:
-        sock.close()
-    metrics = compile_metrics(
-        kind, spec, cfg, seed, records, horizons, inbox.generated, len(edge.cache),
-        success, diagnostic,
-    )
-    return RunResult(metrics=metrics, records=records, horizons=horizons)
+    start_rng, channel_rng, _ = episode_seeds(cfg, seed)
+    latency = transport.one_way_latency(cfg.rtt_base, cfg.jitter_half_width, channel_rng)
+    with socket.create_connection(addr, timeout=10.0) as sock:
+        sock.settimeout(None)
+        link = SocketLink(sock, spec, latency, blocking=(kind is BaselineKind.BLOCKING))
+        try:
+            return run_episode(kind, spec, cfg, seed, weights, link, start_state(spec, start_rng))
+        finally:
+            # Closing alone would not wake the reader blocked in recv.
+            with contextlib.suppress(OSError):
+                sock.shutdown(socket.SHUT_RDWR)

@@ -9,9 +9,10 @@ Frame layout (all little-endian):
                payload = tuple_count * 4 * (d_s + d_a) bytes,
                each tuple packed as state then action float32s
 
-Socket mode prefixes every frame with a 4B length. Two channel flavors share
-one :class:`LatencyModel`: a deterministic virtual-clock channel used by the
-harness, and a receiver-side shim for real sockets.
+Socket mode prefixes every frame with a 4B length. Both modes draw delays
+from one :class:`LatencyModel`. The harness delivers both legs through a
+:class:`VirtualChannel` on virtual time; in socket mode the server sleeps each
+request's delay, and the edge queues responses on a channel keyed by wall time.
 """
 
 from __future__ import annotations
@@ -197,7 +198,7 @@ def send_frame(sock, frame: bytes) -> None:
 
 
 def recv_frame(sock) -> bytes | None:
-    """Read one length-prefixed frame; None on clean EOF."""
+    """Read one length-prefixed frame; None on clean EOF before its first byte."""
     header = _recv_exact(sock, _LEN_PREFIX.size)
     if header is None:
         return None
@@ -209,10 +210,13 @@ def recv_frame(sock) -> bytes | None:
 
 
 def _recv_exact(sock, n: int) -> bytes | None:
+    """``n`` bytes; None on EOF before the first, FrameError on EOF after it."""
     buf = b""
     while len(buf) < n:
         chunk = sock.recv(n - len(buf))
         if not chunk:
-            return None if not buf else buf
+            if buf:
+                raise FrameError(f"connection closed after {len(buf)} of {n} bytes")
+            return None
         buf += chunk
     return buf

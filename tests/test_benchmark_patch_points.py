@@ -5,14 +5,22 @@ by module attribute. A rename or deletion there would otherwise surface only
 when the benchmark itself runs.
 """
 
+import dataclasses
 import importlib.util
 import pathlib
 
 import numpy as np
 
 import spo.cloud
+import spo.edge
+import spo.harness
+import spo.sockets
+import spo.transport
+import spo.types
 from spo.cloud import CloudSession, RolloutRequest
-from spo.types import ActionVector, SpoConfig, StateVector
+from spo.environments import get_spec
+from spo.harness import BaselineKind, run_single
+from spo.types import ActionVector, SpoConfig, StateVector, WeightMatrix
 
 TRACING = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
 
@@ -48,3 +56,33 @@ def test_layer_wrappers_install_observe_and_restore():
     assert probe.tuples_generated == 3
     assert CloudSession.handle is handle
     assert spo.cloud.update_horizon is update_horizon
+
+
+def test_layer_wrappers_trace_one_episode_and_restore_every_original():
+    tracing = _load_tracing()
+    owners = [
+        spo.types.StateVector, spo.types.ActionVector, spo.cloud.CloudSession, spo.cloud,
+        spo.edge.EdgeSession, spo.edge, spo.harness, spo.sockets, spo.transport.VirtualChannel,
+        spo.transport,
+    ]
+    before = [dict(vars(owner)) for owner in owners]
+    spec = dataclasses.replace(get_spec("free_space"), max_steps=40)
+    tracer = tracing.Tracer()
+    try:
+        tracing.install_layer_wrappers(tracer)
+        run_single(
+            BaselineKind.SPO, spec, SpoConfig(), 0, WeightMatrix(np.ones(spec.d_s)),
+            model_kind="drifted", drift_bias=8e-4, drift_noise=2e-4,
+        )
+    finally:
+        tracer.restore()
+    stats = tracing.span_stats(tracer.spans())
+    for name in (
+        "environments.true_step", "environments.is_success", "transport.virtual",
+        "cloud.policy_act", "cloud.model_step", "edge.edge_tick", "verifier.verify",
+    ):
+        assert stats.get(name, {"calls": 0})["calls"] > 0, name
+    for owner, attrs in zip(owners, before):
+        after = vars(owner)
+        assert after.keys() == attrs.keys(), owner
+        assert all(after[key] is value for key, value in attrs.items()), owner

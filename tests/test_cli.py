@@ -143,6 +143,22 @@ def test_bad_environment_file_exits_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--env", "missing.cfg"], "unknown environment 'missing.cfg'"),
+        (["--env", "free_space", "--disturbances", "missing.csv"],
+         "--disturbances needs a spec file"),
+    ],
+    ids=["unknown-env", "disturbances-without-spec-file"],
+)
+def test_environment_errors_exit_two(tmp_path, capsys, argv, message):
+    code = cli.main(["run", *argv, "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err, err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["run", "--mode", "socket"],

@@ -141,7 +141,7 @@ def test_load_disturbances_csv(tmp_path):
     schedule = load_disturbances_csv(path, d_s=3)
     assert [s for s, _ in schedule] == [100, 200]
     assert np.array_equal(schedule[0][1], [5.0, -1.0, 0.0])
-    with pytest.raises(DimensionError):
+    with pytest.raises(ConfigError, match="bumps.csv:4: disturbance dim 1 out of range"):
         load_disturbances_csv(path, d_s=1)
 
 
@@ -165,25 +165,36 @@ def test_load_environment_from_file(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "text, message",
+    "text, disturbances, message",
     [
-        ("d_s = 4\nd_a = 4\ngoal_raduis = 0.2\n", "unknown config key 'goal_raduis'"),
-        ("d_s = 4\nd_a = 4\ngoal_radius 0.2\n", "expected 'key = value'"),
-        ("d_a = 4\n", "missing required key 'd_s'"),
-        ("d_s = 4\n", "missing required key 'd_a'"),
-        ("d_s = four\nd_a = 4\n", "bad value for d_s"),
-        ("d_s = 4\nd_a = 4\nwaypoints = 0.5,x,0.5,0.5\n", "bad value for waypoints"),
-        ("d_s = 4\nd_a = 4\ndynamics = contact_scripted\n", "bad value for dynamics"),
-        ("d_s = 4\nd_a = 2\n", "tracker dynamics require d_s == d_a"),
+        ("d_s = 4\nd_a = 4\ngoal_raduis = 0.2\n", None, "unknown config key 'goal_raduis'"),
+        ("d_s = 4\nd_a = 4\ngoal_radius 0.2\n", None, "expected 'key = value'"),
+        ("d_a = 4\n", None, "missing required key 'd_s'"),
+        ("d_s = 4\n", None, "missing required key 'd_a'"),
+        ("d_s = four\nd_a = 4\n", None, "bad value for d_s"),
+        ("d_s = 4\nd_a = 4\nwaypoints = 0.5,x,0.5,0.5\n", None, "bad value for waypoints"),
+        ("d_s = 4\nd_a = 4\ndynamics = contact_scripted\n", None, "bad value for dynamics"),
+        ("d_s = 4\nd_a = 2\n", None, "tracker dynamics require d_s == d_a"),
+        ("d_s = 4\nd_a = 4\nwaypoints = 0.5,0.5,0.5\n", None, "waypoint must have 4 components"),
+        ("d_s = 4\nd_a = 4\ngoal_center = 1,2\n", None, "goal_center must have 4 components"),
+        ("d_s = 4\nd_a = 4\nstart = 0,0,0,0,0\n", None, "start must have 4 components"),
+        ("d_s = 4\nd_a = 4\n", "step_index,dim,offset\n10,1\n", "dist.csv:2: expected step_index"),
+        ("d_s = 4\nd_a = 4\n", "# bumps\n10,zero,1.0\n", "dist.csv:2: expected step_index"),
+        ("d_s = 4\nd_a = 4\n", "10,0,1.0\n20,4,1.0\n", "dist.csv:2: disturbance dim 4 out of range"),
     ],
     ids=[
         "unknown-key", "no-equals", "missing-d_s", "missing-d_a", "bad-int",
-        "bad-vector", "bad-dynamics", "spec-invariant",
+        "bad-vector", "bad-dynamics", "spec-invariant", "short-waypoint", "short-goal",
+        "long-start", "short-row", "non-numeric-row", "dim-out-of-range",
     ],
 )
-def test_load_environment_rejects_bad_files(tmp_path, text, message):
+def test_load_environment_rejects_bad_files(tmp_path, text, disturbances, message):
     path = tmp_path / "env.cfg"
     path.write_text(text)
+    csv_path = None
+    if disturbances is not None:
+        csv_path = tmp_path / "dist.csv"
+        csv_path.write_text(disturbances)
     with pytest.raises(ConfigError) as exc:
-        load_environment(path)
+        load_environment(path, disturbances_csv=csv_path)
     assert any(message in err for err in exc.value.errors), exc.value.errors

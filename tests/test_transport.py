@@ -1,4 +1,6 @@
-"""Wire codec byte laws, latency model, and virtual channel behavior."""
+"""Wire codec byte laws, socket framing, latency model, and virtual channel behavior."""
+
+import socket
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from spo.transport import (
     encode_response,
     encode_tuple,
     one_way_latency,
+    recv_frame,
+    send_frame,
 )
 from spo.types import ActionVector, SpeculativeTuple, StateVector
 
@@ -116,6 +120,28 @@ def test_response_type_mismatch_raises():
     req = RolloutRequest(StateVector([1.0]), 0.0, 0)
     with pytest.raises(FrameError):
         decode_response(encode_request(1, req), 1, 1)
+
+
+def test_recv_frame_rejects_every_truncation():
+    frame = encode_request(5, RolloutRequest(StateVector([1.0, -2.0, 3.0]), 0.5, 9))
+    a, b = socket.socketpair()
+    with a, b:
+        send_frame(a, frame)
+        wire = b.recv(1 << 16)
+    assert len(wire) == 4 + len(frame)
+    for cut in range(len(wire) + 1):
+        a, b = socket.socketpair()
+        with a, b:
+            a.sendall(wire[:cut])
+            a.shutdown(socket.SHUT_WR)
+            if cut == 0:
+                assert recv_frame(b) is None
+            elif cut < len(wire):
+                with pytest.raises(FrameError):
+                    recv_frame(b)
+            else:
+                assert recv_frame(b) == frame
+                assert recv_frame(b) is None
 
 
 def test_sample_delay_degenerate_cases():
