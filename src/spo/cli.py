@@ -69,18 +69,26 @@ def _base_seed(args) -> int:
     return int(os.environ.get("SPO_SEED", "0"))
 
 
+def _read(loader, path, *args, **kwargs):
+    """``loader(path, ...)``, with a local file it cannot read as a config error."""
+    try:
+        return loader(path, *args, **kwargs)
+    except OSError as exc:
+        raise ConfigError([f"cannot read {exc.filename or path}: {exc.strerror or exc}"]) from None
+
+
 def _effective_config(args) -> SpoConfig:
     overrides = {field: getattr(args, flag) for flag, field in NET_FLAGS.items()}
     overrides["rng_seed"] = _base_seed(args)
     if args.config:
-        return load_config(args.config, overrides)
+        return _read(load_config, args.config, overrides)
     values = {k: v for k, v in overrides.items() if v is not None}
     return validate_config(SpoConfig(**values))
 
 
 def _spec(args):
     if os.path.exists(args.env):
-        return load_environment(args.env, disturbances_csv=args.disturbances)
+        return _read(load_environment, args.env, disturbances_csv=args.disturbances)
     if args.disturbances:
         raise ConfigError([f"--disturbances needs a spec file, not environment {args.env!r}"])
     try:
@@ -91,7 +99,7 @@ def _spec(args):
 
 def _weights(args, spec, cfg):
     if args.weights:
-        return harness.load_weights(args.weights)
+        return _read(harness.load_weights, args.weights)
     return harness.calibrate_weights(spec, seed=cfg.rng_seed)
 
 

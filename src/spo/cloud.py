@@ -11,6 +11,7 @@ predictor of modest accuracy.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 from typing import Protocol
 
@@ -71,17 +72,18 @@ class ScriptedExpertPolicy:
         self.spec = spec
         anchor = np.zeros(spec.position_dims)
         self._path = [anchor] + [np.asarray(w, dtype=np.float64) for w in spec.waypoints]
+        # Each segment as (start, start-to-end, squared length), built once.
+        self._segments = [(a, b - a, float(np.dot(b - a, b - a)))
+                          for a, b in zip(self._path, self._path[1:])]
 
     def _target(self, pos: np.ndarray) -> np.ndarray:
-        if len(self._path) < 2:
+        if len(self._segments) < 2:
             return self._path[-1]
-        best_k, best_d = 0, np.inf
-        for k in range(len(self._path) - 1):
-            a, b = self._path[k], self._path[k + 1]
-            ab = b - a
-            denom = float(np.dot(ab, ab))
-            t = 0.0 if denom == 0 else float(np.clip(np.dot(pos - a, ab) / denom, 0.0, 1.0))
-            d = float(np.linalg.norm(pos - (a + t * ab)))
+        best_k, best_d = 0, math.inf
+        for k, (a, ab, denom) in enumerate(self._segments):
+            t = 0.0 if denom == 0 else min(max(float(np.dot(pos - a, ab)) / denom, 0.0), 1.0)
+            off = pos - (a + t * ab)
+            d = math.sqrt(off.dot(off))
             if d <= best_d + 1e-9:
                 best_k, best_d = k, min(best_d, d)
         return self._path[best_k + 1]
@@ -89,18 +91,16 @@ class ScriptedExpertPolicy:
     def act(self, state: StateVector) -> ActionVector:
         pos = state.values[: self.spec.position_dims]
         target = self._target(pos)
-        v = self.spec.gain * (target - pos)
-        speed = float(np.linalg.norm(v))
+        to_target = target - pos
+        v = self.spec.gain * to_target
+        speed = math.sqrt(v.dot(v))
         if speed > self.spec.a_max:
             v = v * (self.spec.a_max / speed)
         # Speed varies along the path so one-step deltas have usable variance
         # for inverse-variance weight calibration (constant-velocity motion
         # would be degenerate).
-        dist = float(np.linalg.norm(target - pos))
-        v = v * (0.7 + 0.3 * np.cos(4.0 * dist))
-        if self.spec.d_a != self.spec.position_dims:
-            v = np.resize(v, self.spec.d_a)
-        return ActionVector(v)
+        dist = math.sqrt(to_target.dot(to_target))
+        return ActionVector(v * (0.7 + 0.3 * np.cos(4.0 * dist)))
 
 
 class OracleWorldModel:

@@ -94,7 +94,6 @@ class EdgeSession:
     ):
         self.cfg = cfg
         self.weights = weights
-        self.d_a = d_a
         self.blocking = blocking
         self.cache = TrajectoryCache()
         self.progress = 0
@@ -103,6 +102,7 @@ class EdgeSession:
         self.stale_dropped = 0
         self.superseded_dropped = 0
         self.flushed = 0
+        self._hold = zero_action(d_a)  # immutable, so every hold tick shares it
 
     def _issue_request(self, observed: StateVector, violation_error: float) -> RefillRequest:
         rid = self._next_request_id
@@ -125,7 +125,7 @@ class EdgeSession:
             raise DimensionError(
                 f"observed dimension {observed.dim} != calibrated d_s {self.weights.dim}"
             )
-        hold = zero_action(self.d_a)
+        hold = self._hold
         if len(self.cache) > 0:
             tup, src = self.cache.pop()
             if self.blocking:

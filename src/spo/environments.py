@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,12 +86,12 @@ def true_step(
         raise DimensionError(f"state dimension {state.dim} != d_s {spec.d_s}")
     if action.dim != spec.d_a:
         raise DimensionError(f"action dimension {action.dim} != d_a {spec.d_a}")
-    nxt = state.values.copy()
     if spec.dynamics is Dynamics.INTEGRATOR:
+        nxt = state.values.copy()
         nxt[: spec.d_a] += action.values * spec.dt
         nxt[spec.d_a :] = action.values
     else:
-        nxt += action.values * spec.dt
+        nxt = state.values + action.values * spec.dt
     for when, offset in spec.disturbance_schedule:
         if when == step_index:
             nxt = nxt + np.asarray(offset, dtype=np.float64)
@@ -101,9 +102,8 @@ def is_success(spec: EnvironmentSpec, state: StateVector) -> bool:
     """True iff the state lies within the goal radius (boundary inclusive)."""
     if spec.goal_center is None:
         return False
-    pos = state.values[: spec.position_dims]
-    dist = float(np.linalg.norm(pos - spec.goal_center))
-    return dist <= spec.goal_radius
+    off = state.values[: spec.position_dims] - spec.goal_center
+    return math.sqrt(off.dot(off)) <= spec.goal_radius
 
 
 def start_state(spec: EnvironmentSpec, rng: np.random.Generator | None = None) -> StateVector:

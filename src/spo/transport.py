@@ -9,8 +9,9 @@ Frame layout (all little-endian):
                payload = tuple_count * 4 * (d_s + d_a) bytes,
                each tuple packed as state then action float32s
 
-Socket mode prefixes every frame with a 4B length. Both modes draw delays
-from one :class:`LatencyModel`. The harness delivers both legs through a
+Socket mode prefixes every frame with a 4B length, at most
+:data:`MAX_FRAME_BYTES`. Both modes draw delays from one
+:class:`LatencyModel`. The harness delivers both legs through a
 :class:`VirtualChannel` on virtual time; in socket mode the server sleeps each
 request's delay, and the edge queues responses on a channel keyed by wall time.
 """
@@ -32,6 +33,11 @@ _COMMON = struct.Struct("<BII")
 _REQ_HEADER = struct.Struct("<fH")
 _RESP_HEADER = struct.Struct("<H")
 _LEN_PREFIX = struct.Struct("<I")
+
+# The longest frame either end sends or reads. A peer's length prefix can
+# declare up to 4 GiB; a longer declared length is refused before any of the
+# body is read, so a hostile or broken peer cannot make the reader allocate it.
+MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 
 class FrameError(ValueError):
@@ -65,11 +71,14 @@ def encode_request(request_id: int, req: RolloutRequest) -> bytes:
     state = req.observed_state.values.astype("<f4")
     if not np.all(np.isfinite(state)):
         raise FrameError("non-finite state after float32 narrowing")
-    return (
-        _COMMON.pack(FRAME_TYPE_REQUEST, request_id, req.step_index)
-        + _REQ_HEADER.pack(req.violation_error, state.size)
-        + state.tobytes()
-    )
+    try:
+        header = _REQ_HEADER.pack(req.violation_error, state.size)
+    except OverflowError:
+        raise FrameError(
+            f"violation_error {req.violation_error!r} is beyond float32 range"
+        ) from None
+    common = _COMMON.pack(FRAME_TYPE_REQUEST, request_id, req.step_index)
+    return common + header + state.tobytes()
 
 
 def decode_request(frame: bytes) -> tuple[int, RolloutRequest]:
@@ -194,6 +203,8 @@ def one_way_latency(rtt_base: float, jitter_half_width: float, rng) -> LatencyMo
 
 
 def send_frame(sock, frame: bytes) -> None:
+    if len(frame) > MAX_FRAME_BYTES:
+        raise FrameError(f"frame of {len(frame)} bytes exceeds {MAX_FRAME_BYTES}")
     sock.sendall(_LEN_PREFIX.pack(len(frame)) + frame)
 
 
@@ -203,6 +214,8 @@ def recv_frame(sock) -> bytes | None:
     if header is None:
         return None
     (length,) = _LEN_PREFIX.unpack(header)
+    if length > MAX_FRAME_BYTES:
+        raise FrameError(f"declared frame length {length} exceeds {MAX_FRAME_BYTES}")
     frame = _recv_exact(sock, length)
     if frame is None:
         raise FrameError("connection closed mid-frame")

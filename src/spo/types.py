@@ -30,14 +30,19 @@ class ConfigError(ValueError):
 
 
 def _as_finite_vector(values, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
+    """A read-only float64 copy of ``values``, checked to be 1-D, non-empty and finite.
+
+    Every vector the tick loop builds passes through here, so this makes one
+    copy and one reduction (``count_nonzero`` skips the ufunc-reduce set-up
+    that ``.all()`` pays on a short vector).
+    """
+    arr = np.array(values, dtype=np.float64)
     if arr.ndim != 1:
         raise DimensionError(f"{what} must be a 1-D vector, got shape {arr.shape}")
     if arr.size == 0:
         raise DimensionError(f"{what} must have at least one component")
-    if not np.all(np.isfinite(arr)):
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise ValueError(f"{what} contains non-finite entries")
-    arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
@@ -164,6 +169,8 @@ def config_errors(cfg: SpoConfig) -> list[str]:
         errors.append("k_min >= 1 violated")
     if cfg.k_max < 1:
         errors.append("k_max >= 1 violated")
+    if cfg.k_max > 0xFFFF:  # a response frame counts its tuples in a uint16
+        errors.append("k_max <= 65535 violated")
     if cfg.k_min > cfg.k_max:
         errors.append("k_min <= k_max violated")
     if cfg.beta < 1:

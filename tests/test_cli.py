@@ -1,5 +1,6 @@
 """Command-line interface behavior and output artifacts."""
 
+import hashlib
 import json
 
 import pytest
@@ -156,6 +157,45 @@ def test_environment_errors_exit_two(tmp_path, capsys, argv, message):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err, err
+
+
+@pytest.mark.parametrize(
+    "flag", ["--config", "--env", "--disturbances", "--weights"],
+)
+def test_unreadable_local_file_is_a_config_error(tmp_path, capsys, flag):
+    spec = tmp_path / "spec.cfg"
+    spec.write_text("d_s = 2\nd_a = 2\nwaypoints = 1.0,1.0\n")
+    bad = str(tmp_path / "missing.txt")
+    argv = {
+        "--config": ["--config", bad],
+        "--env": ["--env", str(tmp_path)],  # exists, but is a directory
+        "--disturbances": ["--env", str(spec), "--disturbances", bad],
+        "--weights": ["--weights", bad],
+    }[flag]
+    code = cli.main(["run", *argv, "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    expected = str(tmp_path) if flag == "--env" else bad
+    assert err.startswith(f"config error: cannot read {expected}: "), err
+
+
+# SHA-256 of compare_free_space.csv from `spo compare --env free_space --seeds 3
+# --seed 0`: any change to an episode's numbers shows here.
+COMPARE_CSV_SHA256 = {
+    "oracle": "454825106752e7225ff15aa0b9dcddad145a16ce6db71fecad3e3e91883724be",
+    "drifted": "203ff56289c14c1a350319e78178616b60af1e22365418d48ae57bea67839be4",
+}
+
+
+@pytest.mark.parametrize("model", sorted(COMPARE_CSV_SHA256))
+def test_compare_csv_is_byte_identical_to_the_pinned_digest(tmp_path, model):
+    code = cli.main([
+        "compare", "--env", "free_space", "--model", model, "--seeds", "3", "--seed", "0",
+        "--out", str(tmp_path),
+    ])
+    assert code == 0
+    csv = (tmp_path / "compare_free_space.csv").read_bytes()
+    assert hashlib.sha256(csv).hexdigest() == COMPARE_CSV_SHA256[model]
 
 
 @pytest.mark.parametrize(

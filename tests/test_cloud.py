@@ -15,7 +15,14 @@ from spo.cloud import (
     make_policy,
     speculative_rollout,
 )
-from spo.environments import get_spec, start_state, true_step
+from spo.environments import (
+    Dynamics,
+    EnvironmentSpec,
+    canonical_specs,
+    get_spec,
+    start_state,
+    true_step,
+)
 from spo.transport import decode_tuple, encode_tuple
 from spo.types import ActionVector, SpoConfig, StateVector
 from spo.verifier import tracking_error
@@ -235,6 +242,82 @@ def test_expert_policy_respects_a_max_and_replans():
         a = policy.act(s)
         assert a.dim == spec.d_a
         assert float(np.linalg.norm(a.values)) <= spec.a_max + 1e-9
+
+
+class _ReferenceExpertPolicy:
+    """The expert policy as first written, kept as the reference for the optimised one:
+    segment vectors rebuilt per call, ``np.linalg.norm`` and a scalar ``np.clip``."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        anchor = np.zeros(spec.position_dims)
+        self._path = [anchor] + [np.asarray(w, dtype=np.float64) for w in spec.waypoints]
+
+    def _target(self, pos):
+        if len(self._path) < 2:
+            return self._path[-1]
+        best_k, best_d = 0, np.inf
+        for k in range(len(self._path) - 1):
+            a, b = self._path[k], self._path[k + 1]
+            ab = b - a
+            denom = float(np.dot(ab, ab))
+            t = 0.0 if denom == 0 else float(np.clip(np.dot(pos - a, ab) / denom, 0.0, 1.0))
+            d = float(np.linalg.norm(pos - (a + t * ab)))
+            if d <= best_d + 1e-9:
+                best_k, best_d = k, min(best_d, d)
+        return self._path[best_k + 1]
+
+    def act(self, state):
+        pos = state.values[: self.spec.position_dims]
+        target = self._target(pos)
+        v = self.spec.gain * (target - pos)
+        speed = float(np.linalg.norm(v))
+        if speed > self.spec.a_max:
+            v = v * (self.spec.a_max / speed)
+        dist = float(np.linalg.norm(target - pos))
+        v = v * (0.7 + 0.3 * np.cos(4.0 * dist))
+        return ActionVector(v)
+
+
+def _square_path_spec():
+    # Path (0,0) -> (1,0) -> (1,0) -> (1,1): the middle segment has zero length.
+    corner, top = np.array([1.0, 0.0]), np.array([1.0, 1.0])
+    return EnvironmentSpec(
+        name="square", d_s=2, d_a=2, dynamics=Dynamics.WAYPOINT_TRACKER,
+        waypoints=(corner, corner.copy(), top),
+    )
+
+
+def _policy_probe_states(spec, rng, n):
+    """Random states around the path, plus the states of a closed-loop run along it."""
+    states = [StateVector(rng.uniform(-3.0, 3.0, spec.d_s)) for _ in range(n)]
+    policy, s = ScriptedExpertPolicy(spec), start_state(spec, rng)
+    for t in range(n):
+        states.append(s)
+        s = true_step(spec, s, policy.act(s), t)
+    return states
+
+
+@pytest.mark.parametrize("name", sorted(canonical_specs()) + ["square"])
+def test_expert_policy_is_bit_identical_to_the_reference(name):
+    spec = _square_path_spec() if name == "square" else get_spec(name)
+    policy, reference = ScriptedExpertPolicy(spec), _ReferenceExpertPolicy(spec)
+    states = _policy_probe_states(spec, np.random.default_rng(11), 200)
+    if name == "square":
+        # Exact ties: (1,0) is on all three segments, (0.5,0.5) and (2,-1) lie
+        # as far from the first segment as from the last.
+        states += [StateVector(p) for p in ([1.0, 0.0], [0.5, 0.5], [2.0, -1.0])]
+    for s in states:
+        pos = s.values[: spec.position_dims]
+        assert policy._target(pos) is reference._target(pos)
+        assert policy.act(s).values.tobytes() == reference.act(s).values.tobytes()
+
+
+def test_expert_policy_later_segment_wins_a_tie():
+    spec = _square_path_spec()
+    policy = ScriptedExpertPolicy(spec)
+    for point in ([1.0, 0.0], [0.5, 0.5], [2.0, -1.0]):
+        assert policy._target(np.array(point)) is policy._path[3], point
 
 
 def test_make_model_rejects_unknown_kind():

@@ -1,12 +1,14 @@
 """Wire codec byte laws, socket framing, latency model, and virtual channel behavior."""
 
 import socket
+import time
 
 import numpy as np
 import pytest
 
 from spo.cloud import RolloutRequest, RolloutResponse
 from spo.transport import (
+    MAX_FRAME_BYTES,
     FrameError,
     LatencyModel,
     VirtualChannel,
@@ -97,6 +99,12 @@ def test_request_roundtrip():
     assert back.step_index == 42
     assert back.violation_error == 25.0
     assert back.observed_state == req.observed_state
+
+
+def test_request_violation_error_beyond_float32_range_is_a_frame_error():
+    req = RolloutRequest(StateVector([1.0]), violation_error=1e39, step_index=0)
+    with pytest.raises(FrameError, match="beyond float32 range"):
+        encode_request(1, req)
 
 
 def test_request_payload_length_checked():
@@ -199,3 +207,32 @@ def test_virtual_channel_directions_are_independent():
     channel.send_response("down", now=0.0)
     assert channel.edge_inbox(0.06) == ["down"]
     assert [item for _, item in channel.cloud_inbox_timed(0.06)] == ["up"]
+
+
+def test_recv_frame_refuses_an_oversized_declared_length_before_the_body():
+    a, b = socket.socketpair()
+    with a, b:
+        b.settimeout(5.0)  # at worst a slow failure, never a hang
+        a.sendall((0xFFFFFFF0).to_bytes(4, "little"))  # and the peer stays open
+        t0 = time.perf_counter()
+        with pytest.raises(FrameError, match="exceeds"):
+            recv_frame(b)
+        assert time.perf_counter() - t0 < 1.0
+
+
+def test_frame_at_the_cap_passes_and_one_byte_over_is_refused_by_either_end():
+    a, b = socket.socketpair()
+    with a, b:
+        a.sendall(MAX_FRAME_BYTES.to_bytes(4, "little"))
+        a.shutdown(socket.SHUT_WR)
+        with pytest.raises(FrameError, match="closed"):  # within the cap: reads the body
+            recv_frame(b)
+    a, b = socket.socketpair()
+    with a, b:
+        a.settimeout(5.0)
+        b.settimeout(5.0)
+        a.sendall((MAX_FRAME_BYTES + 1).to_bytes(4, "little"))
+        with pytest.raises(FrameError, match="exceeds"):
+            recv_frame(b)
+        with pytest.raises(FrameError, match="exceeds"):
+            send_frame(a, bytes(MAX_FRAME_BYTES + 1))

@@ -121,6 +121,11 @@ def test_validate_config_reports_all_violations():
     assert len(errs) >= 3
 
 
+def test_k_max_bounded_by_the_uint16_tuple_count():
+    assert config_errors(SpoConfig(k_max=65535)) == []
+    assert "k_max <= 65535 violated" in config_errors(SpoConfig(k_max=65536))
+
+
 def test_jitter_bounded_by_rtt():
     errs = config_errors(SpoConfig(rtt_base=0.01, jitter_half_width=0.02))
     assert "jitter_half_width <= rtt_base violated" in errs
