@@ -69,26 +69,18 @@ def _base_seed(args) -> int:
     return int(os.environ.get("SPO_SEED", "0"))
 
 
-def _read(loader, path, *args, **kwargs):
-    """``loader(path, ...)``, with a local file it cannot read as a config error."""
-    try:
-        return loader(path, *args, **kwargs)
-    except OSError as exc:
-        raise ConfigError([f"cannot read {exc.filename or path}: {exc.strerror or exc}"]) from None
-
-
 def _effective_config(args) -> SpoConfig:
     overrides = {field: getattr(args, flag) for flag, field in NET_FLAGS.items()}
     overrides["rng_seed"] = _base_seed(args)
     if args.config:
-        return _read(load_config, args.config, overrides)
+        return load_config(args.config, overrides)
     values = {k: v for k, v in overrides.items() if v is not None}
     return validate_config(SpoConfig(**values))
 
 
 def _spec(args):
     if os.path.exists(args.env):
-        return _read(load_environment, args.env, disturbances_csv=args.disturbances)
+        return load_environment(args.env, disturbances_csv=args.disturbances)
     if args.disturbances:
         raise ConfigError([f"--disturbances needs a spec file, not environment {args.env!r}"])
     try:
@@ -98,9 +90,12 @@ def _spec(args):
 
 
 def _weights(args, spec, cfg):
-    if args.weights:
-        return _read(harness.load_weights, args.weights)
-    return harness.calibrate_weights(spec, seed=cfg.rng_seed)
+    if not args.weights:
+        return harness.calibrate_weights(spec, seed=cfg.rng_seed)
+    weights = harness.load_weights(args.weights)
+    if weights.dim != spec.d_s:
+        raise ConfigError([f"{args.weights}: {weights.dim} weights, expected d_s = {spec.d_s}"])
+    return weights
 
 
 def _seed_list(args) -> list[int]:
@@ -118,6 +113,8 @@ def cmd_run(args) -> int:
     if args.command == "edge-connect":
         mode = "socket"
         host, _, port = args.addr.rpartition(":")
+        if not (port.isdecimal() and int(port) <= 0xFFFF):
+            raise ConfigError([f"--addr {args.addr!r} is not host:port with a port in 0..65535"])
         result = sockets.edge_connect_run(
             (host or "127.0.0.1", int(port)), spec, cfg, kind, seed, weights
         )
@@ -262,8 +259,11 @@ def main(argv: list[str] | None = None) -> int:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (ConnectionError, OSError) as exc:
-        print(f"network error: {exc}", file=sys.stderr)
+    except OSError as exc:
+        if exc.filename is not None:  # reads are ConfigErrors, so a named path is an output
+            print(f"config error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+            return 2
+        print(f"network error: {exc}", file=sys.stderr)  # sockets name no path
         return 3
 
 

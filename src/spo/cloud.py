@@ -48,7 +48,7 @@ class RolloutRequest:
     step_index: int
 
     def __post_init__(self):
-        if self.violation_error < 0:
+        if not self.violation_error >= 0:  # NaN too
             raise ValueError("violation_error must be >= 0")
         if self.step_index < 0:
             raise ValueError("step_index must be >= 0")

@@ -20,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import ActionVector, ConfigError, DimensionError, StateVector, parse_config_text
+from .types import (
+    ActionVector, ConfigError, DimensionError, StateVector, parse_config_text, read_text,
+)
 
 
 class Dynamics(enum.Enum):
@@ -187,19 +189,18 @@ def get_spec(name: str) -> EnvironmentSpec:
 def load_disturbances_csv(path, d_s: int) -> tuple:
     """Read a (step_index, dim, offset) CSV into a disturbance schedule."""
     offsets: dict[int, np.ndarray] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row or row[0].strip().startswith("#") or row[0].strip() == "step_index":
-                continue
-            where = f"{path}:{reader.line_num}"
-            try:
-                step, dim, offset = int(row[0]), int(row[1]), float(row[2])
-            except (IndexError, ValueError):
-                raise ConfigError([f"{where}: expected step_index,dim,offset, got {row}"]) from None
-            if not (0 <= dim < d_s):
-                raise ConfigError([f"{where}: disturbance dim {dim} out of range for d_s={d_s}"])
-            offsets.setdefault(step, np.zeros(d_s))[dim] += offset
+    reader = csv.reader(read_text(path).splitlines())
+    for row in reader:
+        if not row or row[0].strip().startswith("#") or row[0].strip() == "step_index":
+            continue
+        where = f"{path}:{reader.line_num}"
+        try:
+            step, dim, offset = int(row[0]), int(row[1]), float(row[2])
+        except (IndexError, ValueError):
+            raise ConfigError([f"{where}: expected step_index,dim,offset, got {row}"]) from None
+        if not (0 <= dim < d_s):
+            raise ConfigError([f"{where}: disturbance dim {dim} out of range for d_s={d_s}"])
+        offsets.setdefault(step, np.zeros(d_s))[dim] += offset
     return tuple(sorted((s, v) for s, v in offsets.items()))
 
 
@@ -222,8 +223,7 @@ def load_environment(path, disturbances_csv=None) -> EnvironmentSpec:
     ``d_s`` and ``d_a`` are required; ``goal_center`` defaults to the last
     waypoint. Any fault in the file raises :class:`~spo.types.ConfigError`.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        values = parse_config_text(fh.read(), _SPEC_FIELD_TYPES)
+    values = parse_config_text(read_text(path), _SPEC_FIELD_TYPES)
     missing = [f"missing required key {key!r}" for key in ("d_s", "d_a") if key not in values]
     if missing:
         raise ConfigError(missing)

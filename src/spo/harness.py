@@ -26,7 +26,7 @@ from .cloud import CloudSession, Policy, make_model, make_policy
 from .edge import EdgeSession, Outcome, StepRecord
 from .environments import EnvironmentSpec, is_success, start_state, true_step
 from .transport import VirtualChannel, one_way_latency
-from .types import SpoConfig, StateVector, WeightMatrix, validate_config
+from .types import ConfigError, SpoConfig, StateVector, WeightMatrix, read_text, validate_config
 
 
 class CalibrationError(RuntimeError):
@@ -421,10 +421,17 @@ def save_weights(path, weights: WeightMatrix) -> None:
 
 
 def load_weights(path) -> WeightMatrix:
+    """Read a weights file, one number per line; any fault in it is a :class:`ConfigError`."""
     values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                values.append(float(line))
-    return WeightMatrix(np.asarray(values))
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            values.append(float(line))
+        except ValueError:
+            raise ConfigError([f"{path}:{lineno}: expected a number, got {raw!r}"]) from None
+    try:
+        return WeightMatrix(np.asarray(values))
+    except ValueError as exc:
+        raise ConfigError([f"{path}: {exc}"]) from None

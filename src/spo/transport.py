@@ -9,8 +9,9 @@ Frame layout (all little-endian):
                payload = tuple_count * 4 * (d_s + d_a) bytes,
                each tuple packed as state then action float32s
 
-Socket mode prefixes every frame with a 4B length, at most
-:data:`MAX_FRAME_BYTES`. Both modes draw delays from one
+A decoder raises :class:`FrameError`, and nothing else, for every malformed frame:
+the domain types check the values. Socket mode prefixes every frame with a 4B
+length, at most :data:`MAX_FRAME_BYTES`. Both modes draw delays from one
 :class:`LatencyModel`. The harness delivers both legs through a
 :class:`VirtualChannel` on virtual time; in socket mode the server sleeps each
 request's delay, and the edge queues responses on a channel keyed by wall time.
@@ -44,91 +45,81 @@ class FrameError(ValueError):
     """Malformed, truncated, or non-finite wire data."""
 
 
-def encode_tuple(t: SpeculativeTuple) -> bytes:
-    """Pack one tuple as float32s, state then action: exactly 4*(d_s+d_a) bytes."""
+def _narrow(values: np.ndarray) -> bytes:
+    """``values`` as little-endian float32 bytes, refusing any that overflow."""
     with np.errstate(over="ignore"):
-        flat = np.concatenate([t.predicted_state.values, t.action.values]).astype("<f4")
-    if not np.all(np.isfinite(flat)):
+        flat = values.astype("<f4")
+    if np.count_nonzero(np.isfinite(flat)) != flat.size:
         raise FrameError("non-finite value after float32 narrowing")
     return flat.tobytes()
 
 
+def _widen(payload: bytes) -> np.ndarray:
+    return np.frombuffer(payload, dtype="<f4").astype(np.float64)
+
+
+def _unpack(frame: bytes, ftype: int, header: struct.Struct, stride: int) -> tuple:
+    """``(request_id, step_index, *header, payload)``; header[-1] counts ``stride``-byte items."""
+    start = _COMMON.size + header.size
+    if len(frame) < start:
+        raise FrameError(f"frame of {len(frame)} bytes is shorter than its headers")
+    got, request_id, step_index = _COMMON.unpack_from(frame)
+    if got != ftype:
+        raise FrameError(f"expected frame type {ftype}, got type {got}")
+    fields = header.unpack_from(frame, _COMMON.size)
+    if len(frame) - start != fields[-1] * stride:
+        raise FrameError(f"payload is {len(frame) - start} bytes, expected {fields[-1] * stride}")
+    return (request_id, step_index, *fields, frame[start:])
+
+
+def _tuples(flat: np.ndarray, d_s: int, d_a: int, first_step: int) -> tuple:
+    try:
+        return tuple(
+            SpeculativeTuple(StateVector(row[:d_s]), ActionVector(row[d_s:]), first_step + i)
+            for i, row in enumerate(flat.reshape(-1, d_s + d_a))
+        )
+    except ValueError as exc:
+        raise FrameError(f"bad tuple: {exc}") from None
+
+
+def encode_tuple(t: SpeculativeTuple) -> bytes:
+    """Pack one tuple as float32s, state then action: exactly 4*(d_s+d_a) bytes."""
+    return _narrow(np.concatenate([t.predicted_state.values, t.action.values]))
+
+
 def decode_tuple(data: bytes, d_s: int, d_a: int, step_index: int = 0) -> SpeculativeTuple:
-    expected = 4 * (d_s + d_a)
-    if len(data) != expected:
-        raise FrameError(f"tuple payload is {len(data)} bytes, expected {expected}")
-    flat = np.frombuffer(data, dtype="<f4").astype(np.float64)
-    if not np.all(np.isfinite(flat)):
-        raise FrameError("non-finite value in tuple payload")
-    return SpeculativeTuple(
-        predicted_state=StateVector(flat[:d_s]),
-        action=ActionVector(flat[d_s:]),
-        step_index=step_index,
-    )
+    if len(data) != 4 * (d_s + d_a):
+        raise FrameError(f"tuple payload is {len(data)} bytes, expected {4 * (d_s + d_a)}")
+    return _tuples(_widen(data), d_s, d_a, step_index)[0]
 
 
 def encode_request(request_id: int, req: RolloutRequest) -> bytes:
-    state = req.observed_state.values.astype("<f4")
-    if not np.all(np.isfinite(state)):
-        raise FrameError("non-finite state after float32 narrowing")
+    state = req.observed_state.values
+    if state.size > 0xFFFF:
+        raise FrameError(f"a request counts its {state.size} state components in a uint16")
     try:
         header = _REQ_HEADER.pack(req.violation_error, state.size)
     except OverflowError:
-        raise FrameError(
-            f"violation_error {req.violation_error!r} is beyond float32 range"
-        ) from None
-    common = _COMMON.pack(FRAME_TYPE_REQUEST, request_id, req.step_index)
-    return common + header + state.tobytes()
+        raise FrameError(f"violation_error {req.violation_error} is beyond float32 range") from None
+    return _COMMON.pack(FRAME_TYPE_REQUEST, request_id, req.step_index) + header + _narrow(state)
 
 
 def decode_request(frame: bytes) -> tuple[int, RolloutRequest]:
-    if len(frame) < _COMMON.size + _REQ_HEADER.size:
-        raise FrameError("request frame shorter than headers")
-    ftype, request_id, step_index = _COMMON.unpack_from(frame, 0)
-    if ftype != FRAME_TYPE_REQUEST:
-        raise FrameError(f"expected request frame, got type {ftype}")
-    violation_error, d_s = _REQ_HEADER.unpack_from(frame, _COMMON.size)
-    payload = frame[_COMMON.size + _REQ_HEADER.size :]
-    if len(payload) != 4 * d_s:
-        raise FrameError(f"request payload is {len(payload)} bytes, expected {4 * d_s}")
-    state = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    if not np.all(np.isfinite(state)):
-        raise FrameError("non-finite value in request state")
-    req = RolloutRequest(
-        observed_state=StateVector(state),
-        violation_error=float(violation_error),
-        step_index=step_index,
-    )
-    return request_id, req
+    rid, step, violation_error, _, payload = _unpack(frame, FRAME_TYPE_REQUEST, _REQ_HEADER, 4)
+    try:
+        return rid, RolloutRequest(StateVector(_widen(payload)), float(violation_error), step)
+    except ValueError as exc:
+        raise FrameError(f"bad request: {exc}") from None
 
 
 def encode_response(request_id: int, resp: RolloutResponse, step_index: int = 0) -> bytes:
-    body = b"".join(encode_tuple(t) for t in resp.tuples)
-    return (
-        _COMMON.pack(FRAME_TYPE_RESPONSE, request_id, step_index)
-        + _RESP_HEADER.pack(len(resp.tuples))
-        + body
-    )
+    common = _COMMON.pack(FRAME_TYPE_RESPONSE, request_id, step_index)
+    return common + _RESP_HEADER.pack(len(resp.tuples)) + b"".join(map(encode_tuple, resp.tuples))
 
 
 def decode_response(frame: bytes, d_s: int, d_a: int) -> tuple[int, RolloutResponse]:
-    if len(frame) < _COMMON.size + _RESP_HEADER.size:
-        raise FrameError("response frame shorter than headers")
-    ftype, request_id, step_index = _COMMON.unpack_from(frame, 0)
-    if ftype != FRAME_TYPE_RESPONSE:
-        raise FrameError(f"expected response frame, got type {ftype}")
-    (count,) = _RESP_HEADER.unpack_from(frame, _COMMON.size)
-    payload = frame[_COMMON.size + _RESP_HEADER.size :]
-    stride = 4 * (d_s + d_a)
-    if len(payload) != count * stride:
-        raise FrameError(
-            f"response payload is {len(payload)} bytes, expected {count * stride}"
-        )
-    tuples = tuple(
-        decode_tuple(payload[i * stride : (i + 1) * stride], d_s, d_a, step_index + 1 + i)
-        for i in range(count)
-    )
-    return request_id, RolloutResponse(tuples=tuples, horizon_used=count)
+    rid, step, count, payload = _unpack(frame, FRAME_TYPE_RESPONSE, _RESP_HEADER, 4 * (d_s + d_a))
+    return rid, RolloutResponse(_tuples(_widen(payload), d_s, d_a, step + 1), horizon_used=count)
 
 
 @dataclass

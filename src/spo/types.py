@@ -218,10 +218,19 @@ def parse_config_text(text: str, field_types: dict = _CONFIG_FIELD_TYPES) -> dic
     return values
 
 
+def read_text(path) -> str:
+    """The UTF-8 text of an input file, or :class:`ConfigError` if it cannot be read."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError([f"cannot read {path}: {reason}"]) from None
+
+
 def load_config(path, overrides: dict | None = None) -> SpoConfig:
     """Load a config file and apply CLI-style overrides, then validate."""
-    with open(path, "r", encoding="utf-8") as fh:
-        values = parse_config_text(fh.read())
+    values = parse_config_text(read_text(path))
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
     return validate_config(SpoConfig(**values))

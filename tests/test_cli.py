@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import socket
 
 import pytest
 
@@ -177,6 +178,64 @@ def test_unreadable_local_file_is_a_config_error(tmp_path, capsys, flag):
     err = capsys.readouterr().err
     expected = str(tmp_path) if flag == "--env" else bad
     assert err.startswith(f"config error: cannot read {expected}: "), err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1.0\nabc\n", "w.txt:2: expected a number, got 'abc'"),
+        ("# only a comment\n", "w.txt: weights must have at least one component"),
+        ("1.0\n" * 7 + "-1.0\n", "w.txt: weights must be strictly positive"),
+        ("1.0\n" * 7 + "nan\n", "w.txt: weights contains non-finite entries"),
+        ("1.0\n" * 3, "w.txt: 3 weights, expected d_s = 8"),
+    ],
+    ids=["non-numeric", "empty", "non-positive", "nan", "wrong-count"],
+)
+def test_bad_weights_file_exits_two_before_the_run(tmp_path, capsys, text, message):
+    (tmp_path / "w.txt").write_text(text)
+    code = cli.main(["run", "--weights", str(tmp_path / "w.txt"), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err, err
+    assert not list(tmp_path.glob("run_*.json"))
+
+
+@pytest.mark.parametrize("flag", ["--config", "--env", "--weights"])
+def test_non_utf8_file_is_a_config_error(tmp_path, capsys, flag):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("k_max = 10  # caf\xe9\n".encode("latin-1"))
+    code = cli.main(["run", flag, str(bad), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read {bad}: 'utf-8' codec can't decode"), err
+
+
+@pytest.mark.parametrize("command", ["calibrate-weights-out", "run-out"])
+def test_unwritable_output_path_is_a_config_error(tmp_path, capsys, command):
+    plain = tmp_path / "plain"
+    plain.write_text("a regular file\n")
+    argv = {
+        "calibrate-weights-out": ["calibrate", "--episodes", "1",
+                                  "--weights-out", str(plain / "x"), "--out", str(tmp_path)],
+        "run-out": ["run", "--out", str(plain)],
+    }[command]
+    code = cli.main(argv)
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot write {plain}: ")
+
+
+@pytest.mark.parametrize("addr", ["127.0.0.1", "localhost:http", "127.0.0.1:65536", "[::1]:"])
+def test_edge_connect_addr_without_a_numeric_port_exits_two(tmp_path, capsys, addr):
+    code = cli.main(["edge-connect", "--addr", addr, "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: --addr {addr!r}")
+
+
+def test_serve_on_a_port_in_use_is_a_network_error(capsys):
+    with socket.create_server(("127.0.0.1", 0)) as taken:
+        code = cli.main(["serve", "--port", str(taken.getsockname()[1])])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("network error: ")
 
 
 # SHA-256 of compare_free_space.csv from `spo compare --env free_space --seeds 3

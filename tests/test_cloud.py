@@ -175,6 +175,13 @@ def _req(e_miss, step_index=0, d=1):
     return RolloutRequest(StateVector(np.zeros(d)), violation_error=e_miss, step_index=step_index)
 
 
+@pytest.mark.parametrize("e_miss", [-1.0, float("nan")], ids=["negative", "nan"])
+def test_request_rejects_a_violation_error_below_zero_or_nan(e_miss):
+    with pytest.raises(ValueError, match="violation_error"):
+        _req(e_miss)
+    assert _req(float("inf")).violation_error == float("inf")
+
+
 def _adaptive_session(horizon):
     session = CloudSession(SpoConfig(), ConstantPolicy(1.0), ToyIntegrator(), fixed_horizon=None)
     session.ahs = AhsState(horizon=horizon, k_min=2, k_max=10, beta=1)

@@ -173,3 +173,31 @@ def test_server_session_n_plays_episode_seed_s_plus_n_minus_1(quick_spec):
         cloud = CloudSession(cfg, make_policy(quick_spec), model, FIXED_HORIZON[BaselineKind.SPO])
         assert frame == transport.encode_response(11, cloud.handle(req), step_index=4)
     assert frames[0] != frames[1]
+
+
+def _request_frame(violation_error, d_s):
+    header = struct.pack("<BIIfH", transport.FRAME_TYPE_REQUEST, 1, 0, violation_error, d_s)
+    return header + np.zeros(d_s, dtype="<f4").tobytes()
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [_request_frame(-1.0, 4), _request_frame(float("nan"), 4), _request_frame(0.0, 0)],
+    ids=["negative-violation-error", "nan-violation-error", "zero-d_s"],
+)
+def test_server_closes_a_connection_on_a_bad_request_and_no_thread_raises(
+    quick_spec, frame, monkeypatch
+):
+    raised = []
+    monkeypatch.setattr(threading, "excepthook", raised.append)
+    server = _serve(quick_spec, FAST)
+    try:
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as conn:
+            transport.send_frame(conn, frame)
+            assert transport.recv_frame(conn) is None  # closed, with no reply
+    finally:
+        server.stop()
+    for thread in threading.enumerate():
+        if thread.name.endswith("(_session)"):
+            thread.join(timeout=5)
+    assert raised == []

@@ -1,13 +1,17 @@
 """Wire codec byte laws, socket framing, latency model, and virtual channel behavior."""
 
 import socket
+import struct
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spo.cloud import RolloutRequest, RolloutResponse
 from spo.transport import (
+    FRAME_TYPE_REQUEST,
+    FRAME_TYPE_RESPONSE,
     MAX_FRAME_BYTES,
     FrameError,
     LatencyModel,
@@ -105,6 +109,13 @@ def test_request_violation_error_beyond_float32_range_is_a_frame_error():
     req = RolloutRequest(StateVector([1.0]), violation_error=1e39, step_index=0)
     with pytest.raises(FrameError, match="beyond float32 range"):
         encode_request(1, req)
+
+
+def test_request_state_beyond_the_uint16_count_is_a_frame_error():
+    req = RolloutRequest(StateVector(np.zeros(0x10000)), violation_error=0.0, step_index=0)
+    with pytest.raises(FrameError, match="uint16"):
+        encode_request(1, req)
+    assert len(encode_request(1, RolloutRequest(StateVector(np.zeros(0xFFFF)), 0.0, 0))) > 0
 
 
 def test_request_payload_length_checked():
@@ -236,3 +247,62 @@ def test_frame_at_the_cap_passes_and_one_byte_over_is_refused_by_either_end():
             recv_frame(b)
         with pytest.raises(FrameError, match="exceeds"):
             send_frame(a, bytes(MAX_FRAME_BYTES + 1))
+
+
+f32 = st.floats(width=32)  # NaN and the infinities included
+finite_f32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _frames(draw):
+    """Any frame: either header, any type byte, and a payload of any length or of the right one."""
+    ftype = draw(st.one_of(st.sampled_from([FRAME_TYPE_REQUEST, FRAME_TYPE_RESPONSE]),
+                           st.integers(0, 255)))
+    common = struct.pack("<BII", ftype, draw(st.integers(0, 2**32 - 1)),
+                         draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        count = draw(st.integers(0, 12))  # d_s
+        header, n_floats = struct.pack("<fH", draw(f32), count), count
+    else:
+        count = draw(st.integers(0, 3))  # tuples of d_s + d_a = 2 + 1 floats
+        header, n_floats = struct.pack("<H", count), 3 * count
+    payload = draw(st.one_of(
+        st.binary(max_size=64),
+        st.lists(f32, min_size=n_floats, max_size=n_floats).map(
+            lambda xs: np.asarray(xs, dtype="<f4").tobytes()
+        ),
+    ))
+    return (common + header + payload)[: draw(st.none() | st.integers(0, 100))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_frames())
+def test_decoders_return_or_raise_frame_error_for_any_frame(frame):
+    for decode in (decode_request, lambda f: decode_response(f, 2, 1)):
+        try:
+            decode(frame)
+        except FrameError:
+            pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 2**32 - 1),
+    st.floats(min_value=0.0, width=32, allow_infinity=False),
+    st.lists(finite_f32, min_size=1, max_size=12),
+    st.integers(1, 4),
+    st.lists(st.lists(finite_f32, min_size=5, max_size=5), max_size=6),
+)
+def test_float32_vectors_round_trip_exactly(rid, step, violation, state, d_s, rows):
+    _, req = decode_request(encode_request(rid, RolloutRequest(StateVector(state), violation, step)))
+    assert (req.step_index, req.violation_error) == (step, violation)
+    assert np.array_equal(req.observed_state.values, state)
+    tuples = tuple(
+        SpeculativeTuple(StateVector(r[:d_s]), ActionVector(r[d_s:]), step + 1 + i)
+        for i, r in enumerate(rows)
+    )
+    frame = encode_response(rid, RolloutResponse(tuples, len(rows)), step_index=step)
+    back_rid, resp = decode_response(frame, d_s, 5 - d_s)
+    assert back_rid == rid and resp.horizon_used == len(rows)
+    assert resp.tuples == tuples
