@@ -10,7 +10,8 @@ Subcommands:
 * ``edge-connect`` - one episode in real time against a ``serve`` endpoint
 
 Flag values override config-file values; the effective config is echoed into
-every output JSON. ``SPO_SEED`` supplies the default base seed.
+every output JSON. The base seed is ``--seed``, else ``$SPO_SEED``, else the
+config file's ``rng_seed``, else 0.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import os
 import sys
 
 from . import harness, sockets
+from .cloud import DRIFT_BIAS, DRIFT_NOISE
 from .environments import get_spec, load_environment
 from .harness import BaselineKind
 from .types import ConfigError, SpoConfig, load_config, validate_config
@@ -35,53 +37,51 @@ NET_FLAGS = {
 }
 
 
-def _add_common(parser, *, kind=False, model=False, out=False, weights=False, jobs=False) -> None:
-    """The environment, config and seed flags, plus the groups the subcommand reads."""
-    parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--env", default="free_space", help="canonical name or spec file path")
-    parser.add_argument("--disturbances", help="CSV disturbance schedule for a spec file")
-    if kind:
-        parser.add_argument(
-            "--kind", default="spo", choices=[k.value for k in BaselineKind]
-        )
-    parser.add_argument("--rtt", type=float, default=None)
-    parser.add_argument("--jitter", type=float, default=None)
-    parser.add_argument("--kmin", type=int, default=None)
-    parser.add_argument("--kmax", type=int, default=None)
-    parser.add_argument("--beta", type=int, default=None)
-    parser.add_argument("--epsilon", type=float, default=None)
-    parser.add_argument("--seed", type=int, default=None, help="base seed (default $SPO_SEED or 0)")
-    if out:
-        parser.add_argument("--out", default="out", help="output directory")
-    if jobs:
-        parser.add_argument("--jobs", type=int, default=1)
-    if model:
-        parser.add_argument("--model", default="oracle", choices=["oracle", "drifted"])
-        parser.add_argument("--drift-bias", type=float, default=8e-4)
-        parser.add_argument("--drift-noise", type=float, default=2e-4)
-    if weights:
-        parser.add_argument("--weights", help="precomputed weight file (default: calibrate)")
+def _int_in(low: int, high: int | None = None):
+    """An argparse type: an integer of at least ``low`` and, if given, at most ``high``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            bound = f">= {low}" if high is None else f"in {low}..{high}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
+    return parse
 
 
-def _base_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(os.environ.get("SPO_SEED", "0"))
+# The flags that several subcommands share; build_parser lists the ones each reads.
+FLAGS = {
+    "config": dict(help="flat key=value config file"),
+    "env": dict(default="free_space", help="canonical name or spec file path"),
+    "disturbances": dict(help="CSV disturbance schedule for a spec file"),
+    "kind": dict(default="spo", choices=[k.value for k in BaselineKind]),
+    **{flag: dict(type=type(getattr(SpoConfig, field))) for flag, field in NET_FLAGS.items()},
+    "seed": dict(help="base seed (default $SPO_SEED, else the config's rng_seed, else 0)"),
+    "out": dict(default="out", help="output directory"),
+    "model": dict(default="oracle", choices=["oracle", "drifted"]),
+    "drift-bias": dict(type=float, default=DRIFT_BIAS),
+    "drift-noise": dict(type=float, default=DRIFT_NOISE),
+    "weights": dict(help="precomputed weight file (default: calibrate)"),
+}
 
 
 def _effective_config(args) -> SpoConfig:
-    overrides = {field: getattr(args, flag) for flag, field in NET_FLAGS.items()}
-    overrides["rng_seed"] = _base_seed(args)
-    if args.config:
-        return load_config(args.config, overrides)
-    values = {k: v for k, v in overrides.items() if v is not None}
-    return validate_config(SpoConfig(**values))
+    """The config file (or the defaults) under the flags; ``$SPO_SEED`` stands in for --seed."""
+    overrides = {field: getattr(args, flag, None) for flag, field in NET_FLAGS.items()}
+    seed = os.environ.get("SPO_SEED") if args.seed is None else args.seed
+    if seed is not None:
+        try:
+            overrides["rng_seed"] = int(seed)
+        except ValueError:
+            raise ConfigError([f"base seed {seed!r} is not an integer"]) from None
+    return load_config(args.config, overrides)
 
 
 def _spec(args):
+    disturbances = getattr(args, "disturbances", None)
     if os.path.exists(args.env):
-        return load_environment(args.env, disturbances_csv=args.disturbances)
-    if args.disturbances:
+        return load_environment(args.env, disturbances_csv=disturbances)
+    if disturbances:
         raise ConfigError([f"--disturbances needs a spec file, not environment {args.env!r}"])
     try:
         return get_spec(args.env)
@@ -98,17 +98,11 @@ def _weights(args, spec, cfg):
     return weights
 
 
-def _seed_list(args) -> list[int]:
-    base = _base_seed(args)
-    return list(range(base, base + args.seeds))
-
-
 def cmd_run(args) -> int:
     """One episode: ``run`` on the virtual clock, ``edge-connect`` against a remote cloud."""
     cfg = _effective_config(args)
     spec = _spec(args)
     kind = BaselineKind(args.kind)
-    seed = _base_seed(args)
     weights = _weights(args, spec, cfg)
     if args.command == "edge-connect":
         mode = "socket"
@@ -116,15 +110,15 @@ def cmd_run(args) -> int:
         if not (port.isdecimal() and int(port) <= 0xFFFF):
             raise ConfigError([f"--addr {args.addr!r} is not host:port with a port in 0..65535"])
         result = sockets.edge_connect_run(
-            (host or "127.0.0.1", int(port)), spec, cfg, kind, seed, weights
+            (host or "127.0.0.1", int(port)), spec, cfg, kind, cfg.rng_seed, weights
         )
     else:
         mode = "virtual"
         result = harness.run_single(
-            kind, spec, cfg, seed, weights,
+            kind, spec, cfg, cfg.rng_seed, weights,
             model_kind=args.model, drift_bias=args.drift_bias, drift_noise=args.drift_noise,
         )
-    path = os.path.join(args.out, f"run_{kind.value}_{spec.name}_{seed}.json")
+    path = os.path.join(args.out, f"run_{kind.value}_{spec.name}_{cfg.rng_seed}.json")
     harness.write_run_json(path, result.metrics, cfg, {"env": spec.name, "mode": mode})
     print(harness.run_json_document(result.metrics, cfg, {"env": spec.name}))
     return 0
@@ -133,14 +127,14 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     cfg = _effective_config(args)
     spec = _spec(args)
-    seeds = _seed_list(args)
+    seeds = list(range(cfg.rng_seed, cfg.rng_seed + args.seeds))
     weights = _weights(args, spec, cfg)
     results = {}
     for kind in BaselineKind:
         metrics = harness.run_experiment(
             kind, spec, cfg, seeds,
             model_kind=args.model, drift_bias=args.drift_bias,
-            drift_noise=args.drift_noise, weights=weights, jobs=args.jobs,
+            drift_noise=args.drift_noise, weights=weights,
         )
         results[kind] = metrics
         for m in metrics:
@@ -159,7 +153,7 @@ def cmd_compare(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _effective_config(args)
     spec = _spec(args)
-    seeds = _seed_list(args)
+    seeds = list(range(cfg.rng_seed, cfg.rng_seed + args.seeds))
     weights = _weights(args, spec, cfg)
     kind = BaselineKind(args.kind)
     if args.param not in {f.name for f in dataclasses.fields(SpoConfig)}:
@@ -173,7 +167,7 @@ def cmd_sweep(args) -> int:
         metrics = harness.run_experiment(
             kind, spec, swept, seeds,
             model_kind=args.model, drift_bias=args.drift_bias,
-            drift_noise=args.drift_noise, weights=weights, jobs=args.jobs,
+            drift_noise=args.drift_noise, weights=weights,
         )
         for m in metrics:
             lines.append(f"{value!r},{harness.metrics_csv_line(m)}")
@@ -208,44 +202,44 @@ def cmd_serve(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="spo")
     sub = parser.add_subparsers(dest="command", required=True)
+    net, drift = " ".join(NET_FLAGS), "model drift-bias drift-noise"
 
-    # Exact flag names only: with abbreviations a subcommand would accept a
-    # flag it does not have as a prefix of one it does (--mode for --model).
-    p = sub.add_parser("run", help="run one episode on the virtual clock", allow_abbrev=False)
-    _add_common(p, kind=True, model=True, out=True, weights=True)
-    p.set_defaults(func=cmd_run)
+    def subcommand(name, func, help, flags):
+        # Exact flag names only: with abbreviations a subcommand would accept a
+        # flag it does not have as a prefix of one it does (--mode for --model).
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", **FLAGS[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("compare", help="run all baselines over a seed list", allow_abbrev=False)
-    _add_common(p, model=True, out=True, weights=True, jobs=True)
-    p.add_argument("--seeds", type=int, default=5, help="number of seeds from the base seed")
-    p.set_defaults(func=cmd_compare)
+    subcommand("run", cmd_run, "run one episode on the virtual clock",
+               f"config env disturbances kind {net} seed out {drift} weights")
 
-    p = sub.add_parser("sweep", help="vary one config parameter", allow_abbrev=False)
-    _add_common(p, kind=True, model=True, out=True, weights=True, jobs=True)
+    p = subcommand("compare", cmd_compare, "run all baselines over a seed list",
+                   f"config env disturbances {net} seed out {drift} weights")
+    p.add_argument("--seeds", type=_int_in(1), default=5, help="number of seeds from the base seed")
+
+    p = subcommand("sweep", cmd_sweep, "vary one config parameter",
+                   f"config env disturbances kind {net} seed out {drift} weights")
     p.add_argument("--param", required=True)
     p.add_argument("--from", dest="from_", type=float, required=True)
     p.add_argument("--to", dest="to", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--seeds", type=int, default=1)
-    p.set_defaults(func=cmd_sweep)
+    p.add_argument("--steps", type=_int_in(1), required=True)
+    p.add_argument("--seeds", type=_int_in(1), default=1)
 
-    p = sub.add_parser("calibrate", help="write a weight calibration file", allow_abbrev=False)
-    _add_common(p, out=True)
-    p.add_argument("--episodes", type=int, default=3)
+    p = subcommand("calibrate", cmd_calibrate, "write a weight calibration file",
+                   "config env seed out")
+    p.add_argument("--episodes", type=_int_in(1), default=3)
     p.add_argument("--weights-out", help="output path (default <out>/weights_<env>.txt)")
-    p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("serve", help="start the TCP cloud endpoint", allow_abbrev=False)
-    _add_common(p, kind=True, model=True)
-    p.add_argument("--port", type=int, default=0)
-    p.set_defaults(func=cmd_serve)
+    p = subcommand("serve", cmd_serve, "start the TCP cloud endpoint",
+                   f"config env kind {net} seed {drift}")
+    p.add_argument("--port", type=_int_in(0, 0xFFFF), default=0)
 
-    p = sub.add_parser(
-        "edge-connect", help="run the edge loop against a remote endpoint", allow_abbrev=False
-    )
-    _add_common(p, kind=True, out=True, weights=True)
+    p = subcommand("edge-connect", cmd_run, "run the edge loop against a remote endpoint",
+                   "config env disturbances kind rtt jitter epsilon seed out weights")
     p.add_argument("--addr", required=True, help="cloud endpoint, host:port")
-    p.set_defaults(func=cmd_run)
 
     return parser
 

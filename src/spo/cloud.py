@@ -22,6 +22,11 @@ from .environments import EnvironmentSpec, true_step
 from .types import ActionVector, SpeculativeTuple, SpoConfig, StateVector
 
 
+# The drifted model's per-step bias and noise standard deviation, by default.
+DRIFT_BIAS = 8e-4
+DRIFT_NOISE = 2e-4
+
+
 class RolloutError(RuntimeError):
     """Speculative generation aborted (dimension mismatch or model blow-up)."""
 
@@ -217,8 +222,8 @@ def make_policy(spec: EnvironmentSpec) -> ScriptedExpertPolicy:
 def make_model(
     spec: EnvironmentSpec,
     kind: str = "oracle",
-    drift_bias: float = 0.0,
-    drift_noise: float = 0.0,
+    drift_bias: float = DRIFT_BIAS,
+    drift_noise: float = DRIFT_NOISE,
     seed: int = 0,
 ) -> WorldModel:
     oracle = OracleWorldModel(spec)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import CloudSession, Policy, make_model, make_policy
+from .cloud import DRIFT_BIAS, DRIFT_NOISE, CloudSession, Policy, make_model, make_policy
 from .edge import EdgeSession, Outcome, StepRecord
 from .environments import EnvironmentSpec, is_success, start_state, true_step
 from .transport import VirtualChannel, one_way_latency
@@ -171,8 +171,8 @@ def run_single(
     seed: int,
     weights: WeightMatrix,
     model_kind: str = "oracle",
-    drift_bias: float = 0.0,
-    drift_noise: float = 0.0,
+    drift_bias: float = DRIFT_BIAS,
+    drift_noise: float = DRIFT_NOISE,
 ) -> RunResult:
     """One deterministic virtual-clock episode."""
     validate_config(cfg)
@@ -193,6 +193,8 @@ def run_episode(
     weights: WeightMatrix, link, start: StateVector,
 ) -> RunResult:
     """The control loop of both modes; ``link`` hides the clock and the transport."""
+    if spec.dt != cfg.control_interval:  # else the clock and the physics run apart
+        raise ConfigError([f"control_interval {cfg.control_interval} != {spec.name} dt {spec.dt}"])
     edge = EdgeSession(cfg, weights, spec.d_a, blocking=(kind is BaselineKind.BLOCKING))
     state = start
     records: list[StepRecord] = []
@@ -280,14 +282,13 @@ def run_experiment(
     cfg: SpoConfig,
     seeds: list[int],
     model_kind: str = "oracle",
-    drift_bias: float = 0.0,
-    drift_noise: float = 0.0,
-    weights: WeightMatrix | None = None,
+    drift_bias: float = DRIFT_BIAS,
+    drift_noise: float = DRIFT_NOISE,
+    *,
+    weights: WeightMatrix,
     jobs: int = 1,
 ) -> list[RunMetrics]:
     """One RunMetrics per seed; seeds may run in parallel, merged by seed order."""
-    if weights is None:
-        weights = calibrate_weights(spec, seed=cfg.rng_seed)
 
     def one(seed: int) -> RunMetrics:
         return run_single(

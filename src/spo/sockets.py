@@ -15,7 +15,7 @@ import threading
 import time
 
 from . import transport
-from .cloud import CloudSession, RolloutError, make_model, make_policy
+from .cloud import DRIFT_BIAS, DRIFT_NOISE, CloudSession, RolloutError, make_model, make_policy
 from .environments import EnvironmentSpec, start_state
 from .harness import FIXED_HORIZON, BaselineKind, RunResult, episode_seeds, run_episode
 from .types import SpoConfig, WeightMatrix, validate_config
@@ -31,8 +31,8 @@ class CloudServer:
         cfg: SpoConfig,
         kind: BaselineKind = BaselineKind.SPO,
         model_kind: str = "oracle",
-        drift_bias: float = 0.0,
-        drift_noise: float = 0.0,
+        drift_bias: float = DRIFT_BIAS,
+        drift_noise: float = DRIFT_NOISE,
         host: str = "127.0.0.1",
     ):
         validate_config(cfg)

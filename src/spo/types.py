@@ -183,6 +183,8 @@ def config_errors(cfg: SpoConfig) -> list[str]:
         errors.append("jitter_half_width >= 0 violated")
     if cfg.jitter_half_width > cfg.rtt_base:
         errors.append("jitter_half_width <= rtt_base violated")
+    if cfg.rng_seed < 0:
+        errors.append("rng_seed >= 0 violated")
     return errors
 
 
@@ -228,9 +230,9 @@ def read_text(path) -> str:
         raise ConfigError([f"cannot read {path}: {reason}"]) from None
 
 
-def load_config(path, overrides: dict | None = None) -> SpoConfig:
-    """Load a config file and apply CLI-style overrides, then validate."""
-    values = parse_config_text(read_text(path))
+def load_config(path=None, overrides: dict | None = None) -> SpoConfig:
+    """The defaults, under a config file if ``path`` is given, under CLI-style overrides."""
+    values = parse_config_text(read_text(path)) if path else {}
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
     return validate_config(SpoConfig(**values))

@@ -122,6 +122,86 @@ def test_spo_seed_environment_variable(tmp_path, monkeypatch):
     assert doc["config"]["rng_seed"] == 17
 
 
+@pytest.mark.parametrize(
+    "flag, env, file, expected",
+    [
+        ("3", "17", "5", 3),
+        (None, "17", "5", 17),
+        (None, None, "5", 5),
+        (None, None, None, 0),
+    ],
+    ids=["flag", "environment", "config-file", "default"],
+)
+def test_base_seed_precedence(tmp_path, monkeypatch, flag, env, file, expected):
+    monkeypatch.delenv("SPO_SEED", raising=False)
+    if env is not None:
+        monkeypatch.setenv("SPO_SEED", env)
+    cfg_path = tmp_path / "seed.cfg"
+    cfg_path.write_text("" if file is None else f"rng_seed = {file}\n")
+    argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    assert cli.main(argv + (["--seed", flag] if flag is not None else [])) == 0
+    [path] = (tmp_path / "out").glob("run_*.json")
+    assert path.name == f"run_spo_free_space_{expected}.json"
+    assert json.loads(path.read_text())["config"]["rng_seed"] == expected
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["compare", "--seeds", "0"], "argument --seeds: must be >= 1, got 0"),
+        (["sweep", "--param", "k_max", "--from", "2", "--to", "4", "--steps", "0"],
+         "argument --steps: must be >= 1, got 0"),
+        (["sweep", "--param", "k_max", "--from", "2", "--to", "4", "--steps", "2",
+          "--seeds", "-1"], "argument --seeds: must be >= 1, got -1"),
+        (["calibrate", "--episodes", "0"], "argument --episodes: must be >= 1, got 0"),
+        (["serve", "--port", "99999"], "argument --port: must be in 0..65535, got 99999"),
+        (["serve", "--port", "-1"], "argument --port: must be in 0..65535, got -1"),
+    ],
+    ids=["compare-seeds-0", "sweep-steps-0", "sweep-seeds-negative", "calibrate-episodes-0",
+         "serve-port-99999", "serve-port-negative"],
+)
+def test_out_of_range_count_exits_two_before_any_output(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, *([] if argv[0] == "serve" else ["--out", str(tmp_path)])])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "flag, env, message",
+    [
+        ("-1", None, "rng_seed >= 0 violated"),
+        (None, "-1", "rng_seed >= 0 violated"),
+        (None, "abc", "base seed 'abc' is not an integer"),
+        ("1.5", None, "base seed '1.5' is not an integer"),
+    ],
+    ids=["flag-negative", "environment-negative", "environment-not-an-int", "flag-not-an-int"],
+)
+def test_bad_base_seed_is_a_config_error(tmp_path, capsys, monkeypatch, flag, env, message):
+    monkeypatch.delenv("SPO_SEED", raising=False)
+    if env is not None:
+        monkeypatch.setenv("SPO_SEED", env)
+    argv = ["run", "--out", str(tmp_path)] + (["--seed", flag] if flag is not None else [])
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "sweep"])
+@pytest.mark.parametrize("interval", ["0.01", "0.04"])
+def test_control_interval_other_than_the_spec_dt_exits_two(tmp_path, capsys, command, interval):
+    cfg_path = tmp_path / "tick.cfg"
+    cfg_path.write_text(f"control_interval = {interval}\n")
+    extra = {"run": [], "compare": ["--seeds", "1"],
+             "sweep": ["--param", "k_max", "--from", "2", "--to", "4", "--steps", "2"]}[command]
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg_path), "--out", str(out), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: control_interval {interval} != free_space dt 0.02\n"
+    assert not out.exists()
+
+
 def test_custom_environment_file(tmp_path):
     env_path = tmp_path / "bench.cfg"
     env_path.write_text(
@@ -279,6 +359,13 @@ def test_compare_csv_is_byte_identical_to_the_pinned_digest(tmp_path, model):
         ["edge-connect", "--addr", "127.0.0.1:1", "--drift-bias", "0.1"],
         ["edge-connect", "--addr", "127.0.0.1:1", "--drift-noise", "0.1"],
         ["edge-connect", "--addr", "127.0.0.1:1", "--jobs", "2"],
+        *(["calibrate", flag, "1"] for flag in
+          ["--rtt", "--jitter", "--kmin", "--kmax", "--beta", "--epsilon", "--disturbances"]),
+        ["serve", "--disturbances", "d.csv"],
+        *(["edge-connect", "--addr", "127.0.0.1:1", flag, "5"]
+          for flag in ["--kmin", "--kmax", "--beta"]),
+        ["compare", "--jobs", "2"],
+        ["sweep", "--param", "k_max", "--from", "2", "--to", "4", "--steps", "2", "--jobs", "2"],
     ],
     ids=lambda argv: " ".join(a for a in argv if a.startswith("--") or a == argv[0]),
 )

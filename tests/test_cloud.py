@@ -5,6 +5,8 @@ import pytest
 
 from spo.ahs import AhsState
 from spo.cloud import (
+    DRIFT_BIAS,
+    DRIFT_NOISE,
     CloudSession,
     DriftedWorldModel,
     OracleWorldModel,
@@ -115,6 +117,22 @@ def test_rollout_is_bitwise_deterministic():
     for t1, t2 in zip(r1, r2):
         assert np.array_equal(t1.predicted_state.values, t2.predicted_state.values)
         assert np.array_equal(t1.action.values, t2.action.values)
+
+
+def test_make_model_drifts_by_default():
+    spec = get_spec("free_space")
+    start = StateVector(np.zeros(spec.d_s))
+
+    def rollout(model):
+        return [t.predicted_state.values for t in speculative_rollout(
+            start, 10, make_policy(spec), model)]
+
+    drifted = DriftedWorldModel(
+        OracleWorldModel(spec), np.full(spec.d_s, DRIFT_BIAS), noise_std=DRIFT_NOISE, seed=0
+    )
+    default = rollout(make_model(spec, "drifted"))
+    assert np.array_equal(default, rollout(drifted))
+    assert not np.array_equal(default, rollout(make_model(spec, "oracle")))
 
 
 def test_rollout_rejects_bad_horizon():
