@@ -119,8 +119,9 @@ def cmd_run(args) -> int:
             model_kind=args.model, drift_bias=args.drift_bias, drift_noise=args.drift_noise,
         )
     path = os.path.join(args.out, f"run_{kind.value}_{spec.name}_{cfg.rng_seed}.json")
-    harness.write_run_json(path, result.metrics, cfg, {"env": spec.name, "mode": mode})
-    print(harness.run_json_document(result.metrics, cfg, {"env": spec.name}))
+    doc = harness.run_json_document(result.metrics, cfg, {"env": spec.name, "mode": mode})
+    harness.write_atomic(path, doc)
+    print(doc, end="")
     return 0
 
 
@@ -138,9 +139,9 @@ def cmd_compare(args) -> int:
         )
         results[kind] = metrics
         for m in metrics:
-            harness.write_run_json(
+            harness.write_atomic(
                 os.path.join(args.out, f"run_{kind.value}_{spec.name}_{m.seed}.json"),
-                m, cfg, {"env": spec.name, "mode": "virtual"},
+                harness.run_json_document(m, cfg, {"env": spec.name, "mode": "virtual"}),
             )
     report = harness.compare_report(results)
     harness.write_metrics_csv(
@@ -154,16 +155,20 @@ def cmd_sweep(args) -> int:
     cfg = _effective_config(args)
     spec = _spec(args)
     seeds = list(range(cfg.rng_seed, cfg.rng_seed + args.seeds))
-    weights = _weights(args, spec, cfg)
     kind = BaselineKind(args.kind)
     if args.param not in {f.name for f in dataclasses.fields(SpoConfig)}:
         raise ConfigError([f"unknown sweep parameter {args.param!r}"])
-    lines = ["param_value," + harness.CSV_HEADER]
+    field_type = type(getattr(cfg, args.param))
     span = args.to - args.from_
+    grid = []  # every point is checked before the first episode runs
     for i in range(args.steps):
         value = args.from_ + span * i / max(1, args.steps - 1)
-        field_type = type(getattr(cfg, args.param))
-        swept = validate_config(cfg.replace(**{args.param: field_type(value)}))
+        if field_type is int and not value.is_integer():
+            raise ConfigError([f"{args.param} is an integer field; grid point {value!r} is not"])
+        grid.append((value, validate_config(cfg.replace(**{args.param: field_type(value)}))))
+    weights = _weights(args, spec, cfg)
+    lines = ["param_value," + harness.CSV_HEADER]
+    for value, swept in grid:
         metrics = harness.run_experiment(
             kind, spec, swept, seeds,
             model_kind=args.model, drift_bias=args.drift_bias,

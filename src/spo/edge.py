@@ -1,11 +1,15 @@
-"""Edge-side control loop state: trajectory cache, per-tick verification,
+"""Edge-side control loop state: rollout cache, per-tick verification,
 safe-stop holds, flush-on-violation, and refill request bookkeeping.
+
+Refills are stop-and-wait: a request goes out only when the cache is empty
+(starved) or just flushed (miss), and the robot holds until its response
+arrives, so the cache is empty at every install and holds one response. A reply
+to another request id, or a tuple for a step already executed, is dropped and
+counted; only a socket peer can send either.
 
 Step indexing is by *progress* (number of executed control actions), not by
 wall tick: a holding robot does not advance its plan, so a response generated
-from the held state resumes exactly where execution stopped. Tuples whose
-progress index was already passed while the response was in flight are
-dropped on arrival and counted as wasted.
+from the held state resumes exactly where execution stopped.
 """
 
 from __future__ import annotations
@@ -53,35 +57,6 @@ class RefillRequest:
     request: RolloutRequest
 
 
-class TrajectoryCache:
-    """FIFO buffer of speculative tuples tagged with their source request id."""
-
-    def __init__(self):
-        self._entries: deque[tuple[SpeculativeTuple, int]] = deque()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def push(self, tup: SpeculativeTuple, source_id: int) -> None:
-        if self._entries and tup.step_index != self._entries[-1][0].step_index + 1:
-            raise ValueError(
-                f"cache discontinuity: tail targets {self._entries[-1][0].step_index}, "
-                f"pushed {tup.step_index}"
-            )
-        self._entries.append((tup, source_id))
-
-    def pop(self) -> tuple[SpeculativeTuple, int]:
-        return self._entries.popleft()
-
-    def flush(self) -> int:
-        n = len(self._entries)
-        self._entries.clear()
-        return n
-
-    def tail_step_index(self) -> int | None:
-        return self._entries[-1][0].step_index if self._entries else None
-
-
 class EdgeSession:
     """One edge control session; drive it one control tick at a time."""
 
@@ -95,9 +70,10 @@ class EdgeSession:
         self.cfg = cfg
         self.weights = weights
         self.blocking = blocking
-        self.cache = TrajectoryCache()
+        self.cache: deque[SpeculativeTuple] = deque()
         self.progress = 0
         self.in_flight_id: int | None = None
+        self.installed_id: int | None = None  # the request whose tuples fill the cache
         self._next_request_id = 1
         self.stale_dropped = 0
         self.superseded_dropped = 0
@@ -107,7 +83,7 @@ class EdgeSession:
     def _issue_request(self, observed: StateVector, violation_error: float) -> RefillRequest:
         rid = self._next_request_id
         self._next_request_id += 1
-        self.in_flight_id = rid  # supersedes any response still in flight
+        self.in_flight_id = rid
         return RefillRequest(
             request_id=rid,
             request=RolloutRequest(
@@ -126,8 +102,8 @@ class EdgeSession:
                 f"observed dimension {observed.dim} != calibrated d_s {self.weights.dim}"
             )
         hold = self._hold
-        if len(self.cache) > 0:
-            tup, src = self.cache.pop()
+        if self.cache:
+            tup, src = self.cache.popleft(), self.installed_id
             if self.blocking:
                 self.progress = tup.step_index
                 rec = StepRecord(
@@ -142,7 +118,8 @@ class EdgeSession:
                     self.progress, src,
                 )
                 return rec, None
-            self.flushed += 1 + self.cache.flush()  # the missed tuple is wasted too
+            self.flushed += 1 + len(self.cache)  # the missed tuple is wasted too
+            self.cache.clear()
             rec = StepRecord(
                 tick_index, Outcome.MISS, outcome.error, hold, now, self.progress, src
             )
@@ -154,15 +131,14 @@ class EdgeSession:
         return rec, None
 
     def install_response(self, request_id: int, resp: RolloutResponse) -> None:
-        """Buffer an arrived rollout, dropping superseded or already-passed tuples."""
+        """Cache the rollout of the request in flight; drop other replies and passed steps."""
         if request_id != self.in_flight_id:
             self.superseded_dropped += len(resp.tuples)
             return
         self.in_flight_id = None
-        tail = self.cache.tail_step_index()
-        floor = self.progress if tail is None else max(self.progress, tail)
+        self.installed_id = request_id
         for tup in resp.tuples:
-            if tup.step_index <= floor:
+            if tup.step_index <= self.progress:
                 self.stale_dropped += 1
-                continue
-            self.cache.push(tup, request_id)
+            else:
+                self.cache.append(tup)

@@ -411,10 +411,6 @@ def run_json_document(m: RunMetrics, cfg: SpoConfig, extra: dict | None = None) 
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def write_run_json(path, m: RunMetrics, cfg: SpoConfig, extra: dict | None = None) -> None:
-    write_atomic(path, run_json_document(m, cfg, extra))
-
-
 def save_weights(path, weights: WeightMatrix) -> None:
     lines = ["# inverse-variance weights, one per state dimension"]
     lines += [repr(float(w)) for w in weights.inverse_variances]

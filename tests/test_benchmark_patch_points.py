@@ -69,7 +69,7 @@ def test_layer_wrappers_trace_one_episode_and_restore_every_original():
     spec = dataclasses.replace(get_spec("free_space"), max_steps=40)
     tracer = tracing.Tracer()
     try:
-        tracing.install_layer_wrappers(tracer)
+        probe = tracing.install_layer_wrappers(tracer)
         run_single(
             BaselineKind.SPO, spec, SpoConfig(), 0, WeightMatrix(np.ones(spec.d_s)),
             model_kind="drifted", drift_bias=8e-4, drift_noise=2e-4,
@@ -82,6 +82,12 @@ def test_layer_wrappers_trace_one_episode_and_restore_every_original():
         "cloud.policy_act", "cloud.model_step", "edge.edge_tick", "verifier.verify",
     ):
         assert stats.get(name, {"calls": 0})["calls"] > 0, name
+    # The benchmark sums these counters; two read 0 in every virtual run, so only this pins them.
+    sessions = list(probe.edge_sessions.values())
+    assert sessions
+    for edge in sessions:
+        for counter in ("flushed", "stale_dropped", "superseded_dropped"):
+            assert type(getattr(edge, counter)) is int, counter
     for owner, attrs in zip(owners, before):
         after = vars(owner)
         assert after.keys() == attrs.keys(), owner

@@ -6,7 +6,7 @@ import socket
 
 import pytest
 
-from spo import cli
+from spo import cli, harness
 
 
 def test_run_writes_json_and_exits_zero(tmp_path, capsys):
@@ -22,8 +22,8 @@ def test_run_writes_json_and_exits_zero(tmp_path, capsys):
     assert doc["metrics"]["success"] is True
     assert doc["config"]["rng_seed"] == 0
     assert doc["mode"] == "virtual"
-    printed = capsys.readouterr().out
-    assert '"schema_version": 1' in printed
+    assert doc["schema_version"] == 1
+    assert capsys.readouterr().out == path.read_text()  # prints exactly the document it writes
 
 
 def test_compare_writes_csv_and_report(tmp_path, capsys):
@@ -63,6 +63,31 @@ def test_sweep_rejects_unknown_parameter(tmp_path):
         "--from", "0", "--to", "1", "--steps", "2", "--out", str(tmp_path),
     ])
     assert code == 2
+
+
+def test_sweep_labels_an_integer_field_with_its_float_grid_point(tmp_path):
+    argv = ["sweep", "--param", "k_max", "--from", "2", "--to", "4", "--steps", "3"]
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "sweep_k_max_spo_free_space.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines] == ["param_value", "2.0", "3.0", "4.0"]
+
+
+@pytest.mark.parametrize(
+    "param, to, message",
+    [("k_max", "3", "k_max is an integer field; grid point 2.5 is not"),
+     ("k_min", "12", "k_min <= k_max violated")],
+    ids=["non-integral-int-point", "last-point-invalid"],
+)
+def test_sweep_checks_every_grid_point_before_the_first_episode(
+    tmp_path, capsys, monkeypatch, param, to, message
+):
+    ran = []
+    monkeypatch.setattr(harness, "run_experiment", lambda *args, **kwargs: ran.append(args) or [])
+    argv = ["sweep", "--param", param, "--from", "2", "--to", to, "--steps", "3"]
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert ran == []
+    assert not list(tmp_path.iterdir())
 
 
 def test_calibrate_writes_loadable_weights(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spo.cloud import RolloutResponse
-from spo.edge import EdgeSession, Outcome, TrajectoryCache
+from spo.edge import EdgeSession, Outcome
 from spo.types import (
     ActionVector,
     DimensionError,
@@ -137,22 +137,6 @@ def test_dimension_mismatch_is_fatal():
     edge = _session()
     with pytest.raises(DimensionError):
         edge.edge_tick(StateVector(np.zeros(D + 1)), 0, 0.0)
-
-
-def test_cache_rejects_discontinuous_push():
-    cache = TrajectoryCache()
-    cache.push(_tuple(np.zeros(D), 4), source_id=1)
-    with pytest.raises(ValueError):
-        cache.push(_tuple(np.zeros(D), 6), source_id=1)
-
-
-def test_cache_flush_empties_and_counts():
-    cache = TrajectoryCache()
-    for s in (1, 2, 3):
-        cache.push(_tuple(np.zeros(D), s), source_id=1)
-    assert cache.flush() == 3
-    assert len(cache) == 0
-    assert cache.tail_step_index() is None
 
 
 def test_conservation_of_outcomes_over_synthetic_run():

@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from spo.edge import Outcome
+from spo import harness
+from spo.edge import EdgeSession, Outcome
 from spo.environments import (
     Dynamics,
     EnvironmentSpec,
@@ -169,6 +170,37 @@ def test_wasted_prediction_accounting(free_space_weights):
     assert 0 <= m.wasted_predictions <= m.generated_predictions
     assert m.wasted_predictions >= m.generated_predictions - executed - 10  # cache tail bound
     assert m.generated_predictions == sum(result.horizons) or m.kind == "blocking"
+
+
+def test_refills_are_stop_and_wait_and_wasted_is_flushed_plus_in_flight(monkeypatch):
+    """Every install meets an empty cache and the request in flight, so nothing
+    is dropped and wasted = flushed + (generated - installed tuples)."""
+    sessions = []
+
+    class Recording(EdgeSession):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.installs, self.installed = [], 0
+            sessions.append(self)
+
+        def install_response(self, request_id, resp):
+            depth = len(self.cache)
+            self.installs.append((depth, request_id == self.in_flight_id))
+            super().install_response(request_id, resp)
+            self.installed += len(self.cache) - depth
+
+    monkeypatch.setattr(harness, "EdgeSession", Recording)
+    for env in ("free_space", "tight_tolerance", "multi_stage"):
+        spec = get_spec(env)
+        weights = calibrate_weights(spec, seed=0)
+        for kind in BaselineKind:
+            for seed in range(3):
+                m = run_single(kind, spec, CFG, seed, weights, model_kind="drifted").metrics
+                edge = sessions[-1]
+                assert edge.installs and set(edge.installs) == {(0, True)}, (env, kind, seed)
+                assert edge.stale_dropped == edge.superseded_dropped == 0
+                in_flight = m.generated_predictions - edge.installed
+                assert m.wasted_predictions == edge.flushed + in_flight, (env, kind, seed)
 
 
 def test_mean_horizon_weighted_by_grant(free_space_weights):

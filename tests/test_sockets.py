@@ -138,6 +138,32 @@ def test_socket_episode_ends_when_peer_fails(quick_spec, reply):
     assert not m.success
 
 
+def test_socket_edge_installs_only_the_response_to_the_request_in_flight(quick_spec):
+    granted = []
+
+    def reply(conn, frame):
+        # One real rollout, sent twice and then under an id never issued
+        # (an episode of 250 ticks issues at most 250); hang up at the next request.
+        rid, req = transport.decode_request(frame)
+        cloud = CloudSession(FAST, make_policy(quick_spec), make_model(quick_spec, "oracle"), None)
+        resp = cloud.handle(req)
+        granted.append(len(resp.tuples))
+        for sent_id in (rid, rid, rid + 1000):
+            transport.send_frame(conn, transport.encode_response(sent_id, resp, req.step_index))
+        transport.recv_frame(conn)
+
+    port, _, thread = _peer(reply)
+    m = edge_connect_run(
+        ("127.0.0.1", port), quick_spec, FAST, BaselineKind.SPO, 0, WeightMatrix(np.ones(4))
+    ).metrics
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+    [k] = granted
+    assert m.hits + m.misses == k
+    assert m.generated_predictions == 3 * k
+    assert m.diagnostic == "connection lost while awaiting refill"
+
+
 def test_socket_first_request_carries_the_virtual_start_state(quick_spec):
     spec = dataclasses.replace(quick_spec, start_jitter=0.05)
     cfg = FAST.replace(rng_seed=7)
