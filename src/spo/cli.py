@@ -165,7 +165,7 @@ def cmd_sweep(args) -> int:
         value = args.from_ + span * i / max(1, args.steps - 1)
         if field_type is int and not value.is_integer():
             raise ConfigError([f"{args.param} is an integer field; grid point {value!r} is not"])
-        grid.append((value, validate_config(cfg.replace(**{args.param: field_type(value)}))))
+        grid.append((value, validate_config(cfg.replace(**{args.param: field_type(value)}), spec)))
     weights = _weights(args, spec, cfg)
     lines = ["param_value," + harness.CSV_HEADER]
     for value, swept in grid:
@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=_int_in(0, 0xFFFF), default=0)
 
     p = subcommand("edge-connect", cmd_run, "run the edge loop against a remote endpoint",
-                   "config env disturbances kind rtt jitter epsilon seed out weights")
+                   "config env disturbances kind epsilon seed out weights")
     p.add_argument("--addr", required=True, help="cloud endpoint, host:port")
 
     return parser

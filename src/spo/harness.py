@@ -6,7 +6,8 @@ cloud, to a synthetic environment: on the virtual clock a
 :class:`~spo.cloud.CloudSession` behind a deterministic
 :class:`~spo.transport.VirtualChannel`, in socket mode a TCP peer. All
 randomness (start jitter, channel jitter, model noise) derives from one seed
-through :func:`episode_seeds`, so a virtual run is bitwise reproducible.
+through :func:`episode_seeds`, so a virtual run is bitwise reproducible, and a
+socket run of the same seed draws the same start, delays and model noise.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .cloud import DRIFT_BIAS, DRIFT_NOISE, CloudSession, Policy, make_model, make_policy
 from .edge import EdgeSession, Outcome, StepRecord
 from .environments import EnvironmentSpec, is_success, start_state, true_step
-from .transport import VirtualChannel, one_way_latency
+from .transport import LatencyModel, VirtualChannel
 from .types import ConfigError, SpoConfig, StateVector, WeightMatrix, read_text, validate_config
 
 
@@ -127,10 +128,15 @@ def calibrate_weights(
 
 
 def episode_seeds(cfg: SpoConfig, seed: int):
-    """Start rng, channel rng and drift seed of episode ``seed``: the one rule of both modes."""
+    """Start rng, one-way delay model and drift seed of episode ``seed``, in both modes.
+
+    The delay model halves the round trip's base and jitter; each request draws
+    its uplink leg, then its downlink leg.
+    """
     start, channel, drift = np.random.SeedSequence([cfg.rng_seed, seed]).spawn(3)
-    drift_seed = int(drift.generate_state(1)[0])
-    return np.random.default_rng(start), np.random.default_rng(channel), drift_seed
+    channel_rng = np.random.default_rng(channel)
+    latency = LatencyModel(cfg.rtt_base / 2.0, cfg.jitter_half_width / 2.0, channel_rng)
+    return np.random.default_rng(start), latency, int(drift.generate_state(1)[0])
 
 
 class VirtualLink:
@@ -176,16 +182,14 @@ def run_single(
 ) -> RunResult:
     """One deterministic virtual-clock episode."""
     validate_config(cfg)
-    start_rng, channel_rng, drift_seed = episode_seeds(cfg, seed)
+    start_rng, latency, drift_seed = episode_seeds(cfg, seed)
     policy = make_policy(spec)
     model = make_model(
         spec, model_kind, drift_bias=drift_bias, drift_noise=drift_noise, seed=drift_seed
     )
     cloud = CloudSession(cfg, policy, model, fixed_horizon=FIXED_HORIZON[kind])
-    channel = VirtualChannel(one_way_latency(cfg.rtt_base, cfg.jitter_half_width, channel_rng))
-    return run_episode(
-        kind, spec, cfg, seed, weights, VirtualLink(cloud, channel), start_state(spec, start_rng)
-    )
+    link = VirtualLink(cloud, VirtualChannel(latency))
+    return run_episode(kind, spec, cfg, seed, weights, link, start_state(spec, start_rng))
 
 
 def run_episode(
@@ -193,8 +197,7 @@ def run_episode(
     weights: WeightMatrix, link, start: StateVector,
 ) -> RunResult:
     """The control loop of both modes; ``link`` hides the clock and the transport."""
-    if spec.dt != cfg.control_interval:  # else the clock and the physics run apart
-        raise ConfigError([f"control_interval {cfg.control_interval} != {spec.name} dt {spec.dt}"])
+    validate_config(cfg, spec)
     edge = EdgeSession(cfg, weights, spec.d_a, blocking=(kind is BaselineKind.BLOCKING))
     state = start
     records: list[StepRecord] = []

@@ -3,8 +3,8 @@
 The edge runs :func:`spo.harness.run_episode` with a :class:`SocketLink`. A run of
 seed S draws its start, delays and drift seed from :func:`~spo.harness.episode_seeds`
 as the virtual run of S does; the n-th connection to a server of base seed S serves
-episode S+n-1. Each receiver injects a sampled one-way delay, so loopback RTT
-matches the emulated one.
+episode S+n-1. The server alone emulates the network: it sleeps the uplink and the
+downlink delay of each request, as the virtual run of S draws them, before handling it.
 """
 
 from __future__ import annotations
@@ -70,19 +70,16 @@ class CloudServer:
         self._stop.set()
 
     def _session(self, conn: socket.socket, session_id: int) -> None:
-        _, channel_rng, drift_seed = episode_seeds(self.cfg, self.cfg.rng_seed + session_id - 1)
+        _, latency, drift_seed = episode_seeds(self.cfg, self.cfg.rng_seed + session_id - 1)
         model = make_model(
             self.spec, self.model_kind,
             drift_bias=self.drift_bias, drift_noise=self.drift_noise, seed=drift_seed,
         )
         cloud = CloudSession(self.cfg, make_policy(self.spec), model, FIXED_HORIZON[self.kind])
-        latency = transport.one_way_latency(
-            self.cfg.rtt_base, self.cfg.jitter_half_width, channel_rng
-        )
         with conn:
             try:
                 while (frame := transport.recv_frame(conn)) is not None:
-                    time.sleep(latency.sample())  # receiver-side uplink delay shim
+                    time.sleep(latency.sample() + latency.sample())  # uplink, then downlink
                     rid, req = transport.decode_request(frame)
                     resp = cloud.handle(req)
                     out = transport.encode_response(rid, resp, step_index=req.step_index)
@@ -94,18 +91,16 @@ class CloudServer:
 class SocketLink:
     """A remote cloud over TCP, in real time, as a link of :func:`~spo.harness.run_episode`.
 
-    A reader thread decodes each response, counts it, and queues it on a
-    :class:`~spo.transport.VirtualChannel` keyed by seconds since the episode began,
-    so the downlink delay and its FIFO clamp are the virtual mode's. Any receive,
-    decode or send error marks the link ``dead``.
+    A reader thread decodes each response, counts it, and queues it; the next tick
+    takes it, as the server already slept both delay legs. Any receive, decode or
+    send error marks the link ``dead``.
     """
 
-    def __init__(self, sock: socket.socket, spec: EnvironmentSpec, latency, blocking: bool):
+    def __init__(self, sock: socket.socket, spec: EnvironmentSpec, blocking: bool):
         self._sock = sock
         self._spec = spec
         self._blocking = blocking
-        self._channel = transport.VirtualChannel(latency)
-        self._lock = threading.Lock()
+        self._inbox: list = []  # appended by the reader, popped from the front by the loop
         self._t0 = time.monotonic()
         self.horizons: list[int] = []
         self.generated = 0
@@ -116,11 +111,10 @@ class SocketLink:
         try:
             while (frame := transport.recv_frame(self._sock)) is not None:
                 rid, resp = transport.decode_response(frame, self._spec.d_s, self._spec.d_a)
-                with self._lock:
-                    # The wire carries no horizon; the blocking reply's is 0.
-                    self.horizons.append(0 if self._blocking else len(resp.tuples))
-                    self.generated += len(resp.tuples)
-                    self._channel.send_response((rid, resp), time.monotonic() - self._t0)
+                # The wire carries no horizon; the blocking reply's is 0.
+                self.horizons.append(0 if self._blocking else len(resp.tuples))
+                self.generated += len(resp.tuples)
+                self._inbox.append((rid, resp))  # last, so a taken response is counted
         except (OSError, transport.FrameError):
             pass
         self.dead = True
@@ -131,8 +125,7 @@ class SocketLink:
             time.sleep(delay)
 
     def due(self, now: float) -> list:
-        with self._lock:
-            return self._channel.edge_inbox(time.monotonic() - self._t0)
+        return [self._inbox.pop(0) for _ in range(len(self._inbox))]
 
     def send(self, refill, now: float) -> None:
         try:
@@ -149,11 +142,10 @@ def edge_connect_run(
 ) -> RunResult:
     """Run the edge control loop in real time against a remote cloud endpoint."""
     validate_config(cfg)
-    start_rng, channel_rng, _ = episode_seeds(cfg, seed)
-    latency = transport.one_way_latency(cfg.rtt_base, cfg.jitter_half_width, channel_rng)
+    start_rng, _, _ = episode_seeds(cfg, seed)
     with socket.create_connection(addr, timeout=10.0) as sock:
         sock.settimeout(None)
-        link = SocketLink(sock, spec, latency, blocking=(kind is BaselineKind.BLOCKING))
+        link = SocketLink(sock, spec, blocking=(kind is BaselineKind.BLOCKING))
         try:
             return run_episode(kind, spec, cfg, seed, weights, link, start_state(spec, start_rng))
         finally:

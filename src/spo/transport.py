@@ -12,9 +12,9 @@ Frame layout (all little-endian):
 A decoder raises :class:`FrameError`, and nothing else, for every malformed frame:
 the domain types check the values. Socket mode prefixes every frame with a 4B
 length, at most :data:`MAX_FRAME_BYTES`. Both modes draw delays from one
-:class:`LatencyModel`. The harness delivers both legs through a
-:class:`VirtualChannel` on virtual time; in socket mode the server sleeps each
-request's delay, and the edge queues responses on a channel keyed by wall time.
+:class:`LatencyModel`, an uplink leg then a downlink leg per request. The harness
+delivers both legs through a :class:`VirtualChannel` on virtual time; in socket
+mode the server sleeps both legs of each request before handling it.
 """
 
 from __future__ import annotations
@@ -146,26 +146,22 @@ class LatencyModel:
 class VirtualChannel:
     """Deterministic stop-and-wait channel for the virtual-clock harness.
 
-    The round-trip is split into two independently jittered one-way legs.
-    Per-direction FIFO is enforced by clamping each deliver-at time to be no
-    earlier than the previous message in the same direction.
+    The round-trip is split into two independently jittered one-way legs. Each
+    direction carries at most one message at a time (the edge sends its next
+    request only after the last response arrived), so delivery stays in send order.
     """
 
     latency: LatencyModel
     to_cloud: list = field(default_factory=list)
     to_edge: list = field(default_factory=list)
-    _last_to_cloud: float = 0.0
-    _last_to_edge: float = 0.0
 
     def send_request(self, item, now: float) -> float:
-        deliver_at = max(now + self.latency.sample(), self._last_to_cloud)
-        self._last_to_cloud = deliver_at
+        deliver_at = now + self.latency.sample()
         self.to_cloud.append((deliver_at, item))
         return deliver_at
 
     def send_response(self, item, now: float) -> float:
-        deliver_at = max(now + self.latency.sample(), self._last_to_edge)
-        self._last_to_edge = deliver_at
+        deliver_at = now + self.latency.sample()
         self.to_edge.append((deliver_at, item))
         return deliver_at
 
@@ -182,15 +178,6 @@ class VirtualChannel:
         while self.to_edge and self.to_edge[0][0] <= now:
             due.append(self.to_edge.pop(0)[1])
         return due
-
-
-def one_way_latency(rtt_base: float, jitter_half_width: float, rng) -> LatencyModel:
-    """Split a round-trip spec symmetrically into one one-way model."""
-    return LatencyModel(
-        base_one_way=rtt_base / 2.0,
-        jitter_half_width_one_way=jitter_half_width / 2.0,
-        rng=rng,
-    )
 
 
 def send_frame(sock, frame: bytes) -> None:

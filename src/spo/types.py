@@ -9,6 +9,7 @@ without copying.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,9 +161,13 @@ class SpoConfig:
 _CONFIG_FIELD_TYPES = {f.name: type(f.default) for f in dataclasses.fields(SpoConfig)}
 
 
-def config_errors(cfg: SpoConfig) -> list[str]:
-    """Every violated configuration invariant, as ``field: bound`` messages."""
-    errors = []
+def config_errors(cfg: SpoConfig, spec=None) -> list[str]:
+    """Every violated configuration invariant, as ``field: bound`` messages.
+
+    Given an :class:`~spo.environments.EnvironmentSpec`, also those of an episode on it.
+    """
+    errors = [f"{name} = {value} is not finite" for name, value in vars(cfg).items()
+              if isinstance(value, float) and not math.isfinite(value)]
     if cfg.epsilon_base <= 0:
         errors.append("epsilon_base > 0 violated")
     if cfg.k_min < 1:
@@ -185,12 +190,14 @@ def config_errors(cfg: SpoConfig) -> list[str]:
         errors.append("jitter_half_width <= rtt_base violated")
     if cfg.rng_seed < 0:
         errors.append("rng_seed >= 0 violated")
+    if spec is not None and cfg.control_interval != spec.dt:  # the clock and physics run apart
+        errors.append(f"control_interval {cfg.control_interval} != {spec.name} dt {spec.dt}")
     return errors
 
 
-def validate_config(cfg: SpoConfig) -> SpoConfig:
-    """Return ``cfg`` unchanged if valid, else raise :class:`ConfigError`."""
-    errors = config_errors(cfg)
+def validate_config(cfg: SpoConfig, spec=None) -> SpoConfig:
+    """Return ``cfg`` unchanged if valid (on ``spec``, if given), else raise ConfigError."""
+    errors = config_errors(cfg, spec)
     if errors:
         raise ConfigError(errors)
     return cfg

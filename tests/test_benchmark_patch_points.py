@@ -20,6 +20,7 @@ import spo.types
 from spo.cloud import CloudSession, RolloutRequest
 from spo.environments import get_spec
 from spo.harness import BaselineKind, run_single
+from spo.transport import VirtualChannel
 from spo.types import ActionVector, SpoConfig, StateVector, WeightMatrix
 
 TRACING = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
@@ -92,3 +93,37 @@ def test_layer_wrappers_trace_one_episode_and_restore_every_original():
         after = vars(owner)
         assert after.keys() == attrs.keys(), owner
         assert all(after[key] is value for key, value in attrs.items()), owner
+
+
+def test_a_channel_subclass_on_harness_sees_every_refill_request():
+    """The serve workload records its requests by swapping ``harness.VirtualChannel``
+    for a subclass that overrides ``send_request`` (``serve_workload.record_requests``)."""
+    requests = []
+
+    class RecordingChannel(VirtualChannel):
+        def send_request(self, item, now):
+            requests.append(item[1])
+            return super().send_request(item, now)
+
+    spec = get_spec("free_space")
+
+    def episode():
+        return run_single(
+            BaselineKind.SPO, spec, SpoConfig(), 0, WeightMatrix(np.ones(spec.d_s)),
+            model_kind="drifted", drift_bias=8e-4, drift_noise=2e-4,
+        )
+
+    spo.harness.VirtualChannel = RecordingChannel
+    try:
+        result = episode()
+    finally:
+        spo.harness.VirtualChannel = VirtualChannel
+    # A finished episode has no request left in flight: each one was answered.
+    assert result.metrics.success
+    assert len(requests) == len(result.horizons) > 0
+    assert all(isinstance(req, RolloutRequest) for req in requests)
+    # Restored, the next episode runs on the original channel and records nothing.
+    assert spo.harness.VirtualChannel is VirtualChannel
+    recorded = len(requests)
+    assert episode().horizons == result.horizons
+    assert len(requests) == recorded

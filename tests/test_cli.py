@@ -6,7 +6,7 @@ import socket
 
 import pytest
 
-from spo import cli, harness
+from spo import cli, harness, sockets
 
 
 def test_run_writes_json_and_exits_zero(tmp_path, capsys):
@@ -73,17 +73,19 @@ def test_sweep_labels_an_integer_field_with_its_float_grid_point(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "param, to, message",
-    [("k_max", "3", "k_max is an integer field; grid point 2.5 is not"),
-     ("k_min", "12", "k_min <= k_max violated")],
-    ids=["non-integral-int-point", "last-point-invalid"],
+    "param, grid, message",
+    [("k_max", ["2", "3", "3"], "k_max is an integer field; grid point 2.5 is not"),
+     ("k_min", ["2", "12", "3"], "k_min <= k_max violated"),
+     ("control_interval", ["0.02", "0.04", "2"], "control_interval 0.04 != free_space dt 0.02")],
+    ids=["non-integral-int-point", "last-point-invalid", "control-interval-off-the-spec-dt"],
 )
 def test_sweep_checks_every_grid_point_before_the_first_episode(
-    tmp_path, capsys, monkeypatch, param, to, message
+    tmp_path, capsys, monkeypatch, param, grid, message
 ):
     ran = []
     monkeypatch.setattr(harness, "run_experiment", lambda *args, **kwargs: ran.append(args) or [])
-    argv = ["sweep", "--param", param, "--from", "2", "--to", to, "--steps", "3"]
+    start, stop, steps = grid
+    argv = ["sweep", "--param", param, "--from", start, "--to", stop, "--steps", steps]
     assert cli.main([*argv, "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
     assert ran == []
@@ -211,6 +213,29 @@ def test_bad_base_seed_is_a_config_error(tmp_path, capsys, monkeypatch, flag, en
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--epsilon", "nan"], "epsilon_base = nan is not finite"),
+        (["run", "--rtt", "nan"], "rtt_base = nan is not finite"),
+        (["compare", "--seeds", "1", "--jitter", "nan"], "jitter_half_width = nan is not finite"),
+        (["sweep", "--param", "epsilon_base", "--from", "nan", "--to", "nan", "--steps", "2"],
+         "epsilon_base = nan is not finite"),
+        (["serve", "--rtt", "inf"], "rtt_base = inf is not finite"),
+    ],
+    ids=["run-epsilon-nan", "run-rtt-nan", "compare-jitter-nan", "sweep-grid-nan",
+         "serve-rtt-inf"],
+)
+def test_non_finite_config_value_exits_two_before_any_output(
+    tmp_path, capsys, monkeypatch, argv, message
+):
+    monkeypatch.setattr(sockets.CloudServer, "serve_forever", lambda self: None)  # never hang
+    out = tmp_path / "out"
+    assert cli.main([*argv, *([] if argv[0] == "serve" else ["--out", str(out)])]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "compare", "sweep"])
@@ -388,7 +413,7 @@ def test_compare_csv_is_byte_identical_to_the_pinned_digest(tmp_path, model):
           ["--rtt", "--jitter", "--kmin", "--kmax", "--beta", "--epsilon", "--disturbances"]),
         ["serve", "--disturbances", "d.csv"],
         *(["edge-connect", "--addr", "127.0.0.1:1", flag, "5"]
-          for flag in ["--kmin", "--kmax", "--beta"]),
+          for flag in ["--kmin", "--kmax", "--beta", "--rtt", "--jitter"]),
         ["compare", "--jobs", "2"],
         ["sweep", "--param", "k_max", "--from", "2", "--to", "4", "--steps", "2", "--jobs", "2"],
     ],

@@ -174,8 +174,19 @@ def test_wasted_prediction_accounting(free_space_weights):
 
 def test_refills_are_stop_and_wait_and_wasted_is_flushed_plus_in_flight(monkeypatch):
     """Every install meets an empty cache and the request in flight, so nothing
-    is dropped and wasted = flushed + (generated - installed tuples)."""
+    is dropped and wasted = flushed + (generated - installed tuples). Every
+    message is sent on an empty channel, so each leg is delivered in send order."""
     sessions = []
+    queued_at_send = []
+
+    class RecordingChannel(harness.VirtualChannel):
+        def send_request(self, item, now):
+            queued_at_send.append(len(self.to_cloud) + len(self.to_edge))
+            return super().send_request(item, now)
+
+        def send_response(self, item, now):
+            queued_at_send.append(len(self.to_cloud) + len(self.to_edge))
+            return super().send_response(item, now)
 
     class Recording(EdgeSession):
         def __init__(self, *args, **kwargs):
@@ -190,6 +201,7 @@ def test_refills_are_stop_and_wait_and_wasted_is_flushed_plus_in_flight(monkeypa
             self.installed += len(self.cache) - depth
 
     monkeypatch.setattr(harness, "EdgeSession", Recording)
+    monkeypatch.setattr(harness, "VirtualChannel", RecordingChannel)
     for env in ("free_space", "tight_tolerance", "multi_stage"):
         spec = get_spec(env)
         weights = calibrate_weights(spec, seed=0)
@@ -201,6 +213,8 @@ def test_refills_are_stop_and_wait_and_wasted_is_flushed_plus_in_flight(monkeypa
                 assert edge.stale_dropped == edge.superseded_dropped == 0
                 in_flight = m.generated_predictions - edge.installed
                 assert m.wasted_predictions == edge.flushed + in_flight, (env, kind, seed)
+                assert queued_at_send and set(queued_at_send) == {0}, (env, kind, seed)
+                queued_at_send.clear()
 
 
 def test_mean_horizon_weighted_by_grant(free_space_weights):

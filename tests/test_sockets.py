@@ -1,4 +1,4 @@
-"""Socket mode: TCP server, receiver-side delay shims, real-time edge loop."""
+"""Socket mode: TCP server and its emulated network delays, real-time edge loop."""
 
 import dataclasses
 import socket
@@ -11,7 +11,7 @@ import pytest
 from spo import transport
 from spo.cloud import CloudSession, RolloutRequest, make_model, make_policy
 from spo.environments import Dynamics, EnvironmentSpec, start_state
-from spo.harness import FIXED_HORIZON, BaselineKind, calibrate_weights, episode_seeds
+from spo.harness import FIXED_HORIZON, BaselineKind, calibrate_weights, episode_seeds, run_single
 from spo.sockets import CloudServer, edge_connect_run
 from spo.types import SpoConfig, StateVector, WeightMatrix
 
@@ -68,6 +68,42 @@ def test_socket_blocking_kind_executes_direct(quick_spec):
     assert m.direct > 0
     assert m.hits == 0
     assert m.hit_rate == 0.0
+
+
+def _join_sessions():
+    for thread in threading.enumerate():
+        if thread.name.endswith("(_session)"):
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+
+
+def test_socket_run_sleeps_the_delays_the_virtual_run_draws(quick_spec, monkeypatch):
+    cfg = SpoConfig(rtt_base=0.06, jitter_half_width=0.04, rng_seed=3)
+    draws, drawers = [], set()
+    sample = transport.LatencyModel.sample
+
+    def recording_sample(model):
+        draws.append(sample(model))
+        drawers.add(threading.current_thread().name)
+        return draws[-1]
+
+    monkeypatch.setattr(transport.LatencyModel, "sample", recording_sample)
+    weights = WeightMatrix(np.ones(4))
+    server = _serve(quick_spec, cfg)
+    try:
+        edge_connect_run(("127.0.0.1", server.port), quick_spec, cfg, BaselineKind.SPO, 3, weights)
+    finally:
+        server.stop()
+    _join_sessions()  # the server draws its last delays before it sees the edge hang up
+    assert drawers and all(name.endswith("(_session)") for name in drawers)  # none at the edge
+    socket_draws = draws[:]
+    draws.clear()
+    run_single(BaselineKind.SPO, quick_spec, cfg, 3, weights)
+    # Both runs take an uplink then a downlink leg per refill from one stream;
+    # the runs may end after different numbers of refills.
+    n = min(len(socket_draws), len(draws))
+    assert n >= 6  # three refills at least
+    assert socket_draws[:n] == draws[:n]
 
 
 def test_dead_endpoint_reports_diagnostic(quick_spec):
@@ -223,7 +259,5 @@ def test_server_closes_a_connection_on_a_bad_request_and_no_thread_raises(
             assert transport.recv_frame(conn) is None  # closed, with no reply
     finally:
         server.stop()
-    for thread in threading.enumerate():
-        if thread.name.endswith("(_session)"):
-            thread.join(timeout=5)
+    _join_sessions()
     assert raised == []

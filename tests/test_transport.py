@@ -22,11 +22,11 @@ from spo.transport import (
     encode_request,
     encode_response,
     encode_tuple,
-    one_way_latency,
     recv_frame,
     send_frame,
 )
-from spo.types import ActionVector, SpeculativeTuple, StateVector
+from spo.harness import episode_seeds
+from spo.types import ActionVector, SpeculativeTuple, SpoConfig, StateVector
 
 
 def _random_tuple(rng, d_s, d_a, step=0):
@@ -182,10 +182,15 @@ def test_latency_model_rejects_negative():
         LatencyModel(-0.01, 0.0, np.random.default_rng(0))
 
 
-def test_one_way_latency_splits_rtt_symmetrically():
-    model = one_way_latency(0.15, 0.03, np.random.default_rng(0))
+def test_episode_seeds_builds_the_halved_latency_model():
+    cfg = SpoConfig(rtt_base=0.15, jitter_half_width=0.03, rng_seed=2)
+    _, model, _ = episode_seeds(cfg, 5)
     assert model.base_one_way == 0.075
     assert model.jitter_half_width_one_way == 0.015
+    # It draws from the episode's channel stream, the second of its three.
+    channel = np.random.default_rng(np.random.SeedSequence([2, 5]).spawn(3)[1])
+    expected = [float(channel.uniform(0.075 - 0.015, 0.075 + 0.015)) for _ in range(4)]
+    assert [model.sample() for _ in range(4)] == expected
 
 
 def test_virtual_channel_deliver_basics():
@@ -201,15 +206,6 @@ def test_virtual_channel_deliver_preserves_send_order():
     channel.send_response("first", now=0.0)
     channel.send_response("second", now=0.0)  # same deliver-at time
     assert channel.edge_inbox(0.1) == ["first", "second"]
-
-
-def test_virtual_channel_fifo_under_jitter():
-    channel = VirtualChannel(LatencyModel(0.075, 0.015, np.random.default_rng(99)))
-    for i in range(50):
-        channel.send_request(i, now=i * 0.001)
-    deliver_times = [t for t, _ in channel.to_cloud]
-    assert deliver_times == sorted(deliver_times)
-    assert [item for _, item in channel.cloud_inbox_timed(10.0)] == list(range(50))
 
 
 def test_virtual_channel_directions_are_independent():
