@@ -10,8 +10,9 @@ Subcommands:
 * ``edge-connect`` - one episode in real time against a ``serve`` endpoint
 
 Flag values override config-file values; the effective config is echoed into
-every output JSON. The base seed is ``--seed``, else ``$SPO_SEED``, else the
-config file's ``rng_seed``, else 0.
+every output JSON (by ``edge-connect``, only the fields the edge applies). The
+base seed is ``--seed``, else ``$SPO_SEED``, else the config file's
+``rng_seed``, else 0.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ NET_FLAGS = {
     "beta": "beta",
     "epsilon": "epsilon_base",
 }
+
+# The config fields an edge-connect run applies itself; the server applies the rest,
+# so its run JSON echoes only these.
+EDGE_CONFIG_FIELDS = ("control_interval", "epsilon_base", "rng_seed")
 
 
 def _int_in(low: int, high: int | None = None):
@@ -118,8 +123,11 @@ def cmd_run(args) -> int:
             kind, spec, cfg, cfg.rng_seed, weights,
             model_kind=args.model, drift_bias=args.drift_bias, drift_noise=args.drift_noise,
         )
+    extra = {"env": spec.name, "mode": mode}
+    if mode == "socket":
+        extra["config"] = {field: getattr(cfg, field) for field in EDGE_CONFIG_FIELDS}
     path = os.path.join(args.out, f"run_{kind.value}_{spec.name}_{cfg.rng_seed}.json")
-    doc = harness.run_json_document(result.metrics, cfg, {"env": spec.name, "mode": mode})
+    doc = harness.run_json_document(result.metrics, cfg, extra)
     harness.write_atomic(path, doc)
     print(doc, end="")
     return 0

@@ -75,7 +75,7 @@ class ScriptedExpertPolicy:
 
     def __init__(self, spec: EnvironmentSpec):
         self.spec = spec
-        anchor = np.zeros(spec.position_dims)
+        anchor = np.zeros(spec.d_s)
         self._path = [anchor] + [np.asarray(w, dtype=np.float64) for w in spec.waypoints]
         # Each segment as (start, start-to-end, squared length), built once.
         self._segments = [(a, b - a, float(np.dot(b - a, b - a)))
@@ -94,7 +94,7 @@ class ScriptedExpertPolicy:
         return self._path[best_k + 1]
 
     def act(self, state: StateVector) -> ActionVector:
-        pos = state.values[: self.spec.position_dims]
+        pos = state.values
         target = self._target(pos)
         to_target = target - pos
         v = self.spec.gain * to_target
@@ -125,9 +125,9 @@ class DriftedWorldModel:
     bitwise reproducible regardless of call order.
     """
 
-    def __init__(self, inner: WorldModel, bias, noise_std: float = 0.0, seed: int = 0):
+    def __init__(self, inner: WorldModel, bias: float, noise_std: float = 0.0, seed: int = 0):
         self.inner = inner
-        self.bias = np.atleast_1d(np.asarray(bias, dtype=np.float64))
+        self.bias = float(bias)
         self.noise_std = float(noise_std)
         self._key = int(seed) & 0xFFFFFFFFFFFFFFFF
 
@@ -143,8 +143,7 @@ class DriftedWorldModel:
 
     def step(self, state: StateVector, action: ActionVector) -> StateVector:
         base = self.inner.step(state, action)
-        bias = self.bias if self.bias.size == base.dim else np.resize(self.bias, base.dim)
-        return StateVector(base.values + bias + self._noise(state, action, base.dim))
+        return StateVector(base.values + self.bias + self._noise(state, action, base.dim))
 
 
 def speculative_rollout(
@@ -230,8 +229,7 @@ def make_model(
     if kind == "oracle":
         return oracle
     if kind == "drifted":
-        bias = np.full(spec.d_s, drift_bias)
-        return DriftedWorldModel(oracle, bias, noise_std=drift_noise, seed=seed)
+        return DriftedWorldModel(oracle, drift_bias, noise_std=drift_noise, seed=seed)
     raise ValueError(f"unknown model kind {kind!r}")
 
 

@@ -46,7 +46,6 @@ class StepRecord:
     outcome: Outcome
     error: float | None
     action_executed: ActionVector
-    sim_time: float
     progress: int
     source_request_id: int | None = None
 
@@ -94,7 +93,7 @@ class EdgeSession:
         )
 
     def edge_tick(
-        self, observed: StateVector, tick_index: int, now: float
+        self, observed: StateVector, tick_index: int
     ) -> tuple[StepRecord, RefillRequest | None]:
         """Verify-and-execute (or hold) for one control tick."""
         if observed.dim != self.weights.dim:
@@ -106,28 +105,23 @@ class EdgeSession:
             tup, src = self.cache.popleft(), self.installed_id
             if self.blocking:
                 self.progress = tup.step_index
-                rec = StepRecord(
-                    tick_index, Outcome.DIRECT, None, tup.action, now, self.progress, src
-                )
+                rec = StepRecord(tick_index, Outcome.DIRECT, None, tup.action, self.progress, src)
                 return rec, None
             outcome = verify(observed, tup, self.weights, self.cfg.epsilon_base)
             if outcome.is_hit:
                 self.progress = tup.step_index
                 rec = StepRecord(
-                    tick_index, Outcome.HIT, outcome.error, tup.action, now,
-                    self.progress, src,
+                    tick_index, Outcome.HIT, outcome.error, tup.action, self.progress, src
                 )
                 return rec, None
             self.flushed += 1 + len(self.cache)  # the missed tuple is wasted too
             self.cache.clear()
-            rec = StepRecord(
-                tick_index, Outcome.MISS, outcome.error, hold, now, self.progress, src
-            )
+            rec = StepRecord(tick_index, Outcome.MISS, outcome.error, hold, self.progress, src)
             return rec, self._issue_request(observed, outcome.error)
         if self.in_flight_id is None:
-            rec = StepRecord(tick_index, Outcome.STARVED_HOLD, None, hold, now, self.progress)
+            rec = StepRecord(tick_index, Outcome.STARVED_HOLD, None, hold, self.progress)
             return rec, self._issue_request(observed, 0.0)
-        rec = StepRecord(tick_index, Outcome.AWAITING_REFILL, None, hold, now, self.progress)
+        rec = StepRecord(tick_index, Outcome.AWAITING_REFILL, None, hold, self.progress)
         return rec, None
 
     def install_response(self, request_id: int, resp: RolloutResponse) -> None:

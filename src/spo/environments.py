@@ -14,7 +14,6 @@ state offset at a fixed control tick, standing in for contact events.
 from __future__ import annotations
 
 import csv
-import enum
 import math
 from dataclasses import dataclass
 
@@ -25,24 +24,16 @@ from .types import (
 )
 
 
-class Dynamics(enum.Enum):
-    INTEGRATOR = "integrator"
-    WAYPOINT_TRACKER = "waypoint_tracker"
-
-
 @dataclass(frozen=True)
 class EnvironmentSpec:
     """Static description of one synthetic task.
 
-    ``INTEGRATOR`` state layout is [positions (d_a), velocity echo (d_a)],
-    so d_s = 2 * d_a. The tracker dynamics use a position-only state with
-    d_s = d_a. ``waypoints`` and ``goal_center`` are position-layout vectors.
+    The state is a position and the action its velocity, so d_s = d_a.
     """
 
     name: str
     d_s: int
     d_a: int
-    dynamics: Dynamics
     dt: float = 0.02
     max_steps: int = 600
     waypoints: tuple = ()
@@ -59,25 +50,17 @@ class EnvironmentSpec:
             raise DimensionError("d_s and d_a must be >= 1")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if self.dynamics is Dynamics.INTEGRATOR:
-            if self.d_s != 2 * self.d_a:
-                raise DimensionError("integrator dynamics require d_s == 2 * d_a")
-        elif self.d_s != self.d_a:
-            raise DimensionError("tracker dynamics require d_s == d_a")
+        if self.d_s != self.d_a:
+            raise DimensionError("d_s must equal d_a: the action is the velocity of the state")
         steps = [s for s, _ in self.disturbance_schedule]
         if steps != sorted(set(steps)):
             raise ValueError("disturbance step indices must be strictly increasing")
-        pos = self.position_dims
-        sized = [("waypoint", w, pos) for w in self.waypoints]
-        sized += [("disturbance offset", o, self.d_s) for _, o in self.disturbance_schedule]
-        sized += [("goal_center", self.goal_center, pos), ("start", self.start, self.d_s)]
-        for label, vector, size in sized:
-            if vector is not None and np.asarray(vector).size != size:
-                raise DimensionError(f"{label} must have {size} components")
-
-    @property
-    def position_dims(self) -> int:
-        return self.d_a if self.dynamics is Dynamics.INTEGRATOR else self.d_s
+        sized = [("waypoint", w) for w in self.waypoints]
+        sized += [("disturbance offset", o) for _, o in self.disturbance_schedule]
+        sized += [("goal_center", self.goal_center), ("start", self.start)]
+        for label, vector in sized:
+            if vector is not None and np.asarray(vector).size != self.d_s:
+                raise DimensionError(f"{label} must have {self.d_s} components")
 
 
 def true_step(
@@ -88,12 +71,7 @@ def true_step(
         raise DimensionError(f"state dimension {state.dim} != d_s {spec.d_s}")
     if action.dim != spec.d_a:
         raise DimensionError(f"action dimension {action.dim} != d_a {spec.d_a}")
-    if spec.dynamics is Dynamics.INTEGRATOR:
-        nxt = state.values.copy()
-        nxt[: spec.d_a] += action.values * spec.dt
-        nxt[spec.d_a :] = action.values
-    else:
-        nxt = state.values + action.values * spec.dt
+    nxt = state.values + action.values * spec.dt
     for when, offset in spec.disturbance_schedule:
         if when == step_index:
             nxt = nxt + np.asarray(offset, dtype=np.float64)
@@ -104,7 +82,7 @@ def is_success(spec: EnvironmentSpec, state: StateVector) -> bool:
     """True iff the state lies within the goal radius (boundary inclusive)."""
     if spec.goal_center is None:
         return False
-    off = state.values[: spec.position_dims] - spec.goal_center
+    off = state.values - spec.goal_center
     return math.sqrt(off.dot(off)) <= spec.goal_radius
 
 
@@ -112,9 +90,7 @@ def start_state(spec: EnvironmentSpec, rng: np.random.Generator | None = None) -
     """Initial state; per-seed jitter perturbs the start positions."""
     base = np.zeros(spec.d_s) if spec.start is None else np.asarray(spec.start, dtype=np.float64).copy()
     if rng is not None and spec.start_jitter > 0:
-        base[: spec.position_dims] += rng.uniform(
-            -spec.start_jitter, spec.start_jitter, spec.position_dims
-        )
+        base += rng.uniform(-spec.start_jitter, spec.start_jitter, spec.d_s)
     return StateVector(base)
 
 
@@ -132,7 +108,6 @@ def canonical_specs() -> dict[str, EnvironmentSpec]:
         name="free_space",
         d_s=d,
         d_a=d,
-        dynamics=Dynamics.WAYPOINT_TRACKER,
         max_steps=600,
         waypoints=(wp_free,),
         goal_center=wp_free,
@@ -145,7 +120,6 @@ def canonical_specs() -> dict[str, EnvironmentSpec]:
         name="tight_tolerance",
         d_s=d,
         d_a=d,
-        dynamics=Dynamics.WAYPOINT_TRACKER,
         max_steps=800,
         waypoints=(wp_tight,),
         goal_center=wp_tight,
@@ -163,7 +137,6 @@ def canonical_specs() -> dict[str, EnvironmentSpec]:
         name="multi_stage",
         d_s=d,
         d_a=d,
-        dynamics=Dynamics.WAYPOINT_TRACKER,
         max_steps=2000,
         waypoints=(w1, w2, w3),
         goal_center=w3,
@@ -210,7 +183,7 @@ def _vector(text: str) -> np.ndarray:
 
 # The keys of a spec file, each with the converter of its value.
 _SPEC_FIELD_TYPES = {
-    "name": str, "d_s": int, "d_a": int, "dynamics": Dynamics, "dt": float,
+    "name": str, "d_s": int, "d_a": int, "dt": float,
     "max_steps": int, "goal_radius": float, "start_jitter": float, "gain": float,
     "a_max": float, "goal_center": _vector, "start": _vector,
     "waypoints": lambda text: tuple(_vector(p) for p in text.split(";") if p.strip()),
@@ -227,7 +200,7 @@ def load_environment(path, disturbances_csv=None) -> EnvironmentSpec:
     missing = [f"missing required key {key!r}" for key in ("d_s", "d_a") if key not in values]
     if missing:
         raise ConfigError(missing)
-    values = {"name": "custom", "dynamics": Dynamics.WAYPOINT_TRACKER, **values}
+    values = {"name": "custom", **values}
     if values.get("waypoints"):
         values.setdefault("goal_center", values["waypoints"][-1])
     if disturbances_csv is not None:

@@ -209,7 +209,7 @@ def run_episode(
         link.wait(now)
         for rid, resp in link.due(now):
             edge.install_response(rid, resp)
-        rec, refill = edge.edge_tick(state, tick, now)
+        rec, refill = edge.edge_tick(state, tick)
         records.append(rec)
         if refill is not None:
             link.send(refill, now)
@@ -314,12 +314,13 @@ class ComparisonReport:
     wasted_reduction_vs_nftc_pct: dict
 
     def to_text(self) -> str:
-        lines = [f"{'kind':<10}{'idle_s':>14}{'hit_rate':>12}{'mean_k':>10}{'wasted':>12}"]
+        lines = [f"{'kind':<10}{'idle_s':>14}{'hit_rate':>12}{'mean_k':>10}{'wasted':>12}"
+                 f"{'success':>10}"]
         for kind, agg in self.aggregate.items():
             lines.append(
                 f"{kind:<10}{agg['idle_mean']:>9.3f}±{agg['idle_std']:<4.3f}"
                 f"{agg['hit_rate_mean']:>12.3f}{agg['mean_k_mean']:>10.2f}"
-                f"{agg['wasted_mean']:>12.1f}"
+                f"{agg['wasted_mean']:>12.1f}{agg['success_rate']:>10.2f}"
             )
         for kind, pct in self.idle_reduction_vs_blocking_pct.items():
             lines.append(f"idle reduction vs blocking [{kind}]: {pct:.1f}%")

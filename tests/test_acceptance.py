@@ -5,6 +5,7 @@ whole gate stays well inside its runtime budget.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
@@ -12,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+import spo
 from spo import cli
 from spo.ahs import AhsState, record_violation, update_horizon
 from spo.edge import Outcome
@@ -226,10 +228,14 @@ def test_criterion_10_socket_mode_consistency():
     weights = calibrate_weights(spec, seed=CFG.rng_seed)
     virtual = run_single(BaselineKind.SPO, spec, CFG, 0, weights).metrics
 
+    # The server runs the package under test, installed or not.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spo.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "spo.cli", "serve", "--env", "free_space",
          "--kind", "spo", "--port", "0"],
         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     try:
         line = proc.stdout.readline().strip()

@@ -256,7 +256,7 @@ def test_custom_environment_file(tmp_path):
     env_path = tmp_path / "bench.cfg"
     env_path.write_text(
         "name = bench\nd_s = 4\nd_a = 4\n"
-        "dynamics = waypoint_tracker\nmax_steps = 400\n"
+        "max_steps = 400\n"
         "goal_radius = 0.2\nwaypoints = 0.5,-0.5,0.5,-0.5\n"
     )
     out = tmp_path / "out"
@@ -368,23 +368,29 @@ def test_serve_on_a_port_in_use_is_a_network_error(capsys):
     assert capsys.readouterr().err.startswith("network error: ")
 
 
-# SHA-256 of compare_free_space.csv from `spo compare --env free_space --seeds 3
-# --seed 0`: any change to an episode's numbers shows here.
+# SHA-256 of compare_<env>.csv from `spo compare --env <env> --model <model>
+# --seeds 3 --seed 0`: any change to an episode's numbers shows here.
 COMPARE_CSV_SHA256 = {
-    "oracle": "454825106752e7225ff15aa0b9dcddad145a16ce6db71fecad3e3e91883724be",
-    "drifted": "203ff56289c14c1a350319e78178616b60af1e22365418d48ae57bea67839be4",
+    ("free_space", "oracle"): "454825106752e7225ff15aa0b9dcddad145a16ce6db71fecad3e3e91883724be",
+    ("free_space", "drifted"): "203ff56289c14c1a350319e78178616b60af1e22365418d48ae57bea67839be4",
+    ("tight_tolerance", "oracle"):
+        "485d11e80e9bcaef448e10fe8955627565a2421fa2cfddff446fc1dc30a4712a",
+    ("tight_tolerance", "drifted"):
+        "a264e1f1d0dc0167da6314f0b4f7b51a0fd5d0d0a89a611ddb79dd72dcb26604",
+    ("multi_stage", "oracle"): "8025b25ed08918d59ce35a3c52c86bd62d91527915886a8f5ce086c99f34c0eb",
+    ("multi_stage", "drifted"): "f3a44cbf3935f7b1daf62cbed3489c424b06cfc3930155a28a0ae70642b3801b",
 }
 
 
-@pytest.mark.parametrize("model", sorted(COMPARE_CSV_SHA256))
-def test_compare_csv_is_byte_identical_to_the_pinned_digest(tmp_path, model):
+@pytest.mark.parametrize("env, model", sorted(COMPARE_CSV_SHA256))
+def test_compare_csv_is_byte_identical_to_the_pinned_digest(tmp_path, env, model):
     code = cli.main([
-        "compare", "--env", "free_space", "--model", model, "--seeds", "3", "--seed", "0",
+        "compare", "--env", env, "--model", model, "--seeds", "3", "--seed", "0",
         "--out", str(tmp_path),
     ])
     assert code == 0
-    csv = (tmp_path / "compare_free_space.csv").read_bytes()
-    assert hashlib.sha256(csv).hexdigest() == COMPARE_CSV_SHA256[model]
+    csv = (tmp_path / f"compare_{env}.csv").read_bytes()
+    assert hashlib.sha256(csv).hexdigest() == COMPARE_CSV_SHA256[env, model]
 
 
 @pytest.mark.parametrize(

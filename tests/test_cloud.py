@@ -18,7 +18,6 @@ from spo.cloud import (
     speculative_rollout,
 )
 from spo.environments import (
-    Dynamics,
     EnvironmentSpec,
     canonical_specs,
     get_spec,
@@ -128,7 +127,7 @@ def test_make_model_drifts_by_default():
             start, 10, make_policy(spec), model)]
 
     drifted = DriftedWorldModel(
-        OracleWorldModel(spec), np.full(spec.d_s, DRIFT_BIAS), noise_std=DRIFT_NOISE, seed=0
+        OracleWorldModel(spec), DRIFT_BIAS, noise_std=DRIFT_NOISE, seed=0
     )
     default = rollout(make_model(spec, "drifted"))
     assert np.array_equal(default, rollout(drifted))
@@ -275,7 +274,7 @@ class _ReferenceExpertPolicy:
 
     def __init__(self, spec):
         self.spec = spec
-        anchor = np.zeros(spec.position_dims)
+        anchor = np.zeros(spec.d_s)
         self._path = [anchor] + [np.asarray(w, dtype=np.float64) for w in spec.waypoints]
 
     def _target(self, pos):
@@ -293,7 +292,7 @@ class _ReferenceExpertPolicy:
         return self._path[best_k + 1]
 
     def act(self, state):
-        pos = state.values[: self.spec.position_dims]
+        pos = state.values[: self.spec.d_s]
         target = self._target(pos)
         v = self.spec.gain * (target - pos)
         speed = float(np.linalg.norm(v))
@@ -308,8 +307,7 @@ def _square_path_spec():
     # Path (0,0) -> (1,0) -> (1,0) -> (1,1): the middle segment has zero length.
     corner, top = np.array([1.0, 0.0]), np.array([1.0, 1.0])
     return EnvironmentSpec(
-        name="square", d_s=2, d_a=2, dynamics=Dynamics.WAYPOINT_TRACKER,
-        waypoints=(corner, corner.copy(), top),
+        name="square", d_s=2, d_a=2, waypoints=(corner, corner.copy(), top),
     )
 
 
@@ -333,7 +331,7 @@ def test_expert_policy_is_bit_identical_to_the_reference(name):
         # as far from the first segment as from the last.
         states += [StateVector(p) for p in ([1.0, 0.0], [0.5, 0.5], [2.0, -1.0])]
     for s in states:
-        pos = s.values[: spec.position_dims]
+        pos = s.values
         assert policy._target(pos) is reference._target(pos)
         assert policy.act(s).values.tobytes() == reference.act(s).values.tobytes()
 

@@ -30,7 +30,7 @@ def _session(blocking=False, **cfg_kwargs):
 def _install(edge, tuples, observed=None):
     """Issue a starvation request and install `tuples` as its response."""
     observed = StateVector(np.zeros(D)) if observed is None else observed
-    rec, refill = edge.edge_tick(observed, 0, 0.0)
+    rec, refill = edge.edge_tick(observed, 0)
     assert refill is not None
     edge.install_response(refill.request_id, RolloutResponse(tuple(tuples), len(tuples)))
 
@@ -39,7 +39,7 @@ def test_hit_executes_cached_action_without_request():
     edge = _session()
     observed = StateVector([0.1, 0.2, 0.3])
     _install(edge, [_tuple(observed.values, 1)])
-    rec, refill = edge.edge_tick(observed, 1, 0.02)
+    rec, refill = edge.edge_tick(observed, 1)
     assert rec.outcome is Outcome.HIT
     assert rec.error == 0.0
     assert rec.action_executed == ActionVector(np.full(D, 0.5))
@@ -52,7 +52,7 @@ def test_miss_flushes_and_requests_with_violation_error():
     edge = _session()
     _install(edge, [_tuple([25.0, 0.0, 0.0], 1), _tuple([25.0, 0.0, 0.0], 2)])
     observed = StateVector(np.zeros(D))
-    rec, refill = edge.edge_tick(observed, 1, 0.02)
+    rec, refill = edge.edge_tick(observed, 1)
     assert rec.outcome is Outcome.MISS
     assert rec.error == 25.0
     assert rec.action_executed.is_zero()
@@ -66,11 +66,11 @@ def test_miss_flushes_and_requests_with_violation_error():
 def test_starved_hold_issues_request_once():
     edge = _session()
     observed = StateVector(np.zeros(D))
-    rec1, refill1 = edge.edge_tick(observed, 0, 0.0)
+    rec1, refill1 = edge.edge_tick(observed, 0)
     assert rec1.outcome is Outcome.STARVED_HOLD
     assert rec1.action_executed.is_zero()
     assert refill1 is not None
-    rec2, refill2 = edge.edge_tick(observed, 1, 0.02)
+    rec2, refill2 = edge.edge_tick(observed, 1)
     assert rec2.outcome is Outcome.AWAITING_REFILL
     assert rec2.action_executed.is_zero()
     assert refill2 is None  # at most one request in flight
@@ -79,9 +79,9 @@ def test_starved_hold_issues_request_once():
 def test_request_ids_increase_monotonically():
     edge = _session()
     observed = StateVector(np.zeros(D))
-    _, r1 = edge.edge_tick(observed, 0, 0.0)
+    _, r1 = edge.edge_tick(observed, 0)
     edge.install_response(r1.request_id, RolloutResponse((_tuple([25.0, 0, 0], 1),), 1))
-    _, r2 = edge.edge_tick(observed, 1, 0.02)  # miss -> new request
+    _, r2 = edge.edge_tick(observed, 1)  # miss -> new request
     assert r2.request_id > r1.request_id
 
 
@@ -97,7 +97,7 @@ def test_install_drops_already_passed_steps():
     edge = _session()
     edge.progress = 13
     observed = StateVector(np.zeros(D))
-    _, refill = edge.edge_tick(observed, 0, 0.0)
+    _, refill = edge.edge_tick(observed, 0)
     edge.install_response(
         refill.request_id,
         RolloutResponse(tuple(_tuple(np.zeros(D), s) for s in range(11, 16)), 5),
@@ -109,11 +109,11 @@ def test_install_drops_already_passed_steps():
 def test_superseded_response_fully_discarded():
     edge = _session()
     observed = StateVector(np.zeros(D))
-    _, old = edge.edge_tick(observed, 0, 0.0)
+    _, old = edge.edge_tick(observed, 0)
     # The old response never arrived; the miss path would reissue. Simulate a
     # newer request by filling and missing.
     edge.install_response(old.request_id, RolloutResponse((_tuple([25.0, 0, 0], 1),), 1))
-    _, newer = edge.edge_tick(observed, 1, 0.02)
+    _, newer = edge.edge_tick(observed, 1)
     late = RolloutResponse(tuple(_tuple(np.zeros(D), s) for s in (1, 2, 3)), 3)
     edge.install_response(old.request_id, late)
     assert edge.superseded_dropped == 3
@@ -126,7 +126,7 @@ def test_blocking_session_executes_direct_without_verification():
     edge = _session(blocking=True)
     # Prediction far outside any tube: blocking mode must not verify it.
     _install(edge, [_tuple([500.0, 0.0, 0.0], 1)])
-    rec, refill = edge.edge_tick(StateVector(np.zeros(D)), 1, 0.02)
+    rec, refill = edge.edge_tick(StateVector(np.zeros(D)), 1)
     assert rec.outcome is Outcome.DIRECT
     assert rec.error is None
     assert not rec.action_executed.is_zero()
@@ -136,7 +136,7 @@ def test_blocking_session_executes_direct_without_verification():
 def test_dimension_mismatch_is_fatal():
     edge = _session()
     with pytest.raises(DimensionError):
-        edge.edge_tick(StateVector(np.zeros(D + 1)), 0, 0.0)
+        edge.edge_tick(StateVector(np.zeros(D + 1)), 0)
 
 
 def test_conservation_of_outcomes_over_synthetic_run():
@@ -154,7 +154,7 @@ def test_conservation_of_outcomes_over_synthetic_run():
             )
             edge.install_response(rid, RolloutResponse(tuples, 4))
             pending = None
-        rec, refill = edge.edge_tick(observed, tick, tick * 0.02)
+        rec, refill = edge.edge_tick(observed, tick)
         counts[rec.outcome] += 1
         if refill is not None:
             pending = ((refill.request_id, refill.request.step_index), tick + 4)
@@ -171,9 +171,9 @@ def test_flush_atomicity_no_stale_source_executes_after_miss():
         _tuple([25.0, 0.0, 0.0], 2),
         _tuple(np.zeros(D), 3),
     ])
-    rec1, _ = edge.edge_tick(observed, 1, 0.02)
+    rec1, _ = edge.edge_tick(observed, 1)
     assert rec1.outcome is Outcome.HIT
-    rec2, refill = edge.edge_tick(observed, 2, 0.04)
+    rec2, refill = edge.edge_tick(observed, 2)
     assert rec2.outcome is Outcome.MISS
     old_source = rec2.source_request_id
     # Refill with a fresh batch; every executed tuple afterwards must come
@@ -182,6 +182,6 @@ def test_flush_atomicity_no_stale_source_executes_after_miss():
         refill.request_id,
         RolloutResponse(tuple(_tuple(np.zeros(D), s) for s in (2, 3)), 2),
     )
-    rec3, _ = edge.edge_tick(observed, 3, 0.06)
+    rec3, _ = edge.edge_tick(observed, 3)
     assert rec3.outcome is Outcome.HIT
     assert rec3.source_request_id > old_source

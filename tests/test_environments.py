@@ -5,7 +5,6 @@ import pytest
 
 from spo.cloud import make_policy
 from spo.environments import (
-    Dynamics,
     EnvironmentSpec,
     canonical_specs,
     get_spec,
@@ -16,18 +15,6 @@ from spo.environments import (
     true_step,
 )
 from spo.types import ActionVector, ConfigError, DimensionError, StateVector, zero_action
-
-
-def _integrator_1d():
-    return EnvironmentSpec(
-        name="toy", d_s=2, d_a=1, dynamics=Dynamics.INTEGRATOR, dt=0.02, max_steps=10
-    )
-
-
-def test_integrator_step_example():
-    spec = _integrator_1d()
-    nxt = true_step(spec, StateVector([0.0, 0.0]), ActionVector([1.0]), 0)
-    assert np.allclose(nxt.values, [0.02, 1.0], atol=1e-15)
 
 
 def test_zero_action_freezes_position():
@@ -41,8 +28,7 @@ def test_scheduled_disturbance_applied_at_its_tick():
     offset = np.zeros(2)
     offset[0] = 5.0
     spec = EnvironmentSpec(
-        name="bumpy", d_s=2, d_a=2, dynamics=Dynamics.WAYPOINT_TRACKER,
-        max_steps=200, disturbance_schedule=((100, offset),),
+        name="bumpy", d_s=2, d_a=2, max_steps=200, disturbance_schedule=((100, offset),),
     )
     s = StateVector([0.0, 0.0])
     quiet = true_step(spec, s, zero_action(2), 99)
@@ -53,8 +39,7 @@ def test_scheduled_disturbance_applied_at_its_tick():
 
 def test_success_boundary_inclusive():
     spec = EnvironmentSpec(
-        name="goal", d_s=2, d_a=2, dynamics=Dynamics.WAYPOINT_TRACKER,
-        goal_center=np.array([1.0, 0.0]), goal_radius=0.5,
+        name="goal", d_s=2, d_a=2, goal_center=np.array([1.0, 0.0]), goal_radius=0.5,
     )
     assert is_success(spec, StateVector([1.0, 0.0]))  # at center
     assert is_success(spec, StateVector([0.5, 0.0]))  # exactly on the boundary
@@ -62,9 +47,13 @@ def test_success_boundary_inclusive():
     assert not is_success(spec, StateVector([9.0, 9.0]))
 
 
+def _toy_1d():
+    return EnvironmentSpec(name="toy", d_s=1, d_a=1, dt=0.02, max_steps=10)
+
+
 def test_no_goal_means_never_successful():
-    spec = _integrator_1d()
-    assert not is_success(spec, StateVector([0.0, 0.0]))
+    spec = _toy_1d()
+    assert not is_success(spec, StateVector([0.0]))
 
 
 def test_trajectory_determinism():
@@ -94,20 +83,20 @@ def test_start_state_jitter_is_seeded():
 
 def test_dimension_validation():
     with pytest.raises(DimensionError):
-        EnvironmentSpec(name="bad", d_s=3, d_a=2, dynamics=Dynamics.INTEGRATOR)
+        EnvironmentSpec(name="bad", d_s=2, d_a=1)
     with pytest.raises(DimensionError):
-        EnvironmentSpec(name="bad", d_s=3, d_a=2, dynamics=Dynamics.WAYPOINT_TRACKER)
-    spec = _integrator_1d()
+        EnvironmentSpec(name="bad", d_s=3, d_a=2)
+    spec = _toy_1d()
     with pytest.raises(DimensionError):
-        true_step(spec, StateVector([0.0]), ActionVector([1.0]), 0)
+        true_step(spec, StateVector([0.0, 0.0]), ActionVector([1.0]), 0)
     with pytest.raises(DimensionError):
-        true_step(spec, StateVector([0.0, 0.0]), ActionVector([1.0, 1.0]), 0)
+        true_step(spec, StateVector([0.0]), ActionVector([1.0, 1.0]), 0)
 
 
 def test_disturbance_schedule_must_be_increasing():
     with pytest.raises(ValueError):
         EnvironmentSpec(
-            name="bad", d_s=1, d_a=1, dynamics=Dynamics.WAYPOINT_TRACKER,
+            name="bad", d_s=1, d_a=1,
             disturbance_schedule=((5, np.zeros(1)), (5, np.zeros(1))),
         )
 
@@ -150,7 +139,6 @@ def test_load_environment_from_file(tmp_path):
     path.write_text(
         "name = bench\n"
         "d_s = 4\nd_a = 4\n"
-        "dynamics = waypoint_tracker\n"
         "max_steps = 300\n"
         "goal_radius = 0.2\n"
         "waypoints = 0.5,-0.5,0.5,-0.5\n"
@@ -173,8 +161,8 @@ def test_load_environment_from_file(tmp_path):
         ("d_s = 4\n", None, "missing required key 'd_a'"),
         ("d_s = four\nd_a = 4\n", None, "bad value for d_s"),
         ("d_s = 4\nd_a = 4\nwaypoints = 0.5,x,0.5,0.5\n", None, "bad value for waypoints"),
-        ("d_s = 4\nd_a = 4\ndynamics = contact_scripted\n", None, "bad value for dynamics"),
-        ("d_s = 4\nd_a = 2\n", None, "tracker dynamics require d_s == d_a"),
+        ("d_s = 4\nd_a = 4\ndynamics = integrator\n", None, "unknown config key 'dynamics'"),
+        ("d_s = 4\nd_a = 2\n", None, "d_s must equal d_a"),
         ("d_s = 4\nd_a = 4\nwaypoints = 0.5,0.5,0.5\n", None, "waypoint must have 4 components"),
         ("d_s = 4\nd_a = 4\ngoal_center = 1,2\n", None, "goal_center must have 4 components"),
         ("d_s = 4\nd_a = 4\nstart = 0,0,0,0,0\n", None, "start must have 4 components"),

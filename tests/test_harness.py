@@ -10,7 +10,6 @@ import pytest
 from spo import harness
 from spo.edge import EdgeSession, Outcome
 from spo.environments import (
-    Dynamics,
     EnvironmentSpec,
     get_spec,
     is_success,
@@ -51,20 +50,14 @@ class BangBangPolicy:
 
 
 def test_calibration_variance_four_gives_weight_quarter():
-    spec = EnvironmentSpec(
-        name="bang", d_s=1, d_a=1, dynamics=Dynamics.WAYPOINT_TRACKER,
-        dt=1.0, max_steps=10,
-    )
+    spec = EnvironmentSpec(name="bang", d_s=1, d_a=1, dt=1.0, max_steps=10)
     w = calibrate_weights(spec, policy=BangBangPolicy(), episodes=1, seed=0)
     # Deltas alternate +2, -2 -> variance 4 -> weight 1/4.
     assert w.inverse_variances[0] == pytest.approx(0.25, abs=1e-12)
 
 
 def test_calibration_constant_dimension_clamped_with_warning():
-    spec = EnvironmentSpec(
-        name="half", d_s=2, d_a=2, dynamics=Dynamics.WAYPOINT_TRACKER,
-        dt=1.0, max_steps=10,
-    )
+    spec = EnvironmentSpec(name="half", d_s=2, d_a=2, dt=1.0, max_steps=10)
     with pytest.warns(UserWarning, match="constant dimensions"):
         w = calibrate_weights(spec, policy=BangBangPolicy(d=2), episodes=1, seed=0)
     assert w.inverse_variances[0] == pytest.approx(0.25, abs=1e-12)
@@ -76,9 +69,7 @@ def test_calibration_all_constant_fails():
         def act(self, state):
             return ActionVector(np.zeros(1))
 
-    spec = EnvironmentSpec(
-        name="frozen", d_s=1, d_a=1, dynamics=Dynamics.WAYPOINT_TRACKER, max_steps=5
-    )
+    spec = EnvironmentSpec(name="frozen", d_s=1, d_a=1, max_steps=5)
     with pytest.raises(CalibrationError):
         calibrate_weights(spec, policy=FrozenPolicy(), episodes=1)
 

@@ -1,6 +1,7 @@
 """Socket mode: TCP server and its emulated network delays, real-time edge loop."""
 
 import dataclasses
+import json
 import socket
 import struct
 import threading
@@ -8,9 +9,9 @@ import threading
 import numpy as np
 import pytest
 
-from spo import transport
+from spo import cli, transport
 from spo.cloud import CloudSession, RolloutRequest, make_model, make_policy
-from spo.environments import Dynamics, EnvironmentSpec, start_state
+from spo.environments import EnvironmentSpec, load_environment, start_state
 from spo.harness import FIXED_HORIZON, BaselineKind, calibrate_weights, episode_seeds, run_single
 from spo.sockets import CloudServer, edge_connect_run
 from spo.types import SpoConfig, StateVector, WeightMatrix
@@ -22,8 +23,7 @@ FAST = SpoConfig(rtt_base=0.0, jitter_half_width=0.0)
 def quick_spec():
     # Small, fast task so the real-time loop stays around a second.
     return EnvironmentSpec(
-        name="quick", d_s=4, d_a=4, dynamics=Dynamics.WAYPOINT_TRACKER,
-        max_steps=250, waypoints=(np.array([0.4, -0.4, 0.3, -0.3]),),
+        name="quick", d_s=4, d_a=4, max_steps=250, waypoints=(np.array([0.4, -0.4, 0.3, -0.3]),),
         goal_center=np.array([0.4, -0.4, 0.3, -0.3]), goal_radius=0.1,
         gain=2.0,
     )
@@ -68,6 +68,30 @@ def test_socket_blocking_kind_executes_direct(quick_spec):
     assert m.direct > 0
     assert m.hits == 0
     assert m.hit_rate == 0.0
+
+
+def test_edge_connect_run_json_echoes_only_the_config_the_edge_applies(tmp_path):
+    env_path = tmp_path / "quick.cfg"
+    env_path.write_text(
+        "name = quick\nd_s = 4\nd_a = 4\nmax_steps = 250\ngoal_radius = 0.1\n"
+        "waypoints = 0.4,-0.4,0.3,-0.3\n"
+    )
+    server_cfg = SpoConfig(rtt_base=0.04, jitter_half_width=0.0, k_max=6)
+    server = _serve(load_environment(env_path), server_cfg)
+    try:
+        code = cli.main([
+            "edge-connect", "--env", str(env_path), "--epsilon", "25",
+            "--addr", f"127.0.0.1:{server.port}", "--out", str(tmp_path / "out"),
+        ])
+    finally:
+        server.stop()
+    assert code == 0
+    doc = json.loads((tmp_path / "out" / "run_spo_quick_0.json").read_text())
+    # The server's rtt_base, jitter and horizon bounds are not the edge's to report.
+    assert doc["config"] == {"control_interval": 0.02, "epsilon_base": 25.0, "rng_seed": 0}
+    assert doc["mode"] == "socket"
+    assert doc["metrics"]["success"]
+    assert doc["metrics"]["mean_horizon"] <= server_cfg.k_max
 
 
 def _join_sessions():
