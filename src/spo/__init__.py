@@ -8,7 +8,7 @@ controller adapts the speculative depth. The harness measures all of it
 against blocking and fixed-horizon baselines under emulated network latency.
 """
 
-from .ahs import AhsState, record_violation, update_horizon
+from .ahs import AhsState, update_horizon
 from .environments import EnvironmentSpec, canonical_specs, get_spec
 from .harness import BaselineKind, RunMetrics, calibrate_weights, run_experiment
 from .types import (
@@ -36,7 +36,6 @@ __all__ = [
     "calibrate_weights",
     "canonical_specs",
     "get_spec",
-    "record_violation",
     "run_experiment",
     "tracking_error",
     "update_horizon",

@@ -1,14 +1,14 @@
 """Adaptive horizon controller: AIMD law over the speculative depth K.
 
 Additive increase by ``beta`` on every violation-free refill; multiplicative
-decrease by the danger ratio ``rho = e_miss / epsilon_base`` when a tube
-violation was recorded since the last update. The horizon is always clamped
+decrease by the danger ratio ``rho = e_miss / epsilon_base`` on a refill that
+reports a tube violation. The bounds, step and tolerance are those of the
+config, which checked them when it was built; the horizon is always clamped
 to ``[k_min, k_max]``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -18,48 +18,19 @@ from .types import SpoConfig
 @dataclass(frozen=True)
 class AhsState:
     horizon: int
-    k_min: int
-    k_max: int
-    beta: int
-    pending_violation: float = 0.0
-
-    def __post_init__(self):
-        if not (1 <= self.k_min <= self.k_max):
-            raise ValueError("require 1 <= k_min <= k_max")
-        if not (self.k_min <= self.horizon <= self.k_max):
-            raise ValueError("horizon must lie in [k_min, k_max]")
-        if self.beta < 1:
-            raise ValueError("beta must be >= 1")
-        if self.pending_violation < 0:
-            raise ValueError("pending_violation must be >= 0")
 
     @classmethod
     def initial(cls, cfg: SpoConfig) -> "AhsState":
-        return cls(horizon=cfg.k_min, k_min=cfg.k_min, k_max=cfg.k_max, beta=cfg.beta)
+        return cls(horizon=cfg.k_min)
 
 
-def record_violation(state: AhsState, e_miss: float) -> AhsState:
-    """Latch a tube-violation error for the next horizon update.
-
-    A later violation overwrites an earlier unconsumed one; the horizon
-    itself is untouched until :func:`update_horizon` runs.
-    """
-    if e_miss <= 0:
-        raise ValueError("violation error must be positive")
-    return dataclasses.replace(state, pending_violation=float(e_miss))
-
-
-def update_horizon(state: AhsState, epsilon_base: float) -> AhsState:
-    """Apply one AIMD step and clear the pending violation atomically.
+def update_horizon(state: AhsState, cfg: SpoConfig, e_miss: float = 0.0) -> AhsState:
+    """Apply one AIMD step for a refill reporting tube-violation error ``e_miss`` (0: none).
 
     Contraction computes floor(K * epsilon_base / e_miss) in one rounding
     step rather than flooring the danger ratio separately.
     """
-    if epsilon_base <= 0:
-        raise ValueError("epsilon_base must be positive")
-    if state.pending_violation > 0:
-        contracted = math.floor(state.horizon * epsilon_base / state.pending_violation)
-        new_k = max(state.k_min, min(state.k_max, contracted))
-    else:
-        new_k = min(state.k_max, state.horizon + state.beta)
-    return dataclasses.replace(state, horizon=new_k, pending_violation=0.0)
+    if e_miss > 0:
+        contracted = math.floor(state.horizon * cfg.epsilon_base / e_miss)
+        return AhsState(max(cfg.k_min, min(cfg.k_max, contracted)))
+    return AhsState(min(cfg.k_max, state.horizon + cfg.beta))

@@ -9,16 +9,17 @@ Subcommands:
 * ``serve``        - start the TCP cloud endpoint (socket mode)
 * ``edge-connect`` - one episode in real time against a ``serve`` endpoint
 
-Flag values override config-file values; the effective config is echoed into
-every output JSON (by ``edge-connect``, only the fields the edge applies). The
-base seed is ``--seed``, else ``$SPO_SEED``, else the config file's
-``rng_seed``, else 0.
+Flag values override config-file values; the effective config and the world
+model are echoed into every output JSON (by ``edge-connect``, only the config
+fields the edge applies). The base seed is ``--seed``, else ``$SPO_SEED``,
+else the config file's ``rng_seed``, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -64,8 +65,8 @@ FLAGS = {
     "seed": dict(help="base seed (default $SPO_SEED, else the config's rng_seed, else 0)"),
     "out": dict(default="out", help="output directory"),
     "model": dict(default="oracle", choices=["oracle", "drifted"]),
-    "drift-bias": dict(type=float, default=DRIFT_BIAS),
-    "drift-noise": dict(type=float, default=DRIFT_NOISE),
+    "drift-bias": dict(type=float, help=f"drifted model's per-step bias (default {DRIFT_BIAS})"),
+    "drift-noise": dict(type=float, help=f"drifted model's noise std (default {DRIFT_NOISE})"),
     "weights": dict(help="precomputed weight file (default: calibrate)"),
 }
 
@@ -80,6 +81,28 @@ def _effective_config(args) -> SpoConfig:
         except ValueError:
             raise ConfigError([f"base seed {seed!r} is not an integer"]) from None
     return load_config(args.config, overrides)
+
+
+def _world_model(args) -> dict:
+    """An episode's world-model arguments, checked; the drift flags need ``--model drifted``."""
+    errors = []
+    if args.model != "drifted" and (args.drift_bias, args.drift_noise) != (None, None):
+        errors.append(f"--drift-bias and --drift-noise need --model drifted, not {args.model}")
+    bias = DRIFT_BIAS if args.drift_bias is None else args.drift_bias
+    noise = DRIFT_NOISE if args.drift_noise is None else args.drift_noise
+    errors += [f"{name} = {value} is not finite" for name, value
+               in (("drift_bias", bias), ("drift_noise", noise)) if not math.isfinite(value)]
+    if noise < 0:
+        errors.append("drift_noise >= 0 violated")
+    if errors:
+        raise ConfigError(errors)
+    return {"model_kind": args.model, "drift_bias": bias, "drift_noise": noise}
+
+
+def _config_echo(cfg: SpoConfig, world: dict) -> dict:
+    """The run JSON's ``config``: the effective config and the world model of the run."""
+    return {**dataclasses.asdict(cfg), "model": world["model_kind"],
+            "drift_bias": world["drift_bias"], "drift_noise": world["drift_noise"]}
 
 
 def _spec(args):
@@ -108,9 +131,10 @@ def cmd_run(args) -> int:
     cfg = _effective_config(args)
     spec = _spec(args)
     kind = BaselineKind(args.kind)
+    world = _world_model(args) if args.command == "run" else None
     weights = _weights(args, spec, cfg)
     if args.command == "edge-connect":
-        mode = "socket"
+        mode, echo = "socket", {field: getattr(cfg, field) for field in EDGE_CONFIG_FIELDS}
         host, _, port = args.addr.rpartition(":")
         if not (port.isdecimal() and int(port) <= 0xFFFF):
             raise ConfigError([f"--addr {args.addr!r} is not host:port with a port in 0..65535"])
@@ -118,15 +142,10 @@ def cmd_run(args) -> int:
             (host or "127.0.0.1", int(port)), spec, cfg, kind, cfg.rng_seed, weights
         )
     else:
-        mode = "virtual"
-        result = harness.run_single(
-            kind, spec, cfg, cfg.rng_seed, weights,
-            model_kind=args.model, drift_bias=args.drift_bias, drift_noise=args.drift_noise,
-        )
-    extra = {"env": spec.name, "mode": mode}
-    if mode == "socket":
-        extra["config"] = {field: getattr(cfg, field) for field in EDGE_CONFIG_FIELDS}
+        mode, echo = "virtual", _config_echo(cfg, world)
+        result = harness.run_single(kind, spec, cfg, cfg.rng_seed, weights, **world)
     path = os.path.join(args.out, f"run_{kind.value}_{spec.name}_{cfg.rng_seed}.json")
+    extra = {"env": spec.name, "mode": mode, "config": echo}
     doc = harness.run_json_document(result.metrics, cfg, extra)
     harness.write_atomic(path, doc)
     print(doc, end="")
@@ -137,19 +156,17 @@ def cmd_compare(args) -> int:
     cfg = _effective_config(args)
     spec = _spec(args)
     seeds = list(range(cfg.rng_seed, cfg.rng_seed + args.seeds))
+    world = _world_model(args)
     weights = _weights(args, spec, cfg)
+    extra = {"env": spec.name, "mode": "virtual", "config": _config_echo(cfg, world)}
     results = {}
     for kind in BaselineKind:
-        metrics = harness.run_experiment(
-            kind, spec, cfg, seeds,
-            model_kind=args.model, drift_bias=args.drift_bias,
-            drift_noise=args.drift_noise, weights=weights,
-        )
+        metrics = harness.run_experiment(kind, spec, cfg, seeds, **world, weights=weights)
         results[kind] = metrics
         for m in metrics:
             harness.write_atomic(
                 os.path.join(args.out, f"run_{kind.value}_{spec.name}_{m.seed}.json"),
-                harness.run_json_document(m, cfg, {"env": spec.name, "mode": "virtual"}),
+                harness.run_json_document(m, cfg, extra),
             )
     report = harness.compare_report(results)
     harness.write_metrics_csv(
@@ -174,14 +191,11 @@ def cmd_sweep(args) -> int:
         if field_type is int and not value.is_integer():
             raise ConfigError([f"{args.param} is an integer field; grid point {value!r} is not"])
         grid.append((value, validate_config(cfg.replace(**{args.param: field_type(value)}), spec)))
+    world = _world_model(args)
     weights = _weights(args, spec, cfg)
     lines = ["param_value," + harness.CSV_HEADER]
     for value, swept in grid:
-        metrics = harness.run_experiment(
-            kind, spec, swept, seeds,
-            model_kind=args.model, drift_bias=args.drift_bias,
-            drift_noise=args.drift_noise, weights=weights,
-        )
+        metrics = harness.run_experiment(kind, spec, swept, seeds, **world, weights=weights)
         for m in metrics:
             lines.append(f"{value!r},{harness.metrics_csv_line(m)}")
     path = os.path.join(args.out, f"sweep_{args.param}_{kind.value}_{spec.name}.csv")
@@ -203,10 +217,8 @@ def cmd_calibrate(args) -> int:
 def cmd_serve(args) -> int:
     cfg = _effective_config(args)
     spec = _spec(args)
-    server = sockets.CloudServer(
-        args.port, spec, cfg, BaselineKind(args.kind),
-        model_kind=args.model, drift_bias=args.drift_bias, drift_noise=args.drift_noise,
-    )
+    world = _world_model(args)
+    server = sockets.CloudServer(args.port, spec, cfg, BaselineKind(args.kind), **world)
     print(f"serving on port {server.port}", flush=True)
     server.serve_forever()
     return 0

@@ -17,7 +17,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .ahs import AhsState, record_violation, update_horizon
+from .ahs import AhsState, update_horizon
 from .environments import EnvironmentSpec, true_step
 from .types import ActionVector, SpeculativeTuple, SpoConfig, StateVector
 
@@ -199,11 +199,9 @@ class CloudSession:
         self.ahs = AhsState.initial(cfg)
 
     def handle(self, req: RolloutRequest) -> RolloutResponse:
-        """One refill: for the adaptive kind, apply the AIMD horizon update first."""
+        """One refill: for the adaptive kind, first the AIMD step for the error it reports."""
         if self.fixed_horizon is None:
-            if req.violation_error > 0:
-                self.ahs = record_violation(self.ahs, req.violation_error)
-            self.ahs = update_horizon(self.ahs, self.cfg.epsilon_base)
+            self.ahs = update_horizon(self.ahs, self.cfg, req.violation_error)
             horizon = self.ahs.horizon
         else:
             horizon = self.fixed_horizon

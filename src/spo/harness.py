@@ -181,7 +181,6 @@ def run_single(
     drift_noise: float = DRIFT_NOISE,
 ) -> RunResult:
     """One deterministic virtual-clock episode."""
-    validate_config(cfg)
     start_rng, latency, drift_seed = episode_seeds(cfg, seed)
     policy = make_policy(spec)
     model = make_model(

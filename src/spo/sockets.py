@@ -18,7 +18,7 @@ from . import transport
 from .cloud import DRIFT_BIAS, DRIFT_NOISE, CloudSession, RolloutError, make_model, make_policy
 from .environments import EnvironmentSpec, start_state
 from .harness import FIXED_HORIZON, BaselineKind, RunResult, episode_seeds, run_episode
-from .types import SpoConfig, WeightMatrix, validate_config
+from .types import SpoConfig, WeightMatrix
 
 
 class CloudServer:
@@ -35,7 +35,6 @@ class CloudServer:
         drift_noise: float = DRIFT_NOISE,
         host: str = "127.0.0.1",
     ):
-        validate_config(cfg)
         self.spec = spec
         self.cfg = cfg
         self.kind = kind
@@ -141,7 +140,6 @@ def edge_connect_run(
     seed: int, weights: WeightMatrix,
 ) -> RunResult:
     """Run the edge control loop in real time against a remote cloud endpoint."""
-    validate_config(cfg)
     start_rng, _, _ = episode_seeds(cfg, seed)
     with socket.create_connection(addr, timeout=10.0) as sock:
         sock.settimeout(None)

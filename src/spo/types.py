@@ -142,7 +142,8 @@ class SpoConfig:
     """Run configuration: tube tolerance, horizon bounds, and network shape.
 
     Every default is a plain ``int`` or ``float``; the config file parser
-    takes each field's type from it.
+    takes each field's type from it. Building a config that violates an
+    invariant of :func:`config_errors` raises :class:`ConfigError`.
     """
 
     epsilon_base: float = 20.0
@@ -154,6 +155,11 @@ class SpoConfig:
     jitter_half_width: float = 0.03
     rng_seed: int = 0
 
+    def __post_init__(self):
+        errors = config_errors(self)
+        if errors:
+            raise ConfigError(errors)
+
     def replace(self, **kwargs) -> "SpoConfig":
         return dataclasses.replace(self, **kwargs)
 
@@ -161,11 +167,8 @@ class SpoConfig:
 _CONFIG_FIELD_TYPES = {f.name: type(f.default) for f in dataclasses.fields(SpoConfig)}
 
 
-def config_errors(cfg: SpoConfig, spec=None) -> list[str]:
-    """Every violated configuration invariant, as ``field: bound`` messages.
-
-    Given an :class:`~spo.environments.EnvironmentSpec`, also those of an episode on it.
-    """
+def config_errors(cfg: SpoConfig) -> list[str]:
+    """Every violated configuration invariant, as ``field: bound`` messages."""
     errors = [f"{name} = {value} is not finite" for name, value in vars(cfg).items()
               if isinstance(value, float) and not math.isfinite(value)]
     if cfg.epsilon_base <= 0:
@@ -190,16 +193,13 @@ def config_errors(cfg: SpoConfig, spec=None) -> list[str]:
         errors.append("jitter_half_width <= rtt_base violated")
     if cfg.rng_seed < 0:
         errors.append("rng_seed >= 0 violated")
-    if spec is not None and cfg.control_interval != spec.dt:  # the clock and physics run apart
-        errors.append(f"control_interval {cfg.control_interval} != {spec.name} dt {spec.dt}")
     return errors
 
 
 def validate_config(cfg: SpoConfig, spec=None) -> SpoConfig:
-    """Return ``cfg`` unchanged if valid (on ``spec``, if given), else raise ConfigError."""
-    errors = config_errors(cfg, spec)
-    if errors:
-        raise ConfigError(errors)
+    """``cfg`` if an episode on ``spec`` may run it, else ConfigError (``cfg`` checked itself)."""
+    if spec is not None and cfg.control_interval != spec.dt:  # the clock and physics run apart
+        raise ConfigError([f"control_interval {cfg.control_interval} != {spec.name} dt {spec.dt}"])
     return cfg
 
 
@@ -242,4 +242,4 @@ def load_config(path=None, overrides: dict | None = None) -> SpoConfig:
     values = parse_config_text(read_text(path)) if path else {}
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
-    return validate_config(SpoConfig(**values))
+    return SpoConfig(**values)

@@ -15,7 +15,7 @@ import pytest
 
 import spo
 from spo import cli
-from spo.ahs import AhsState, record_violation, update_horizon
+from spo.ahs import AhsState, update_horizon
 from spo.edge import Outcome
 from spo.environments import get_spec
 from spo.harness import BaselineKind, calibrate_weights, run_single
@@ -70,7 +70,7 @@ def test_criterion_1_ahs_convergence_bound():
     assert s.horizon == 2
     updates = 0
     while s.horizon < CFG.k_max:
-        s = update_horizon(s, CFG.epsilon_base)
+        s = update_horizon(s, CFG)
         updates += 1
     assert updates == 8
     assert s.horizon == 10
@@ -86,8 +86,8 @@ def test_criterion_2_contraction_law_fuzz():
         k = int(rng.integers(k_min, k_max + 1))
         eps = float(rng.uniform(0.1, 100.0))
         e_miss = eps * float(rng.uniform(1.0 + 1e-9, 50.0))
-        s = AhsState(horizon=k, k_min=k_min, k_max=k_max, beta=1)
-        s = update_horizon(record_violation(s, e_miss), eps)
+        cfg = SpoConfig(k_min=k_min, k_max=k_max, beta=1, epsilon_base=eps)
+        s = update_horizon(AhsState(horizon=k), cfg, e_miss)
         expected = max(k_min, min(k_max, math.floor(k * eps / e_miss)))
         assert s.horizon == expected
         assert k_min <= s.horizon <= k_max

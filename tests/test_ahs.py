@@ -5,64 +5,34 @@ import math
 import numpy as np
 import pytest
 
-from spo.ahs import AhsState, record_violation, update_horizon
-from spo.types import SpoConfig
+from spo.ahs import AhsState, update_horizon
+from spo.types import ConfigError, SpoConfig
+
+CFG = SpoConfig()  # k_min=2, k_max=10, beta=1, epsilon_base=20
 
 
-def _state(k, k_min=2, k_max=10, beta=1, pending=0.0):
-    return AhsState(horizon=k, k_min=k_min, k_max=k_max, beta=beta, pending_violation=pending)
+def _update(k, e_miss=0.0):
+    return update_horizon(AhsState(k), CFG, e_miss).horizon
 
 
 def test_initial_state_starts_at_k_min():
-    s = AhsState.initial(SpoConfig())
-    assert s.horizon == 2
-    assert s.pending_violation == 0.0
-
-
-def test_record_violation_assigns_pending():
-    s = record_violation(_state(5), 25.0)
-    assert (s.horizon, s.pending_violation) == (5, 25.0)
-
-
-def test_record_violation_latest_overwrites():
-    s = record_violation(_state(10, pending=25.0), 40.0)
-    assert (s.horizon, s.pending_violation) == (10, 40.0)
-
-
-def test_record_violation_near_threshold():
-    s = record_violation(_state(2), 20.5)
-    assert (s.horizon, s.pending_violation) == (2, 20.5)
-
-
-def test_record_violation_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        record_violation(_state(5), 0.0)
-    with pytest.raises(ValueError):
-        record_violation(_state(5), -1.0)
+    assert AhsState.initial(CFG) == AhsState(horizon=2)
 
 
 def test_additive_increase():
-    assert update_horizon(_state(5), 20.0).horizon == 6
+    assert _update(5) == 6
 
 
 def test_multiplicative_decrease_rho_two():
-    s = update_horizon(_state(8, pending=40.0), 20.0)
-    assert s.horizon == 4
-    assert s.pending_violation == 0.0
+    assert _update(8, 40.0) == 4
 
 
 def test_multiplicative_decrease_clamps_to_k_min():
-    assert update_horizon(_state(3, pending=60.0), 20.0).horizon == 2
+    assert _update(3, 60.0) == 2
 
 
 def test_additive_increase_saturates_at_k_max():
-    assert update_horizon(_state(10), 20.0).horizon == 10
-
-
-def test_update_clears_pending_atomically():
-    s = update_horizon(_state(8, pending=40.0), 20.0)
-    # The same violation must not be consumed twice.
-    assert update_horizon(s, 20.0).horizon == 5
+    assert _update(10) == 10
 
 
 def test_convergence_in_exactly_eight_updates():
@@ -72,7 +42,7 @@ def test_convergence_in_exactly_eight_updates():
     s = AhsState.initial(cfg)
     updates = 0
     while s.horizon < cfg.k_max:
-        s = update_horizon(s, cfg.epsilon_base)
+        s = update_horizon(s, cfg)
         updates += 1
     assert updates == expected
 
@@ -81,7 +51,7 @@ def test_contraction_severity_monotonicity():
     for k in range(2, 11):
         previous = None
         for e_miss in np.linspace(20.01, 400.0, 200):
-            post = update_horizon(_state(k, pending=float(e_miss)), 20.0).horizon
+            post = _update(k, float(e_miss))
             if previous is not None:
                 assert post <= previous
             previous = post
@@ -89,8 +59,7 @@ def test_contraction_severity_monotonicity():
 
 def test_rho_at_most_one_clamps_to_k_max():
     # Direct API misuse: e_miss <= epsilon gives floor(K/rho) >= K; clamp applies.
-    s = update_horizon(_state(8, pending=10.0), 20.0)
-    assert s.horizon == 10  # floor(8 * 20 / 10) = 16 -> clamp to k_max
+    assert _update(8, 10.0) == 10  # floor(8 * 20 / 10) = 16 -> clamp to k_max
 
 
 def test_bounds_hold_under_fuzzed_sequences():
@@ -100,27 +69,16 @@ def test_bounds_hold_under_fuzzed_sequences():
         k_max = int(rng.integers(k_min, k_min + 12))
         beta = int(rng.integers(1, 4))
         eps = float(rng.uniform(0.5, 50.0))
-        s = AhsState(horizon=k_min, k_min=k_min, k_max=k_max, beta=beta)
+        cfg = SpoConfig(k_min=k_min, k_max=k_max, beta=beta, epsilon_base=eps)
+        s = AhsState.initial(cfg)
         for _ in range(250):
-            if rng.random() < 0.4:
-                s = record_violation(s, float(rng.uniform(1e-3, 500.0)))
-            else:
-                s = update_horizon(s, eps)
-                assert k_min <= s.horizon <= k_max
-                assert s.pending_violation == 0.0
+            e_miss = float(rng.uniform(1e-3, 500.0)) if rng.random() < 0.4 else 0.0
+            s = update_horizon(s, cfg, e_miss)
+            assert k_min <= s.horizon <= k_max
 
 
 def test_invalid_states_rejected():
-    with pytest.raises(ValueError):
-        AhsState(horizon=1, k_min=2, k_max=10, beta=1)
-    with pytest.raises(ValueError):
-        AhsState(horizon=11, k_min=2, k_max=10, beta=1)
-    with pytest.raises(ValueError):
-        AhsState(horizon=2, k_min=2, k_max=10, beta=0)
-    with pytest.raises(ValueError):
-        AhsState(horizon=2, k_min=2, k_max=10, beta=1, pending_violation=-0.5)
-
-
-def test_update_rejects_nonpositive_epsilon():
-    with pytest.raises(ValueError):
-        update_horizon(_state(5), 0.0)
+    # The AIMD step takes its bounds from the config, which refuses bad ones when built.
+    with pytest.raises(ConfigError) as exc:
+        SpoConfig(k_min=0, beta=0)
+    assert exc.value.errors == ["k_min >= 1 violated", "beta >= 1 violated"]

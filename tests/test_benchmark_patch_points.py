@@ -50,11 +50,14 @@ def test_layer_wrappers_install_observe_and_restore():
         probe = tracing.install_layer_wrappers(tracer)
         session = CloudSession(SpoConfig(), _Stay(), _Stay())
         session.handle(RolloutRequest(StateVector([0.0]), violation_error=0.0, step_index=0))
+        session.handle(RolloutRequest(StateVector([0.0]), violation_error=40.0, step_index=3))
     finally:
         tracer.restore()
-    # The adaptive refill reached the AIMD update through the patched name.
-    assert probe.horizons == [3]
-    assert probe.tuples_generated == 3
+    # Both adaptive refills reached the AIMD update through the patched name, and the
+    # probe counted the violation's contraction, floor(3 * 20 / 40) = 1 -> k_min 2.
+    assert probe.horizons == [3, 2]
+    assert probe.contractions == 1
+    assert probe.tuples_generated == 5
     assert CloudSession.handle is handle
     assert spo.cloud.update_horizon is update_horizon
 

@@ -1,5 +1,6 @@
 """Command-line interface behavior and output artifacts."""
 
+import dataclasses
 import hashlib
 import json
 import socket
@@ -7,6 +8,8 @@ import socket
 import pytest
 
 from spo import cli, harness, sockets
+from spo.cloud import DRIFT_BIAS, DRIFT_NOISE
+from spo.types import SpoConfig
 
 
 def test_run_writes_json_and_exits_zero(tmp_path, capsys):
@@ -236,6 +239,68 @@ def test_non_finite_config_value_exits_two_before_any_output(
     assert cli.main([*argv, *([] if argv[0] == "serve" else ["--out", str(out)])]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
+
+
+SWEEP = ["sweep", "--param", "k_max", "--from", "2", "--to", "4", "--steps", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--model", "drifted", "--drift-noise", "-1"], "drift_noise >= 0 violated"),
+        (["run", "--model", "drifted", "--drift-bias", "nan"], "drift_bias = nan is not finite"),
+        (["run", "--model", "drifted", "--drift-bias", "inf"], "drift_bias = inf is not finite"),
+        (["run", "--model", "drifted", "--drift-noise", "nan"],
+         "drift_noise = nan is not finite"),
+        (["compare", "--seeds", "1", "--model", "drifted", "--drift-noise", "-1"],
+         "drift_noise >= 0 violated"),
+        ([*SWEEP, "--model", "drifted", "--drift-bias=-inf"],
+         "drift_bias = -inf is not finite"),
+        (["serve", "--model", "drifted", "--drift-noise", "-1"], "drift_noise >= 0 violated"),
+        (["run", "--drift-bias", "1e-3"],
+         "--drift-bias and --drift-noise need --model drifted, not oracle"),
+        (["compare", "--seeds", "1", "--model", "oracle", "--drift-noise", "0"],
+         "--drift-bias and --drift-noise need --model drifted, not oracle"),
+        (["serve", "--model", "oracle", "--drift-bias", "0"],
+         "--drift-bias and --drift-noise need --model drifted, not oracle"),
+    ],
+    ids=["run-noise-negative", "run-bias-nan", "run-bias-inf", "run-noise-nan",
+         "compare-noise-negative", "sweep-bias-inf", "serve-noise-negative",
+         "run-oracle-bias", "compare-oracle-noise", "serve-oracle-bias"],
+)
+def test_bad_drift_flags_exit_two_before_any_calibration_or_episode(
+    tmp_path, capsys, monkeypatch, argv, message
+):
+    def never(*args, **kwargs):
+        raise AssertionError("reached past the flag check")
+
+    for module, name in [(harness, "calibrate_weights"), (harness, "run_single"),
+                         (sockets, "CloudServer")]:
+        monkeypatch.setattr(module, name, never)
+    out = tmp_path / "out"
+    assert cli.main([*argv, *([] if argv[0] == "serve" else ["--out", str(out)])]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_run_and_compare_json_echo_the_world_model(tmp_path):
+    keys = set(dataclasses.asdict(SpoConfig())) | {"model", "drift_bias", "drift_noise"}
+    run_out, cmp_out = tmp_path / "run", tmp_path / "cmp"
+    assert cli.main([
+        "run", "--model", "drifted", "--drift-bias", "1e-3", "--seed", "0", "--out", str(run_out),
+    ]) == 0
+    config = json.loads((run_out / "run_spo_free_space_0.json").read_text())["config"]
+    assert set(config) == keys
+    assert (config["model"], config["drift_bias"], config["drift_noise"]) == (
+        "drifted", 1e-3, DRIFT_NOISE
+    )
+    assert cli.main(["compare", "--seeds", "1", "--seed", "0", "--out", str(cmp_out)]) == 0
+    for path in cmp_out.glob("run_*.json"):
+        config = json.loads(path.read_text())["config"]
+        assert set(config) == keys
+        assert (config["model"], config["drift_bias"], config["drift_noise"]) == (
+            "oracle", DRIFT_BIAS, DRIFT_NOISE
+        )
 
 
 @pytest.mark.parametrize("command", ["run", "compare", "sweep"])

@@ -201,7 +201,7 @@ def test_request_rejects_a_violation_error_below_zero_or_nan(e_miss):
 
 def _adaptive_session(horizon):
     session = CloudSession(SpoConfig(), ConstantPolicy(1.0), ToyIntegrator(), fixed_horizon=None)
-    session.ahs = AhsState(horizon=horizon, k_min=2, k_max=10, beta=1)
+    session.ahs = AhsState(horizon=horizon)
     return session
 
 

@@ -208,6 +208,42 @@ def test_refills_are_stop_and_wait_and_wasted_is_flushed_plus_in_flight(monkeypa
                 queued_at_send.clear()
 
 
+def _refill_waits(records):
+    """Ticks from each refill's send to the first tick that acts on its response, by
+    executing its first tuple or, if that leaves the tube, by missing it.
+
+    Each MISS or STARVED_HOLD tick sends the next request id; a refill still in flight
+    when the episode ends has no wait.
+    """
+    sent = [r.step_index for r in records if r.outcome in (Outcome.MISS, Outcome.STARVED_HOLD)]
+    first_use = {}
+    for r in records:
+        if r.source_request_id is not None:
+            first_use.setdefault(r.source_request_id, r.step_index)
+    return [first_use[rid] - tick for rid, tick in enumerate(sent, start=1) if rid in first_use]
+
+
+@pytest.mark.parametrize("rtt, jitter", [(0.15, 0.03), (0.06, 0.04), (0.15, 0.0), (0.0, 0.0)])
+def test_stop_and_wait_refill_waits_lie_within_the_jittered_round_trip(rtt, jitter):
+    """A response lands one jittered round trip after its request left; the edge
+    executes from it on the first tick at or after that, and a request sent on a
+    tick is answered no earlier than the next tick."""
+    cfg = CFG.replace(rtt_base=rtt, jitter_half_width=jitter)
+    dt = cfg.control_interval
+    low = max(1, math.floor((rtt - jitter) / dt))
+    high = math.ceil((rtt + jitter) / dt) + 1
+    waits = []
+    for env in ("free_space", "tight_tolerance", "multi_stage"):
+        spec = get_spec(env)
+        weights = calibrate_weights(spec, seed=0)
+        for kind in BaselineKind:
+            for seed in range(3):
+                result = run_single(kind, spec, cfg, seed, weights, model_kind="drifted")
+                waits += _refill_waits(result.records)
+    assert waits
+    assert low <= min(waits) and max(waits) <= high, (min(waits), max(waits), low, high)
+
+
 def test_mean_horizon_weighted_by_grant(free_space_weights):
     result = run_single(BaselineKind.SPO, get_spec("free_space"), CFG, 4, free_space_weights)
     hs = result.horizons

@@ -105,30 +105,35 @@ def test_validate_config_table_values():
     assert validate_config(cfg) is cfg
 
 
+def _build_errors(**fields) -> list[str]:
+    """The violations a config of ``fields`` is refused for when it is built."""
+    with pytest.raises(ConfigError) as exc:
+        SpoConfig(**fields)
+    return exc.value.errors
+
+
 def test_validate_config_ordering_violation():
-    errs = config_errors(SpoConfig(k_min=5, k_max=2))
-    assert "k_min <= k_max violated" in errs
+    assert "k_min <= k_max violated" in _build_errors(k_min=5, k_max=2)
 
 
 def test_validate_config_epsilon_violation():
-    with pytest.raises(ConfigError) as exc:
-        validate_config(SpoConfig(epsilon_base=0.0))
-    assert "epsilon_base > 0 violated" in exc.value.errors
+    assert "epsilon_base > 0 violated" in _build_errors(epsilon_base=0.0)
 
 
 def test_validate_config_reports_all_violations():
-    errs = config_errors(SpoConfig(epsilon_base=-1.0, k_min=5, k_max=2, beta=0))
+    errs = _build_errors(epsilon_base=-1.0, k_min=5, k_max=2, beta=0)
     assert len(errs) >= 3
 
 
 def test_k_max_bounded_by_the_uint16_tuple_count():
     assert config_errors(SpoConfig(k_max=65535)) == []
-    assert "k_max <= 65535 violated" in config_errors(SpoConfig(k_max=65536))
+    assert "k_max <= 65535 violated" in _build_errors(k_max=65536)
 
 
 def test_jitter_bounded_by_rtt():
-    errs = config_errors(SpoConfig(rtt_base=0.01, jitter_half_width=0.02))
-    assert "jitter_half_width <= rtt_base violated" in errs
+    assert "jitter_half_width <= rtt_base violated" in _build_errors(
+        rtt_base=0.01, jitter_half_width=0.02
+    )
 
 
 def test_parse_config_text_roundtrip():
