@@ -229,19 +229,3 @@ def make_model(
     if kind == "drifted":
         return DriftedWorldModel(oracle, drift_bias, noise_std=drift_noise, seed=seed)
     raise ValueError(f"unknown model kind {kind!r}")
-
-
-__all__ = [
-    "CloudSession",
-    "DriftedWorldModel",
-    "OracleWorldModel",
-    "Policy",
-    "RolloutError",
-    "RolloutRequest",
-    "RolloutResponse",
-    "ScriptedExpertPolicy",
-    "WorldModel",
-    "make_model",
-    "make_policy",
-    "speculative_rollout",
-]

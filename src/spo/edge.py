@@ -121,8 +121,11 @@ class EdgeSession:
         if self.in_flight_id is None:
             rec = StepRecord(tick_index, Outcome.STARVED_HOLD, None, hold, self.progress)
             return rec, self._issue_request(observed, 0.0)
-        rec = StepRecord(tick_index, Outcome.AWAITING_REFILL, None, hold, self.progress)
-        return rec, None
+        return self.awaiting_record(tick_index), None
+
+    def awaiting_record(self, tick_index: int) -> StepRecord:
+        """The record of a tick held while the refill in flight has not arrived."""
+        return StepRecord(tick_index, Outcome.AWAITING_REFILL, None, self._hold, self.progress)
 
     def install_response(self, request_id: int, resp: RolloutResponse) -> None:
         """Cache the rollout of the request in flight; drop other replies and passed steps."""

@@ -8,6 +8,11 @@ cloud, to a synthetic environment: on the virtual clock a
 randomness (start jitter, channel jitter, model noise) derives from one seed
 through :func:`episode_seeds`, so a virtual run is bitwise reproducible, and a
 socket run of the same seed draws the same start, delays and model noise.
+
+The virtual clock is event-driven: after a tick that leaves the edge awaiting a
+refill, :func:`run_episode` records the held ticks up to the link's next delivery,
+the next disturbance or ``max_steps`` in one go, without stepping them. This is
+exact, as such a tick delivers nothing, holds the zero action and is not disturbed.
 """
 
 from __future__ import annotations
@@ -142,7 +147,9 @@ def episode_seeds(cfg: SpoConfig, seed: int):
 class VirtualLink:
     """The in-process cloud behind a :class:`VirtualChannel`, as a link of :func:`run_episode`.
 
-    A link has ``wait``, ``due``, ``send``, ``dead``, ``horizons`` and ``generated``.
+    A link has ``wait``, ``due``, ``send``, ``dead``, ``horizons``, ``generated`` and
+    ``next_delivery()``, the earliest arrival in either direction (``inf`` if none;
+    ``-inf`` for a link that must be stepped every tick).
     """
 
     dead = False
@@ -168,6 +175,9 @@ class VirtualLink:
 
     def send(self, refill, now: float) -> None:
         self.channel.send_request((refill.request_id, refill.request), now)
+
+    def next_delivery(self) -> float:
+        return self.channel.next_delivery()
 
 
 def run_single(
@@ -203,7 +213,8 @@ def run_episode(
     success = False
     diagnostic = None
 
-    for tick in range(spec.max_steps):
+    tick = 0
+    while tick < spec.max_steps:
         now = tick * cfg.control_interval
         link.wait(now)
         for rid, resp in link.due(now):
@@ -223,6 +234,15 @@ def run_episode(
         if link.dead and edge.in_flight_id is not None:
             diagnostic = "connection lost while awaiting refill"
             break
+        tick += 1
+        if edge.in_flight_id is not None and not edge.cache:
+            # Until the next delivery or disturbance, each awaiting tick holds still.
+            stop = min([t for t, _ in spec.disturbance_schedule if t >= tick] + [spec.max_steps])
+            arrives = link.next_delivery()
+            while tick < stop and tick * cfg.control_interval < arrives:
+                records.append(edge.awaiting_record(tick))
+                tick += 1
+            state = StateVector(state.values + 0.0)  # as true_step turns -0.0 into +0.0
 
     # One copy: a socket link's reader thread may still be appending.
     horizons = list(link.horizons)

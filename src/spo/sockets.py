@@ -10,6 +10,7 @@ downlink delay of each request, as the virtual run of S draws them, before handl
 from __future__ import annotations
 
 import contextlib
+import math
 import socket
 import threading
 import time
@@ -78,7 +79,9 @@ class CloudServer:
         with conn:
             try:
                 while (frame := transport.recv_frame(conn)) is not None:
-                    time.sleep(latency.sample() + latency.sample())  # uplink, then downlink
+                    delay = latency.sample() + latency.sample()  # uplink, then downlink
+                    if delay > 0:
+                        time.sleep(delay)
                     rid, req = transport.decode_request(frame)
                     resp = cloud.handle(req)
                     out = transport.encode_response(rid, resp, step_index=req.step_index)
@@ -125,6 +128,10 @@ class SocketLink:
 
     def due(self, now: float) -> list:
         return [self._inbox.pop(0) for _ in range(len(self._inbox))]
+
+    def next_delivery(self) -> float:
+        # Replies arrive in wall-clock time, so the loop steps every tick.
+        return -math.inf
 
     def send(self, refill, now: float) -> None:
         try:

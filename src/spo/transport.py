@@ -19,6 +19,7 @@ mode the server sleeps both legs of each request before handling it.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -164,6 +165,10 @@ class VirtualChannel:
         deliver_at = now + self.latency.sample()
         self.to_edge.append((deliver_at, item))
         return deliver_at
+
+    def next_delivery(self) -> float:
+        """The earliest ``deliver_at`` in either direction; ``math.inf`` if both are empty."""
+        return min((at for at, _ in self.to_cloud + self.to_edge), default=math.inf)
 
     def cloud_inbox_timed(self, now: float) -> list:
         """Pop the ``(deliver_at, item)`` requests due at or before ``now``, in send order."""

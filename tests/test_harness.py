@@ -31,7 +31,7 @@ from spo.harness import (
     write_atomic,
     write_metrics_csv,
 )
-from spo.types import ActionVector, SpoConfig, StateVector
+from spo.types import ActionVector, SpoConfig, StateVector, WeightMatrix
 
 CFG = SpoConfig()  # Table-style defaults
 
@@ -242,6 +242,94 @@ def test_stop_and_wait_refill_waits_lie_within_the_jittered_round_trip(rtt, jitt
                 waits += _refill_waits(result.records)
     assert waits
     assert low <= min(waits) and max(waits) <= high, (min(waits), max(waits), low, high)
+
+
+class TickByTickChannel(harness.VirtualChannel):
+    """Reports no next delivery, so ``run_episode`` steps every held tick."""
+
+    def next_delivery(self):
+        return -math.inf
+
+
+def _fields(rec):
+    """Every field of a record, the executed action as its bytes."""
+    return (*dataclasses.astuple(dataclasses.replace(rec, action_executed=None)),
+            rec.action_executed.values.tobytes())
+
+
+def _assert_skipping_is_exact(monkeypatch, cfg, envs, models, seeds):
+    """The event-driven loop writes what stepping every tick writes."""
+    runs = {}
+    for channel in (TickByTickChannel, harness.VirtualChannel):
+        monkeypatch.setattr(harness, "VirtualChannel", channel)
+        for env in envs:
+            spec = get_spec(env)
+            weights = calibrate_weights(spec, seed=0)
+            for kind in BaselineKind:
+                for model in models:
+                    for seed in seeds:
+                        result = run_single(kind, spec, cfg, seed, weights, model_kind=model)
+                        runs.setdefault((env, kind, model, seed), []).append(result)
+    for key, (stepped, skipped) in runs.items():
+        assert list(map(_fields, skipped.records)) == list(map(_fields, stepped.records)), key
+        assert skipped.horizons == stepped.horizons, key
+        assert skipped.metrics == stepped.metrics, key
+
+
+def test_skipping_held_ticks_changes_no_record_horizon_or_metric(monkeypatch):
+    envs = ("free_space", "tight_tolerance", "multi_stage")
+    _assert_skipping_is_exact(monkeypatch, CFG, envs, ("oracle", "drifted"), range(3))
+
+
+def test_skipping_stops_at_a_delivery_due_exactly_on_a_tick(monkeypatch):
+    # Each 0.04 s leg ends exactly on a tick (2 x 0.02 s), where ``deliver_at <= now``.
+    cfg = CFG.replace(rtt_base=0.08, jitter_half_width=0.0)
+    _assert_skipping_is_exact(monkeypatch, cfg, ("free_space",), ("drifted",), (0,))
+
+
+def _held_spec(**overrides):
+    """A 2-d task whose every tick until the first refill arrives is held at the start."""
+    goal = np.array([0.5, -0.5])
+    fields = dict(
+        name="held", d_s=2, d_a=2, max_steps=200, waypoints=(goal,), goal_center=goal,
+        goal_radius=0.05, start=np.zeros(2),
+    )
+    return EnvironmentSpec(**{**fields, **overrides})
+
+
+def test_a_disturbance_on_a_held_tick_ends_the_episode_on_that_tick():
+    # Tick 0 starves and sends the first request, which reaches the cloud at
+    # tick 3 at the earliest, so the skip from tick 1 must stop for tick 2.
+    spec = _held_spec(disturbance_schedule=((2, np.array([0.5, -0.5])),))
+    result = run_single(BaselineKind.SPO, spec, CFG, 0, WeightMatrix(np.ones(2)))
+    assert result.metrics.success
+    assert [r.outcome for r in result.records] == [Outcome.STARVED_HOLD] + [
+        Outcome.AWAITING_REFILL
+    ] * 2
+    assert result.records[-1].step_index == 2
+
+
+def test_max_steps_in_the_middle_of_a_wait_ends_on_a_held_tick():
+    # The first request reaches the cloud at tick 3 at the earliest.
+    spec = _held_spec(max_steps=2)
+    result = run_single(BaselineKind.SPO, spec, CFG, 0, WeightMatrix(np.ones(2)))
+    assert len(result.records) == result.metrics.steps_taken == 2
+    assert result.records[-1].outcome is Outcome.AWAITING_REFILL
+    assert not result.metrics.success
+
+
+def test_a_virtual_blocking_episode_skips_edge_ticks(free_space_weights, monkeypatch):
+    calls = []
+    edge_tick = EdgeSession.edge_tick
+
+    def counting(self, observed, tick_index):
+        calls.append(tick_index)
+        return edge_tick(self, observed, tick_index)
+
+    monkeypatch.setattr(EdgeSession, "edge_tick", counting)
+    spec = get_spec("free_space")
+    m = run_single(BaselineKind.BLOCKING, spec, CFG, 0, free_space_weights).metrics
+    assert 0 < len(calls) < m.steps_taken
 
 
 def test_mean_horizon_weighted_by_grant(free_space_weights):

@@ -5,12 +5,15 @@ import json
 import socket
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
 
+import spo.sockets
 from spo import cli, transport
 from spo.cloud import CloudSession, RolloutRequest, make_model, make_policy
+from spo.edge import EdgeSession
 from spo.environments import EnvironmentSpec, load_environment, start_state
 from spo.harness import FIXED_HORIZON, BaselineKind, calibrate_weights, episode_seeds, run_single
 from spo.sockets import CloudServer, edge_connect_run
@@ -130,14 +133,71 @@ def test_socket_run_sleeps_the_delays_the_virtual_run_draws(quick_spec, monkeypa
     assert socket_draws[:n] == draws[:n]
 
 
+@pytest.mark.parametrize("rtt, sleeps_per_request", [(0.0, 0), (0.04, 1)])
+def test_the_server_sleeps_once_per_request_and_never_for_a_zero_delay(
+    quick_spec, monkeypatch, rtt, sleeps_per_request
+):
+    """Only server session threads count: the edge's ``SocketLink.wait`` sleeps too."""
+    sleeps, requests = [], []
+    sleep, recv_frame = time.sleep, transport.recv_frame
+
+    def recording_sleep(seconds):
+        if threading.current_thread().name.endswith("(_session)"):
+            sleeps.append(seconds)
+        sleep(seconds)
+
+    def recording_recv_frame(sock):
+        frame = recv_frame(sock)
+        if frame is not None and threading.current_thread().name.endswith("(_session)"):
+            requests.append(frame)
+        return frame
+
+    monkeypatch.setattr(spo.sockets.time, "sleep", recording_sleep)
+    monkeypatch.setattr(transport, "recv_frame", recording_recv_frame)
+    cfg = FAST.replace(rtt_base=rtt)
+    server = _serve(quick_spec, cfg)
+    try:
+        m = edge_connect_run(
+            ("127.0.0.1", server.port), quick_spec, cfg, BaselineKind.SPO, 0,
+            WeightMatrix(np.ones(4)),
+        ).metrics
+    finally:
+        server.stop()
+    _join_sessions()
+    assert m.diagnostic is None
+    assert len(requests) >= 3
+    assert len(sleeps) == sleeps_per_request * len(requests)
+    assert all(s == rtt for s in sleeps)
+
+
+def test_a_socket_episode_runs_the_edge_on_every_tick(quick_spec, monkeypatch):
+    calls = []
+    edge_tick = EdgeSession.edge_tick
+
+    def counting(self, observed, tick_index):
+        calls.append(tick_index)
+        return edge_tick(self, observed, tick_index)
+
+    monkeypatch.setattr(EdgeSession, "edge_tick", counting)
+    cfg = FAST.replace(rtt_base=0.06)
+    server = _serve(quick_spec, cfg)
+    try:
+        result = edge_connect_run(
+            ("127.0.0.1", server.port), quick_spec, cfg, BaselineKind.SPO, 0,
+            WeightMatrix(np.ones(4)),
+        )
+    finally:
+        server.stop()
+    assert result.metrics.awaiting > 0
+    assert calls == [r.step_index for r in result.records]
+
+
 def test_dead_endpoint_reports_diagnostic(quick_spec):
     cfg = SpoConfig(rtt_base=0.06, jitter_half_width=0.0)
     server = _serve(quick_spec, cfg)
     port = server.port
     server.stop()
     # The listener closes after stop(); connecting must fail cleanly.
-    import time
-
     time.sleep(0.4)
     with pytest.raises(OSError):
         edge_connect_run(("127.0.0.1", port), quick_spec, cfg, BaselineKind.SPO, 0,

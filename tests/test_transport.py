@@ -1,5 +1,6 @@
 """Wire codec byte laws, socket framing, latency model, and virtual channel behavior."""
 
+import math
 import socket
 import struct
 import time
@@ -214,6 +215,19 @@ def test_virtual_channel_directions_are_independent():
     channel.send_response("down", now=0.0)
     assert channel.edge_inbox(0.06) == ["down"]
     assert [item for _, item in channel.cloud_inbox_timed(0.06)] == ["up"]
+
+
+def test_virtual_channel_next_delivery_is_the_earliest_in_either_direction():
+    channel = VirtualChannel(LatencyModel(0.05, 0.0, np.random.default_rng(0)))
+    assert channel.next_delivery() == math.inf
+    channel.send_response("down", now=0.1)
+    assert channel.next_delivery() == 0.1 + 0.05
+    channel.send_request("up", now=0.0)
+    assert channel.next_delivery() == 0.05
+    channel.cloud_inbox_timed(0.05)
+    assert channel.next_delivery() == 0.1 + 0.05
+    channel.edge_inbox(0.2)
+    assert channel.next_delivery() == math.inf
 
 
 def test_recv_frame_refuses_an_oversized_declared_length_before_the_body():
