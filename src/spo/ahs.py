@@ -19,10 +19,6 @@ from .types import SpoConfig
 class AhsState:
     horizon: int
 
-    @classmethod
-    def initial(cls, cfg: SpoConfig) -> "AhsState":
-        return cls(horizon=cfg.k_min)
-
 
 def update_horizon(state: AhsState, cfg: SpoConfig, e_miss: float = 0.0) -> AhsState:
     """Apply one AIMD step for a refill reporting tube-violation error ``e_miss`` (0: none).

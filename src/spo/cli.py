@@ -190,7 +190,8 @@ def cmd_sweep(args) -> int:
         value = args.from_ + span * i / max(1, args.steps - 1)
         if field_type is int and not value.is_integer():
             raise ConfigError([f"{args.param} is an integer field; grid point {value!r} is not"])
-        grid.append((value, validate_config(cfg.replace(**{args.param: field_type(value)}), spec)))
+        point = dataclasses.replace(cfg, **{args.param: field_type(value)})
+        grid.append((value, validate_config(point, spec)))
     world = _world_model(args)
     weights = _weights(args, spec, cfg)
     lines = ["param_value," + harness.CSV_HEADER]

@@ -196,7 +196,7 @@ class CloudSession:
         self.policy = policy
         self.model = model
         self.fixed_horizon = fixed_horizon
-        self.ahs = AhsState.initial(cfg)
+        self.ahs = AhsState(cfg.k_min)
 
     def handle(self, req: RolloutRequest) -> RolloutResponse:
         """One refill: for the adaptive kind, first the AIMD step for the error it reports."""

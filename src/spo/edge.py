@@ -50,12 +50,6 @@ class StepRecord:
     source_request_id: int | None = None
 
 
-@dataclass(frozen=True)
-class RefillRequest:
-    request_id: int
-    request: RolloutRequest
-
-
 class EdgeSession:
     """One edge control session; drive it one control tick at a time."""
 
@@ -79,22 +73,17 @@ class EdgeSession:
         self.flushed = 0
         self._hold = zero_action(d_a)  # immutable, so every hold tick shares it
 
-    def _issue_request(self, observed: StateVector, violation_error: float) -> RefillRequest:
+    def _issue_request(
+        self, observed: StateVector, violation_error: float
+    ) -> tuple[int, RolloutRequest]:
         rid = self._next_request_id
         self._next_request_id += 1
         self.in_flight_id = rid
-        return RefillRequest(
-            request_id=rid,
-            request=RolloutRequest(
-                observed_state=observed,
-                violation_error=violation_error,
-                step_index=self.progress,
-            ),
-        )
+        return rid, RolloutRequest(observed, violation_error, self.progress)
 
     def edge_tick(
         self, observed: StateVector, tick_index: int
-    ) -> tuple[StepRecord, RefillRequest | None]:
+    ) -> tuple[StepRecord, tuple[int, RolloutRequest] | None]:
         """Verify-and-execute (or hold) for one control tick."""
         if observed.dim != self.weights.dim:
             raise DimensionError(

@@ -149,7 +149,8 @@ class VirtualLink:
 
     A link has ``wait``, ``due``, ``send``, ``dead``, ``horizons``, ``generated`` and
     ``next_delivery()``, the earliest arrival in either direction (``inf`` if none;
-    ``-inf`` for a link that must be stepped every tick).
+    ``-inf`` for a link that must be stepped every tick). ``send`` takes the edge's
+    ``(request_id, request)`` pair; ``due`` returns ``(request_id, response)`` pairs.
     """
 
     dead = False
@@ -174,7 +175,7 @@ class VirtualLink:
         return self.channel.edge_inbox(now)
 
     def send(self, refill, now: float) -> None:
-        self.channel.send_request((refill.request_id, refill.request), now)
+        self.channel.send_request(refill, now)
 
     def next_delivery(self) -> float:
         return self.channel.next_delivery()

@@ -135,9 +135,7 @@ class SocketLink:
 
     def send(self, refill, now: float) -> None:
         try:
-            transport.send_frame(
-                self._sock, transport.encode_request(refill.request_id, refill.request)
-            )
+            transport.send_frame(self._sock, transport.encode_request(*refill))
         except (OSError, transport.FrameError):
             self.dead = True
 

@@ -131,10 +131,6 @@ class LatencyModel:
     jitter_half_width_one_way: float
     rng: np.random.Generator
 
-    def __post_init__(self):
-        if self.base_one_way < 0 or self.jitter_half_width_one_way < 0:
-            raise ValueError("delays must be nonnegative")
-
     def sample(self) -> float:
         if self.jitter_half_width_one_way == 0:
             return self.base_one_way

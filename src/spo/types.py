@@ -160,9 +160,6 @@ class SpoConfig:
         if errors:
             raise ConfigError(errors)
 
-    def replace(self, **kwargs) -> "SpoConfig":
-        return dataclasses.replace(self, **kwargs)
-
 
 _CONFIG_FIELD_TYPES = {f.name: type(f.default) for f in dataclasses.fields(SpoConfig)}
 

@@ -45,7 +45,5 @@ def verify(
 
     The boundary (error exactly equal to the tolerance) counts as a hit.
     """
-    if epsilon_base <= 0:
-        raise ValueError("epsilon_base must be positive")
     err = tracking_error(actual, tup.predicted_state, weights)
     return VerificationOutcome(error=err, is_hit=err <= epsilon_base)

@@ -66,7 +66,7 @@ def oracle_run():
 
 
 def test_criterion_1_ahs_convergence_bound():
-    s = AhsState.initial(CFG)
+    s = AhsState(CFG.k_min)
     assert s.horizon == 2
     updates = 0
     while s.horizon < CFG.k_max:

@@ -16,7 +16,7 @@ def _update(k, e_miss=0.0):
 
 
 def test_initial_state_starts_at_k_min():
-    assert AhsState.initial(CFG) == AhsState(horizon=2)
+    assert AhsState(CFG.k_min) == AhsState(horizon=2)
 
 
 def test_additive_increase():
@@ -39,7 +39,7 @@ def test_convergence_in_exactly_eight_updates():
     cfg = SpoConfig()  # k_min=2, k_max=10, beta=1
     expected = math.ceil((cfg.k_max - cfg.k_min) / cfg.beta)
     assert expected == 8
-    s = AhsState.initial(cfg)
+    s = AhsState(cfg.k_min)
     updates = 0
     while s.horizon < cfg.k_max:
         s = update_horizon(s, cfg)
@@ -70,7 +70,7 @@ def test_bounds_hold_under_fuzzed_sequences():
         beta = int(rng.integers(1, 4))
         eps = float(rng.uniform(0.5, 50.0))
         cfg = SpoConfig(k_min=k_min, k_max=k_max, beta=beta, epsilon_base=eps)
-        s = AhsState.initial(cfg)
+        s = AhsState(cfg.k_min)
         for _ in range(250):
             e_miss = float(rng.uniform(1e-3, 500.0)) if rng.random() < 0.4 else 0.0
             s = update_horizon(s, cfg, e_miss)

@@ -32,7 +32,8 @@ def _install(edge, tuples, observed=None):
     observed = StateVector(np.zeros(D)) if observed is None else observed
     rec, refill = edge.edge_tick(observed, 0)
     assert refill is not None
-    edge.install_response(refill.request_id, RolloutResponse(tuple(tuples), len(tuples)))
+    rid, _ = refill
+    edge.install_response(rid, RolloutResponse(tuple(tuples), len(tuples)))
 
 
 def test_hit_executes_cached_action_without_request():
@@ -59,7 +60,8 @@ def test_miss_flushes_and_requests_with_violation_error():
     assert len(edge.cache) == 0  # flushed atomically
     assert edge.flushed == 2  # the missed tuple plus the remainder
     assert refill is not None
-    assert refill.request.violation_error == 25.0
+    _, req = refill
+    assert req.violation_error == 25.0
     assert edge.progress == 0  # a missed step is not progress
 
 
@@ -79,10 +81,10 @@ def test_starved_hold_issues_request_once():
 def test_request_ids_increase_monotonically():
     edge = _session()
     observed = StateVector(np.zeros(D))
-    _, r1 = edge.edge_tick(observed, 0)
-    edge.install_response(r1.request_id, RolloutResponse((_tuple([25.0, 0, 0], 1),), 1))
-    _, r2 = edge.edge_tick(observed, 1)  # miss -> new request
-    assert r2.request_id > r1.request_id
+    _, (rid1, _) = edge.edge_tick(observed, 0)
+    edge.install_response(rid1, RolloutResponse((_tuple([25.0, 0, 0], 1),), 1))
+    _, (rid2, _) = edge.edge_tick(observed, 1)  # miss -> new request
+    assert rid2 > rid1
 
 
 def test_install_fresh_response_installs_all():
@@ -98,8 +100,9 @@ def test_install_drops_already_passed_steps():
     edge.progress = 13
     observed = StateVector(np.zeros(D))
     _, refill = edge.edge_tick(observed, 0)
+    rid, _ = refill
     edge.install_response(
-        refill.request_id,
+        rid,
         RolloutResponse(tuple(_tuple(np.zeros(D), s) for s in range(11, 16)), 5),
     )
     assert len(edge.cache) == 2  # steps 14, 15
@@ -109,17 +112,17 @@ def test_install_drops_already_passed_steps():
 def test_superseded_response_fully_discarded():
     edge = _session()
     observed = StateVector(np.zeros(D))
-    _, old = edge.edge_tick(observed, 0)
+    _, (old_rid, _) = edge.edge_tick(observed, 0)
     # The old response never arrived; the miss path would reissue. Simulate a
     # newer request by filling and missing.
-    edge.install_response(old.request_id, RolloutResponse((_tuple([25.0, 0, 0], 1),), 1))
-    _, newer = edge.edge_tick(observed, 1)
+    edge.install_response(old_rid, RolloutResponse((_tuple([25.0, 0, 0], 1),), 1))
+    _, (newer_rid, _) = edge.edge_tick(observed, 1)
     late = RolloutResponse(tuple(_tuple(np.zeros(D), s) for s in (1, 2, 3)), 3)
-    edge.install_response(old.request_id, late)
+    edge.install_response(old_rid, late)
     assert edge.superseded_dropped == 3
     assert len(edge.cache) == 0
     # The in-flight marker still belongs to the newer request.
-    assert edge.in_flight_id == newer.request_id
+    assert edge.in_flight_id == newer_rid
 
 
 def test_blocking_session_executes_direct_without_verification():
@@ -157,7 +160,8 @@ def test_conservation_of_outcomes_over_synthetic_run():
         rec, refill = edge.edge_tick(observed, tick)
         counts[rec.outcome] += 1
         if refill is not None:
-            pending = ((refill.request_id, refill.request.step_index), tick + 4)
+            rid, req = refill
+            pending = ((rid, req.step_index), tick + 4)
     assert sum(counts.values()) == 200
     assert counts[Outcome.HIT] > 0 and counts[Outcome.AWAITING_REFILL] > 0
 
@@ -178,8 +182,9 @@ def test_flush_atomicity_no_stale_source_executes_after_miss():
     old_source = rec2.source_request_id
     # Refill with a fresh batch; every executed tuple afterwards must come
     # from the newer request.
+    rid, _ = refill
     edge.install_response(
-        refill.request_id,
+        rid,
         RolloutResponse(tuple(_tuple(np.zeros(D), s) for s in (2, 3)), 2),
     )
     rec3, _ = edge.edge_tick(observed, 3)

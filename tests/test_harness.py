@@ -138,7 +138,7 @@ def test_idle_time_formula_holds(free_space_weights):
 
 def test_blocking_schedule_closed_form(free_space_weights):
     """With zero jitter, Blocking follows an exact stop-and-wait schedule."""
-    cfg = CFG.replace(jitter_half_width=0.0)
+    cfg = dataclasses.replace(CFG, jitter_half_width=0.0)
     spec = get_spec("free_space")
     m = run_single(BaselineKind.BLOCKING, spec, cfg, 0, free_space_weights).metrics
     # Request at tick t arrives back at t*dt + rtt; the first tick that can
@@ -228,7 +228,7 @@ def test_stop_and_wait_refill_waits_lie_within_the_jittered_round_trip(rtt, jitt
     """A response lands one jittered round trip after its request left; the edge
     executes from it on the first tick at or after that, and a request sent on a
     tick is answered no earlier than the next tick."""
-    cfg = CFG.replace(rtt_base=rtt, jitter_half_width=jitter)
+    cfg = dataclasses.replace(CFG, rtt_base=rtt, jitter_half_width=jitter)
     dt = cfg.control_interval
     low = max(1, math.floor((rtt - jitter) / dt))
     high = math.ceil((rtt + jitter) / dt) + 1
@@ -283,7 +283,7 @@ def test_skipping_held_ticks_changes_no_record_horizon_or_metric(monkeypatch):
 
 def test_skipping_stops_at_a_delivery_due_exactly_on_a_tick(monkeypatch):
     # Each 0.04 s leg ends exactly on a tick (2 x 0.02 s), where ``deliver_at <= now``.
-    cfg = CFG.replace(rtt_base=0.08, jitter_half_width=0.0)
+    cfg = dataclasses.replace(CFG, rtt_base=0.08, jitter_half_width=0.0)
     _assert_skipping_is_exact(monkeypatch, cfg, ("free_space",), ("drifted",), (0,))
 
 

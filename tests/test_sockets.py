@@ -154,7 +154,7 @@ def test_the_server_sleeps_once_per_request_and_never_for_a_zero_delay(
 
     monkeypatch.setattr(spo.sockets.time, "sleep", recording_sleep)
     monkeypatch.setattr(transport, "recv_frame", recording_recv_frame)
-    cfg = FAST.replace(rtt_base=rtt)
+    cfg = dataclasses.replace(FAST, rtt_base=rtt)
     server = _serve(quick_spec, cfg)
     try:
         m = edge_connect_run(
@@ -179,7 +179,7 @@ def test_a_socket_episode_runs_the_edge_on_every_tick(quick_spec, monkeypatch):
         return edge_tick(self, observed, tick_index)
 
     monkeypatch.setattr(EdgeSession, "edge_tick", counting)
-    cfg = FAST.replace(rtt_base=0.06)
+    cfg = dataclasses.replace(FAST, rtt_base=0.06)
     server = _serve(quick_spec, cfg)
     try:
         result = edge_connect_run(
@@ -286,7 +286,7 @@ def test_socket_edge_installs_only_the_response_to_the_request_in_flight(quick_s
 
 def test_socket_first_request_carries_the_virtual_start_state(quick_spec):
     spec = dataclasses.replace(quick_spec, start_jitter=0.05)
-    cfg = FAST.replace(rng_seed=7)
+    cfg = dataclasses.replace(FAST, rng_seed=7)
     port, seen, thread = _peer(_hang_up)
     edge_connect_run(("127.0.0.1", port), spec, cfg, BaselineKind.SPO, 3, WeightMatrix(np.ones(4)))
     thread.join(timeout=5)
@@ -297,7 +297,7 @@ def test_socket_first_request_carries_the_virtual_start_state(quick_spec):
 
 
 def test_server_session_n_plays_episode_seed_s_plus_n_minus_1(quick_spec):
-    cfg = FAST.replace(rng_seed=5)
+    cfg = dataclasses.replace(FAST, rng_seed=5)
     drift = {"drift_bias": 8e-4, "drift_noise": 2e-4}
     server = CloudServer(0, quick_spec, cfg, BaselineKind.SPO, model_kind="drifted", **drift)
     thread = threading.Thread(target=server.serve_forever, daemon=True)

@@ -178,11 +178,6 @@ def test_sample_delay_uniform_moments():
     assert abs(draws.mean() - 0.075) < 0.001
 
 
-def test_latency_model_rejects_negative():
-    with pytest.raises(ValueError):
-        LatencyModel(-0.01, 0.0, np.random.default_rng(0))
-
-
 def test_episode_seeds_builds_the_halved_latency_model():
     cfg = SpoConfig(rtt_base=0.15, jitter_half_width=0.03, rng_seed=2)
     _, model, _ = episode_seeds(cfg, 5)

@@ -120,6 +120,10 @@ def test_validate_config_epsilon_violation():
     assert "epsilon_base > 0 violated" in _build_errors(epsilon_base=0.0)
 
 
+def test_validate_config_negative_rtt_violation():
+    assert "rtt_base >= 0 violated" in _build_errors(rtt_base=-0.01)
+
+
 def test_validate_config_reports_all_violations():
     errs = _build_errors(epsilon_base=-1.0, k_min=5, k_max=2, beta=0)
     assert len(errs) >= 3
