@@ -9,12 +9,14 @@ Frame layout (all little-endian):
                payload = tuple_count * 4 * (d_s + d_a) bytes,
                each tuple packed as state then action float32s
 
-A decoder raises :class:`FrameError`, and nothing else, for every malformed frame:
-the domain types check the values. Socket mode prefixes every frame with a 4B
-length, at most :data:`MAX_FRAME_BYTES`. Both modes draw delays from one
-:class:`LatencyModel`, an uplink leg then a downlink leg per request. The harness
-delivers both legs through a :class:`VirtualChannel` on virtual time; in socket
-mode the server sleeps both legs of each request before handling it.
+A decoder raises :class:`FrameError`, and nothing else, for every malformed frame.
+:mod:`spo.types` checks the values, a response payload once per frame rather than
+once per tuple; the encoder narrows a whole response to float32 in one pass.
+Socket mode prefixes every frame with a 4B length, at most :data:`MAX_FRAME_BYTES`.
+Both modes draw delays from one :class:`LatencyModel`, an uplink leg then a
+downlink leg per request. The harness delivers both legs through a
+:class:`VirtualChannel` on virtual time; in socket mode the server sleeps both
+legs of each request before handling it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cloud import RolloutRequest, RolloutResponse
-from .types import ActionVector, SpeculativeTuple, StateVector
+from .types import SpeculativeTuple, StateVector, vector_rows
 
 FRAME_TYPE_REQUEST = 1
 FRAME_TYPE_RESPONSE = 2
@@ -55,10 +57,6 @@ def _narrow(values: np.ndarray) -> bytes:
     return flat.tobytes()
 
 
-def _widen(payload: bytes) -> np.ndarray:
-    return np.frombuffer(payload, dtype="<f4").astype(np.float64)
-
-
 def _unpack(frame: bytes, ftype: int, header: struct.Struct, stride: int) -> tuple:
     """``(request_id, step_index, *header, payload)``; header[-1] counts ``stride``-byte items."""
     start = _COMMON.size + header.size
@@ -73,12 +71,10 @@ def _unpack(frame: bytes, ftype: int, header: struct.Struct, stride: int) -> tup
     return (request_id, step_index, *fields, frame[start:])
 
 
-def _tuples(flat: np.ndarray, d_s: int, d_a: int, first_step: int) -> tuple:
+def _tuples(payload: bytes, d_s: int, d_a: int, first_step: int) -> tuple:
     try:
-        return tuple(
-            SpeculativeTuple(StateVector(row[:d_s]), ActionVector(row[d_s:]), first_step + i)
-            for i, row in enumerate(flat.reshape(-1, d_s + d_a))
-        )
+        rows = vector_rows(np.frombuffer(payload, dtype="<f4"), d_s, d_a)
+        return tuple(SpeculativeTuple(s, a, first_step + i) for i, (s, a) in enumerate(rows))
     except ValueError as exc:
         raise FrameError(f"bad tuple: {exc}") from None
 
@@ -91,7 +87,7 @@ def encode_tuple(t: SpeculativeTuple) -> bytes:
 def decode_tuple(data: bytes, d_s: int, d_a: int, step_index: int = 0) -> SpeculativeTuple:
     if len(data) != 4 * (d_s + d_a):
         raise FrameError(f"tuple payload is {len(data)} bytes, expected {4 * (d_s + d_a)}")
-    return _tuples(_widen(data), d_s, d_a, step_index)[0]
+    return _tuples(data, d_s, d_a, step_index)[0]
 
 
 def encode_request(request_id: int, req: RolloutRequest) -> bytes:
@@ -108,19 +104,25 @@ def encode_request(request_id: int, req: RolloutRequest) -> bytes:
 def decode_request(frame: bytes) -> tuple[int, RolloutRequest]:
     rid, step, violation_error, _, payload = _unpack(frame, FRAME_TYPE_REQUEST, _REQ_HEADER, 4)
     try:
-        return rid, RolloutRequest(StateVector(_widen(payload)), float(violation_error), step)
+        state = StateVector(np.frombuffer(payload, dtype="<f4"))
+        return rid, RolloutRequest(state, float(violation_error), step)
     except ValueError as exc:
         raise FrameError(f"bad request: {exc}") from None
 
 
 def encode_response(request_id: int, resp: RolloutResponse, step_index: int = 0) -> bytes:
-    common = _COMMON.pack(FRAME_TYPE_RESPONSE, request_id, step_index)
-    return common + _RESP_HEADER.pack(len(resp.tuples)) + b"".join(map(encode_tuple, resp.tuples))
+    """One frame; all tuples' floats are joined, then narrowed and checked once."""
+    count = len(resp.tuples)
+    head = _COMMON.pack(FRAME_TYPE_RESPONSE, request_id, step_index) + _RESP_HEADER.pack(count)
+    if not count:
+        return head
+    values = [v for t in resp.tuples for v in (t.predicted_state.values, t.action.values)]
+    return head + _narrow(np.concatenate(values))
 
 
 def decode_response(frame: bytes, d_s: int, d_a: int) -> tuple[int, RolloutResponse]:
     rid, step, count, payload = _unpack(frame, FRAME_TYPE_RESPONSE, _RESP_HEADER, 4 * (d_s + d_a))
-    return rid, RolloutResponse(_tuples(_widen(payload), d_s, d_a, step + 1), horizon_used=count)
+    return rid, RolloutResponse(_tuples(payload, d_s, d_a, step + 1), horizon_used=count)
 
 
 @dataclass
@@ -202,13 +204,24 @@ def recv_frame(sock) -> bytes | None:
 
 
 def _recv_exact(sock, n: int) -> bytes | None:
-    """``n`` bytes; None on EOF before the first, FrameError on EOF after it."""
-    buf = b""
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            if buf:
-                raise FrameError(f"connection closed after {len(buf)} of {n} bytes")
-            return None
-        buf += chunk
-    return buf
+    """``n`` bytes; None on EOF before the first, FrameError on EOF after it.
+
+    One plain ``recv`` usually returns the whole frame. Otherwise the rest is
+    read into one buffer of ``n`` bytes, so a frame that arrives in many small
+    pieces costs linear, not quadratic, copying.
+    """
+    first = sock.recv(n)
+    if len(first) == n:
+        return first
+    if not first:
+        return None
+    buf = bytearray(n)
+    view = memoryview(buf)
+    got = len(first)
+    view[:got] = first
+    while got < n:
+        k = sock.recv_into(view[got:])
+        if not k:
+            raise FrameError(f"connection closed after {got} of {n} bytes")
+        got += k
+    return bytes(buf)

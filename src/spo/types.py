@@ -48,6 +48,29 @@ def _as_finite_vector(values, what: str) -> np.ndarray:
     return arr
 
 
+def vector_rows(values, d_s: int, d_a: int) -> list:
+    """A ``(StateVector, ActionVector)`` pair per ``d_s + d_a`` row of the flat ``values``.
+
+    The whole array is checked once by :func:`_as_finite_vector`; each vector
+    then holds a read-only row view of that checked copy, which is what its
+    own constructor would build, without a check per row.
+    """
+    if d_s < 1 or d_a < 1:
+        raise DimensionError(f"row dimensions must be >= 1, got d_s={d_s}, d_a={d_a}")
+    if len(values) == 0:
+        return []
+    rows = _as_finite_vector(values, "rows").reshape(-1, d_s + d_a)
+    return [(_checked(StateVector, s), _checked(ActionVector, a))
+            for s, a in zip(rows[:, :d_s], rows[:, d_s:])]
+
+
+def _checked(cls, values: np.ndarray):
+    """A ``cls`` holding ``values``, a view of an array :func:`_as_finite_vector` checked."""
+    vec = object.__new__(cls)
+    object.__setattr__(vec, "values", values)
+    return vec
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Dense real state vector of length d_s (normalized components)."""

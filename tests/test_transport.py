@@ -136,6 +136,69 @@ def test_response_roundtrip_reconstructs_step_indices():
     assert resp.horizon_used == 5
 
 
+def _per_tuple_encode_response(request_id, resp, step_index=0):
+    """The per-tuple encoder, the reference for the whole-frame one: each tuple narrowed alone."""
+    head = struct.pack("<BIIH", FRAME_TYPE_RESPONSE, request_id, step_index, len(resp.tuples))
+    return head + b"".join(encode_tuple(t) for t in resp.tuples)
+
+
+def _per_tuple_decode_payload(payload, d_s, d_a, first_step):
+    """The per-tuple decoder, the reference for the whole-frame one: each vector built alone."""
+    flat = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+    return tuple(
+        SpeculativeTuple(StateVector(row[:d_s]), ActionVector(row[d_s:]), first_step + i)
+        for i, row in enumerate(flat.reshape(-1, d_s + d_a))
+    )
+
+
+@pytest.mark.parametrize("d_s", [1, 8, 148])
+@pytest.mark.parametrize("k", [1, 2, 10])
+def test_whole_frame_codec_matches_the_per_tuple_reference(k, d_s):
+    d_a = 8
+    rng = np.random.default_rng(100 * k + d_s)
+    resp = RolloutResponse(tuple(_random_tuple(rng, d_s, d_a, step=21 + i) for i in range(k)), k)
+    frame = encode_response(9, resp, step_index=20)
+    assert frame == _per_tuple_encode_response(9, resp, step_index=20)
+    rid, back = decode_response(frame, d_s, d_a)
+    expected = _per_tuple_decode_payload(frame[11:], d_s, d_a, 21)
+    assert rid == 9 and back.horizon_used == k
+    assert [t.step_index for t in back.tuples] == [t.step_index for t in expected]
+    for got, want in zip(back.tuples, expected, strict=True):
+        for vec, ref in ((got.predicted_state, want.predicted_state), (got.action, want.action)):
+            assert type(vec) is type(ref)
+            assert vec.values.dtype == np.float64 and vec.values.ndim == 1
+            assert not vec.values.flags.writeable
+            assert vec.values.tobytes() == ref.values.tobytes()
+
+
+def test_overflow_only_in_the_last_tuples_action_fails_the_frame_encode():
+    rng = np.random.default_rng(5)
+    tuples = [_random_tuple(rng, 8, 8, step=1 + i) for i in range(10)]
+    action = tuples[-1].action.values.copy()
+    action[-1] = 1e39  # finite in float64, beyond float32
+    tuples[-1] = SpeculativeTuple(tuples[-1].predicted_state, ActionVector(action), 10)
+    resp = RolloutResponse(tuple(tuples), 10)
+    for encode in (encode_response, _per_tuple_encode_response):
+        with pytest.raises(FrameError, match="non-finite"):
+            encode(1, resp)
+
+
+def test_nan_as_the_last_payload_float_fails_the_frame_decode():
+    rng = np.random.default_rng(6)
+    resp = RolloutResponse(tuple(_random_tuple(rng, 8, 8, step=1 + i) for i in range(10)), 10)
+    frame = encode_response(1, resp)[:-4] + struct.pack("<f", math.nan)
+    with pytest.raises(FrameError, match="non-finite"):
+        decode_response(frame, 8, 8)
+
+
+def test_decode_refuses_an_empty_state_or_action_dimension():
+    tup = SpeculativeTuple(StateVector([1.0, 2.0]), ActionVector([3.0]), 1)
+    frame = encode_response(1, RolloutResponse((tup,), 1))
+    for d_s, d_a in ((0, 3), (3, 0)):
+        with pytest.raises(FrameError):
+            decode_response(frame, d_s, d_a)
+
+
 def test_response_type_mismatch_raises():
     req = RolloutRequest(StateVector([1.0]), 0.0, 0)
     with pytest.raises(FrameError):
@@ -162,6 +225,46 @@ def test_recv_frame_rejects_every_truncation():
             else:
                 assert recv_frame(b) == frame
                 assert recv_frame(b) is None
+
+
+class _Trickle:
+    """A socket stand-in that hands over ``wire`` at most ``chunk`` bytes per call, then EOF.
+
+    Any call after ``budget_s`` seconds fails the test, so a slow reader fails
+    fast instead of running on.
+    """
+
+    def __init__(self, wire: bytes, chunk: int, budget_s: float):
+        self.wire, self.chunk, self.pos = memoryview(wire), chunk, 0
+        self.deadline = time.perf_counter() + budget_s
+
+    def _take(self, n: int) -> memoryview:
+        assert time.perf_counter() < self.deadline, f"still reading after {self.pos} bytes"
+        piece = self.wire[self.pos:self.pos + min(n, self.chunk)]
+        self.pos += len(piece)
+        return piece
+
+    def recv(self, n: int) -> bytes:
+        return bytes(self._take(n))
+
+    def recv_into(self, buf) -> int:
+        piece = self._take(len(buf))
+        buf[:len(piece)] = piece
+        return len(piece)
+
+
+def test_recv_frame_reads_a_frame_in_small_pieces_in_linear_time():
+    body = np.random.default_rng(7).bytes(8 * 1024 * 1024)
+    wire = struct.pack("<I", len(body)) + body
+    # 32 768 reads of 256 bytes: tens of ms if each copies its piece once, and
+    # many seconds if each copies everything read so far.
+    sock = _Trickle(wire, chunk=256, budget_s=3.0)
+    assert recv_frame(sock) == body
+    assert recv_frame(sock) is None
+    with pytest.raises(FrameError, match="closed after"):
+        recv_frame(_Trickle(wire[:-1], chunk=256, budget_s=3.0))
+    with pytest.raises(FrameError, match="closed after 2 of 4"):
+        recv_frame(_Trickle(wire[:2], chunk=1, budget_s=3.0))
 
 
 def test_sample_delay_degenerate_cases():
@@ -311,3 +414,8 @@ def test_float32_vectors_round_trip_exactly(rid, step, violation, state, d_s, ro
     back_rid, resp = decode_response(frame, d_s, 5 - d_s)
     assert back_rid == rid and resp.horizon_used == len(rows)
     assert resp.tuples == tuples
+    decoded = [req.observed_state] + [v for t in resp.tuples for v in (t.predicted_state, t.action)]
+    for vec in decoded:
+        assert not vec.values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            vec.values[0] = 0.0
