@@ -206,9 +206,10 @@ def recv_frame(sock) -> bytes | None:
 def _recv_exact(sock, n: int) -> bytes | None:
     """``n`` bytes; None on EOF before the first, FrameError on EOF after it.
 
-    One plain ``recv`` usually returns the whole frame. Otherwise the rest is
-    read into one buffer of ``n`` bytes, so a frame that arrives in many small
-    pieces costs linear, not quadratic, copying.
+    One plain ``recv`` returns every length prefix and frame of a loopback
+    serve round trip whole, and is cheaper than the buffered loop. Otherwise
+    the rest is read into one buffer of ``n`` bytes, so a frame that arrives
+    in many small pieces costs linear, not quadratic, copying.
     """
     first = sock.recv(n)
     if len(first) == n:
