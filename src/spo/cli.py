@@ -59,7 +59,6 @@ def _int_in(low: int, high: int | None = None):
 FLAGS = {
     "config": dict(help="flat key=value config file"),
     "env": dict(default="free_space", help="canonical name or spec file path"),
-    "disturbances": dict(help="CSV disturbance schedule for a spec file"),
     "kind": dict(default="spo", choices=[k.value for k in BaselineKind]),
     **{flag: dict(type=type(getattr(SpoConfig, field))) for flag, field in NET_FLAGS.items()},
     "seed": dict(help="base seed (default $SPO_SEED, else the config's rng_seed, else 0)"),
@@ -106,11 +105,8 @@ def _config_echo(cfg: SpoConfig, world: dict) -> dict:
 
 
 def _spec(args):
-    disturbances = getattr(args, "disturbances", None)
     if os.path.exists(args.env):
-        return load_environment(args.env, disturbances_csv=disturbances)
-    if disturbances:
-        raise ConfigError([f"--disturbances needs a spec file, not environment {args.env!r}"])
+        return load_environment(args.env)
     try:
         return get_spec(args.env)
     except KeyError as exc:
@@ -240,14 +236,14 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     subcommand("run", cmd_run, "run one episode on the virtual clock",
-               f"config env disturbances kind {net} seed out {drift} weights")
+               f"config env kind {net} seed out {drift} weights")
 
     p = subcommand("compare", cmd_compare, "run all baselines over a seed list",
-                   f"config env disturbances {net} seed out {drift} weights")
+                   f"config env {net} seed out {drift} weights")
     p.add_argument("--seeds", type=_int_in(1), default=5, help="number of seeds from the base seed")
 
     p = subcommand("sweep", cmd_sweep, "vary one config parameter",
-                   f"config env disturbances kind {net} seed out {drift} weights")
+                   f"config env kind {net} seed out {drift} weights")
     p.add_argument("--param", required=True)
     p.add_argument("--from", dest="from_", type=float, required=True)
     p.add_argument("--to", dest="to", type=float, required=True)
@@ -264,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=_int_in(0, 0xFFFF), default=0)
 
     p = subcommand("edge-connect", cmd_run, "run the edge loop against a remote endpoint",
-                   "config env disturbances kind epsilon seed out weights")
+                   "config env kind epsilon seed out weights")
     p.add_argument("--addr", required=True, help="cloud endpoint, host:port")
 
     return parser

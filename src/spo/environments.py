@@ -9,18 +9,21 @@ Three canonical specs mirror an increasing-complexity ladder:
 Physics are intentionally simple: positions integrate velocity actions, and a
 zero action is a physical stop (state frozen). Scheduled disturbances add a
 state offset at a fixed control tick, standing in for contact events.
+
+A custom task is one ``key = value`` spec file (see :func:`load_environment`),
+its disturbances included: ``disturbance_schedule = 220: 0.45,-0.35,0,0; 520: ...``
+lists each step index with a full offset vector, in increasing step order.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .types import (
-    ActionVector, ConfigError, DimensionError, StateVector, parse_config_text, read_text,
+    ActionVector, ConfigError, DimensionError, StateVector, parse_config_file, parse_vector,
 )
 
 
@@ -48,19 +51,30 @@ class EnvironmentSpec:
     def __post_init__(self):
         if self.d_s < 1 or self.d_a < 1:
             raise DimensionError("d_s and d_a must be >= 1")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
         if self.d_s != self.d_a:
             raise DimensionError("d_s must equal d_a: the action is the velocity of the state")
+        errors = [f"{name} = {value} is not finite" for name, value in vars(self).items()
+                  if isinstance(value, float) and not math.isfinite(value)]
+        violated = {"max_steps >= 1": self.max_steps < 1, "dt > 0": self.dt <= 0,
+                    "goal_radius >= 0": self.goal_radius < 0,
+                    "start_jitter >= 0": self.start_jitter < 0}
+        errors += [f"{rule} violated" for rule, bad in violated.items() if bad]
         steps = [s for s, _ in self.disturbance_schedule]
         if steps != sorted(set(steps)):
-            raise ValueError("disturbance step indices must be strictly increasing")
+            errors.append("disturbance step indices must be strictly increasing")
         sized = [("waypoint", w) for w in self.waypoints]
         sized += [("disturbance offset", o) for _, o in self.disturbance_schedule]
         sized += [("goal_center", self.goal_center), ("start", self.start)]
         for label, vector in sized:
-            if vector is not None and np.asarray(vector).size != self.d_s:
-                raise DimensionError(f"{label} must have {self.d_s} components")
+            if vector is None:
+                continue
+            values = np.asarray(vector, dtype=np.float64)
+            if values.size != self.d_s:
+                errors.append(f"{label} must have {self.d_s} components")
+            elif not np.isfinite(values).all():
+                errors.append(f"{label} contains non-finite entries")
+        if errors:
+            raise ConfigError(errors)
 
 
 def true_step(
@@ -159,53 +173,34 @@ def get_spec(name: str) -> EnvironmentSpec:
     return specs[name]
 
 
-def load_disturbances_csv(path, d_s: int) -> tuple:
-    """Read a (step_index, dim, offset) CSV into a disturbance schedule."""
-    offsets: dict[int, np.ndarray] = {}
-    reader = csv.reader(read_text(path).splitlines())
-    for row in reader:
-        if not row or row[0].strip().startswith("#") or row[0].strip() == "step_index":
-            continue
-        where = f"{path}:{reader.line_num}"
-        try:
-            step, dim, offset = int(row[0]), int(row[1]), float(row[2])
-        except (IndexError, ValueError):
-            raise ConfigError([f"{where}: expected step_index,dim,offset, got {row}"]) from None
-        if not (0 <= dim < d_s):
-            raise ConfigError([f"{where}: disturbance dim {dim} out of range for d_s={d_s}"])
-        offsets.setdefault(step, np.zeros(d_s))[dim] += offset
-    return tuple(sorted((s, v) for s, v in offsets.items()))
-
-
-def _vector(text: str) -> np.ndarray:
-    return np.array([float(x) for x in text.split(",")])
+def _schedule(text: str) -> tuple:
+    entries = [entry.split(":") for entry in text.split(";") if entry.strip()]
+    return tuple((int(step), parse_vector(offset)) for step, offset in entries)
 
 
 # The keys of a spec file, each with the converter of its value.
 _SPEC_FIELD_TYPES = {
     "name": str, "d_s": int, "d_a": int, "dt": float,
     "max_steps": int, "goal_radius": float, "start_jitter": float, "gain": float,
-    "a_max": float, "goal_center": _vector, "start": _vector,
-    "waypoints": lambda text: tuple(_vector(p) for p in text.split(";") if p.strip()),
+    "a_max": float, "goal_center": parse_vector, "start": parse_vector,
+    "waypoints": lambda text: tuple(parse_vector(p) for p in text.split(";") if p.strip()),
+    "disturbance_schedule": _schedule,
 }
 
 
-def load_environment(path, disturbances_csv=None) -> EnvironmentSpec:
-    """Load an environment spec from the flat key-value config format.
+def load_environment(path) -> EnvironmentSpec:
+    """Load an environment spec from a ``key = value`` spec file.
 
-    ``d_s`` and ``d_a`` are required; ``goal_center`` defaults to the last
-    waypoint. Any fault in the file raises :class:`~spo.types.ConfigError`.
+    The keys are the fields of :class:`EnvironmentSpec`. ``d_s`` and ``d_a``
+    are required; ``goal_center`` defaults to the last waypoint. A vector is
+    comma-separated floats, ``waypoints`` separates its vectors with ``;``, and
+    ``disturbance_schedule`` is ``step: offset; step: offset; ...``. Any fault
+    in the file raises :class:`~spo.types.ConfigError` naming ``path``.
     """
-    values = parse_config_text(read_text(path), _SPEC_FIELD_TYPES)
-    missing = [f"missing required key {key!r}" for key in ("d_s", "d_a") if key not in values]
-    if missing:
-        raise ConfigError(missing)
-    values = {"name": "custom", **values}
+    values = {"name": "custom", **parse_config_file(path, _SPEC_FIELD_TYPES, ("d_s", "d_a"))}
     if values.get("waypoints"):
         values.setdefault("goal_center", values["waypoints"][-1])
-    if disturbances_csv is not None:
-        values["disturbance_schedule"] = load_disturbances_csv(disturbances_csv, values["d_s"])
     try:
         return EnvironmentSpec(**values)
     except ValueError as exc:
-        raise ConfigError([f"{path}: {exc}"]) from None
+        raise ConfigError([f"{path}: {err}" for err in getattr(exc, "errors", [exc])]) from None

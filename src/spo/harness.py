@@ -32,7 +32,8 @@ from .cloud import DRIFT_BIAS, DRIFT_NOISE, CloudSession, Policy, make_model, ma
 from .edge import EdgeSession, Outcome, StepRecord
 from .environments import EnvironmentSpec, is_success, start_state, true_step
 from .transport import LatencyModel, VirtualChannel
-from .types import ConfigError, SpoConfig, StateVector, WeightMatrix, read_text, validate_config
+from .types import (ConfigError, SpoConfig, StateVector, WeightMatrix, parse_config_file,
+                    parse_vector, validate_config)
 
 
 class CalibrationError(RuntimeError):
@@ -436,23 +437,14 @@ def run_json_document(m: RunMetrics, cfg: SpoConfig, extra: dict | None = None) 
 
 
 def save_weights(path, weights: WeightMatrix) -> None:
-    lines = ["# inverse-variance weights, one per state dimension"]
-    lines += [repr(float(w)) for w in weights.inverse_variances]
-    write_atomic(path, "\n".join(lines) + "\n")
+    """Write ``weights = w1, ..., wd``, each inverse variance as its exact ``repr``."""
+    write_atomic(path, f"weights = {', '.join(map(repr, weights.inverse_variances.tolist()))}\n")
 
 
 def load_weights(path) -> WeightMatrix:
-    """Read a weights file, one number per line; any fault in it is a :class:`ConfigError`."""
-    values = []
-    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            values.append(float(line))
-        except ValueError:
-            raise ConfigError([f"{path}:{lineno}: expected a number, got {raw!r}"]) from None
+    """Read a file :func:`save_weights` wrote; any fault in it is a :class:`ConfigError`."""
+    values = parse_config_file(path, {"weights": parse_vector}, required=("weights",))
     try:
-        return WeightMatrix(np.asarray(values))
+        return WeightMatrix(values["weights"])
     except ValueError as exc:
         raise ConfigError([f"{path}: {exc}"]) from None

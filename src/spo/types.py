@@ -223,43 +223,49 @@ def validate_config(cfg: SpoConfig, spec=None) -> SpoConfig:
     return cfg
 
 
-def parse_config_text(text: str, field_types: dict = _CONFIG_FIELD_TYPES) -> dict:
-    """Parse the flat ``key = value`` format ('#' starts a comment).
+def parse_vector(text: str) -> np.ndarray:
+    """The value of a vector key: comma-separated floats."""
+    return np.array([float(x) for x in text.split(",")])
 
-    ``field_types`` maps each allowed key to the converter of its value.
+
+def parse_config_file(path, field_types: dict = _CONFIG_FIELD_TYPES, required=()) -> dict:
+    """The values of a UTF-8 ``key = value`` file ('#' starts a comment).
+
+    Every input file has this format. ``field_types`` maps each allowed key to
+    the converter of its value, and each key of ``required`` must appear. Any
+    fault is a :class:`ConfigError` that names ``path`` (and the line).
     """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError([f"cannot read {path}: {reason}"]) from None
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError([f"line {lineno}: expected 'key = value', got {raw!r}"])
+            raise ConfigError([f"{path}:{lineno}: expected 'key = value', got {raw!r}"])
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
         if key not in field_types:
-            raise ConfigError([f"line {lineno}: unknown config key {key!r}"])
+            raise ConfigError([f"{path}:{lineno}: unknown config key {key!r}"])
         try:
             values[key] = field_types[key](value)
         except ValueError:
-            raise ConfigError([f"line {lineno}: bad value for {key}: {value!r}"]) from None
+            raise ConfigError([f"{path}:{lineno}: bad value for {key}: {value!r}"]) from None
+    missing = [f"{path}: missing required key {key!r}" for key in required if key not in values]
+    if missing:
+        raise ConfigError(missing)
     return values
-
-
-def read_text(path) -> str:
-    """The UTF-8 text of an input file, or :class:`ConfigError` if it cannot be read."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        reason = getattr(exc, "strerror", None) or exc
-        raise ConfigError([f"cannot read {path}: {reason}"]) from None
 
 
 def load_config(path=None, overrides: dict | None = None) -> SpoConfig:
     """The defaults, under a config file if ``path`` is given, under CLI-style overrides."""
-    values = parse_config_text(read_text(path)) if path else {}
+    values = parse_config_file(path) if path else {}
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
     return SpoConfig(**values)

@@ -9,6 +9,7 @@ import pytest
 
 from spo import cli, harness, sockets
 from spo.cloud import DRIFT_BIAS, DRIFT_NOISE
+from spo.environments import get_spec
 from spo.types import SpoConfig
 
 
@@ -109,15 +110,20 @@ def test_calibrate_writes_loadable_weights(tmp_path):
 
 
 def test_run_accepts_precomputed_weights(tmp_path):
-    wpath = tmp_path / "w.txt"
+    wpath, calibrated, precomputed = tmp_path / "w.txt", tmp_path / "cal", tmp_path / "pre"
     assert cli.main([
         "calibrate", "--env", "free_space", "--weights-out", str(wpath),
         "--out", str(tmp_path),
     ]) == 0
+    expected = harness.calibrate_weights(get_spec("free_space"), seed=0)
+    assert harness.load_weights(wpath) == expected  # the file round-trips every bit
+    assert cli.main(["run", "--env", "free_space", "--out", str(calibrated)]) == 0
     assert cli.main([
         "run", "--env", "free_space", "--weights", str(wpath),
-        "--out", str(tmp_path),
+        "--out", str(precomputed),
     ]) == 0
+    name = "run_spo_free_space_0.json"
+    assert (precomputed / name).read_bytes() == (calibrated / name).read_bytes()
 
 
 def test_invalid_config_exits_two(tmp_path, capsys):
@@ -336,17 +342,24 @@ def test_bad_environment_file_exits_two(tmp_path, capsys):
     env_path.write_text("d_a = 4\n")
     code = cli.main(["run", "--env", str(env_path), "--out", str(tmp_path)])
     assert code == 2
-    assert "config error: missing required key 'd_s'" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"config error: {env_path}: missing required key 'd_s'\n"
+
+
+def test_a_parse_fault_names_its_file(tmp_path, capsys):
+    spec_path = tmp_path / "b.cfg"
+    spec_path.write_text("d_s = 2\nd_a = 2\n")
+    code = cli.main(["run", "--config", str(spec_path), "--env", str(spec_path),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {spec_path}:1: unknown config key 'd_s'\n"
 
 
 @pytest.mark.parametrize(
     "argv, message",
     [
         (["--env", "missing.cfg"], "unknown environment 'missing.cfg'"),
-        (["--env", "free_space", "--disturbances", "missing.csv"],
-         "--disturbances needs a spec file"),
     ],
-    ids=["unknown-env", "disturbances-without-spec-file"],
+    ids=["unknown-env"],
 )
 def test_environment_errors_exit_two(tmp_path, capsys, argv, message):
     code = cli.main(["run", *argv, "--out", str(tmp_path)])
@@ -356,16 +369,13 @@ def test_environment_errors_exit_two(tmp_path, capsys, argv, message):
 
 
 @pytest.mark.parametrize(
-    "flag", ["--config", "--env", "--disturbances", "--weights"],
+    "flag", ["--config", "--env", "--weights"],
 )
 def test_unreadable_local_file_is_a_config_error(tmp_path, capsys, flag):
-    spec = tmp_path / "spec.cfg"
-    spec.write_text("d_s = 2\nd_a = 2\nwaypoints = 1.0,1.0\n")
     bad = str(tmp_path / "missing.txt")
     argv = {
         "--config": ["--config", bad],
         "--env": ["--env", str(tmp_path)],  # exists, but is a directory
-        "--disturbances": ["--env", str(spec), "--disturbances", bad],
         "--weights": ["--weights", bad],
     }[flag]
     code = cli.main(["run", *argv, "--out", str(tmp_path / "out")])
@@ -378,20 +388,22 @@ def test_unreadable_local_file_is_a_config_error(tmp_path, capsys, flag):
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("1.0\nabc\n", "w.txt:2: expected a number, got 'abc'"),
-        ("# only a comment\n", "w.txt: weights must have at least one component"),
-        ("1.0\n" * 7 + "-1.0\n", "w.txt: weights must be strictly positive"),
-        ("1.0\n" * 7 + "nan\n", "w.txt: weights contains non-finite entries"),
-        ("1.0\n" * 3, "w.txt: 3 weights, expected d_s = 8"),
+        ("weights = 1.0, abc\n", "w.txt:1: bad value for weights: '1.0, abc'"),
+        ("# only a comment\n", "w.txt: missing required key 'weights'"),
+        ("weights = " + "1.0, " * 7 + "-1.0\n", "w.txt: weights must be strictly positive"),
+        ("weights = " + "1.0, " * 7 + "nan\n", "w.txt: weights contains non-finite entries"),
+        ("weights = 1.0, 1.0, 1.0\n", "w.txt: 3 weights, expected d_s = 8"),
+        ("1.0\n" * 8, "w.txt:1: expected 'key = value', got '1.0'"),
     ],
-    ids=["non-numeric", "empty", "non-positive", "nan", "wrong-count"],
+    ids=["non-numeric", "empty", "non-positive", "nan", "wrong-count", "one-number-per-line"],
 )
 def test_bad_weights_file_exits_two_before_the_run(tmp_path, capsys, text, message):
-    (tmp_path / "w.txt").write_text(text)
-    code = cli.main(["run", "--weights", str(tmp_path / "w.txt"), "--out", str(tmp_path)])
+    path = tmp_path / "w.txt"
+    path.write_text(text)
+    code = cli.main(["run", "--weights", str(path), "--out", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and message in err, err
+    assert err.startswith(f"config error: {tmp_path}/{message}"), err
     assert not list(tmp_path.glob("run_*.json"))
 
 
@@ -458,6 +470,34 @@ def test_compare_csv_is_byte_identical_to_the_pinned_digest(tmp_path, env, model
     assert hashlib.sha256(csv).hexdigest() == COMPARE_CSV_SHA256[env, model]
 
 
+def test_a_spec_file_spelling_out_multi_stage_gives_the_canonical_results(tmp_path):
+    spec = get_spec("multi_stage")
+
+    def vector(values):
+        return ",".join(map(repr, values.tolist()))
+
+    env_path = tmp_path / "multi_stage.cfg"
+    env_path.write_text(
+        f"name = {spec.name}\nd_s = {spec.d_s}\nd_a = {spec.d_a}\ndt = {spec.dt!r}\n"
+        f"max_steps = {spec.max_steps}\ngoal_radius = {spec.goal_radius!r}\n"
+        f"start_jitter = {spec.start_jitter!r}\ngain = {spec.gain!r}\na_max = {spec.a_max!r}\n"
+        f"waypoints = {'; '.join(map(vector, spec.waypoints))}\n"
+        # the second bump's zeros are -0.0: the drifted model hashes the state bytes
+        "disturbance_schedule = "
+        + "; ".join(f"{step}: {vector(offset)}" for step, offset in spec.disturbance_schedule)
+        + "\n"
+    )
+    assert "520: -0.45,0.35,-0.0," in env_path.read_text()
+    outputs = {}
+    for env in ("multi_stage", str(env_path)):
+        out = tmp_path / str(len(outputs))
+        argv = ["compare", "--env", env, "--model", "drifted", "--seeds", "2", "--seed", "0"]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        outputs[env] = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert "compare_multi_stage.csv" in outputs["multi_stage"]
+    assert outputs[str(env_path)] == outputs["multi_stage"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -483,6 +523,10 @@ def test_compare_csv_is_byte_identical_to_the_pinned_digest(tmp_path, env, model
         *(["calibrate", flag, "1"] for flag in
           ["--rtt", "--jitter", "--kmin", "--kmax", "--beta", "--epsilon", "--disturbances"]),
         ["serve", "--disturbances", "d.csv"],
+        *([command, *args, "--disturbances", "d.csv"] for command, args in [
+            ("run", []), ("compare", []),
+            ("sweep", ["--param", "k_max", "--from", "2", "--to", "4", "--steps", "2"]),
+            ("edge-connect", ["--addr", "127.0.0.1:1"])]),
         *(["edge-connect", "--addr", "127.0.0.1:1", flag, "5"]
           for flag in ["--kmin", "--kmax", "--beta", "--rtt", "--jitter"]),
         ["compare", "--jobs", "2"],

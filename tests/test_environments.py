@@ -9,7 +9,6 @@ from spo.environments import (
     canonical_specs,
     get_spec,
     is_success,
-    load_disturbances_csv,
     load_environment,
     start_state,
     true_step,
@@ -124,14 +123,18 @@ def test_expert_reaches_goal_without_network(name):
     assert is_success(spec, s)
 
 
-def test_load_disturbances_csv(tmp_path):
-    path = tmp_path / "bumps.csv"
-    path.write_text("step_index,dim,offset\n# comment\n100,0,5.0\n100,1,-1.0\n200,0,2.5\n")
-    schedule = load_disturbances_csv(path, d_s=3)
+def test_load_environment_reads_the_disturbance_schedule(tmp_path):
+    path = tmp_path / "bumps.cfg"
+    path.write_text(
+        "d_s = 3\nd_a = 3\n"
+        "# one full offset vector per step, steps in increasing order\n"
+        "disturbance_schedule = 100: 5.0,-1.0,0.0; 200: 2.5, 0, -0.0\n"
+    )
+    schedule = load_environment(path).disturbance_schedule
     assert [s for s, _ in schedule] == [100, 200]
     assert np.array_equal(schedule[0][1], [5.0, -1.0, 0.0])
-    with pytest.raises(ConfigError, match="bumps.csv:4: disturbance dim 1 out of range"):
-        load_disturbances_csv(path, d_s=1)
+    assert np.array_equal(schedule[1][1], [2.5, 0.0, 0.0])
+    assert np.signbit(schedule[1][1][2])  # -0.0 is read as written
 
 
 def test_load_environment_from_file(tmp_path):
@@ -153,36 +156,64 @@ def test_load_environment_from_file(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "text, disturbances, message",
+    "text, message",
     [
-        ("d_s = 4\nd_a = 4\ngoal_raduis = 0.2\n", None, "unknown config key 'goal_raduis'"),
-        ("d_s = 4\nd_a = 4\ngoal_radius 0.2\n", None, "expected 'key = value'"),
-        ("d_a = 4\n", None, "missing required key 'd_s'"),
-        ("d_s = 4\n", None, "missing required key 'd_a'"),
-        ("d_s = four\nd_a = 4\n", None, "bad value for d_s"),
-        ("d_s = 4\nd_a = 4\nwaypoints = 0.5,x,0.5,0.5\n", None, "bad value for waypoints"),
-        ("d_s = 4\nd_a = 4\ndynamics = integrator\n", None, "unknown config key 'dynamics'"),
-        ("d_s = 4\nd_a = 2\n", None, "d_s must equal d_a"),
-        ("d_s = 4\nd_a = 4\nwaypoints = 0.5,0.5,0.5\n", None, "waypoint must have 4 components"),
-        ("d_s = 4\nd_a = 4\ngoal_center = 1,2\n", None, "goal_center must have 4 components"),
-        ("d_s = 4\nd_a = 4\nstart = 0,0,0,0,0\n", None, "start must have 4 components"),
-        ("d_s = 4\nd_a = 4\n", "step_index,dim,offset\n10,1\n", "dist.csv:2: expected step_index"),
-        ("d_s = 4\nd_a = 4\n", "# bumps\n10,zero,1.0\n", "dist.csv:2: expected step_index"),
-        ("d_s = 4\nd_a = 4\n", "10,0,1.0\n20,4,1.0\n", "dist.csv:2: disturbance dim 4 out of range"),
+        ("d_s = 4\nd_a = 4\ngoal_raduis = 0.2\n", "env.cfg:3: unknown config key 'goal_raduis'"),
+        ("d_s = 4\nd_a = 4\ngoal_radius 0.2\n", "env.cfg:3: expected 'key = value'"),
+        ("d_a = 4\n", "env.cfg: missing required key 'd_s'"),
+        ("d_s = 4\n", "env.cfg: missing required key 'd_a'"),
+        ("d_s = four\nd_a = 4\n", "env.cfg:1: bad value for d_s"),
+        ("d_s = 4\nd_a = 4\nwaypoints = 0.5,x,0.5,0.5\n", "env.cfg:3: bad value for waypoints"),
+        ("d_s = 4\nd_a = 4\ndynamics = integrator\n", "unknown config key 'dynamics'"),
+        ("d_s = 4\nd_a = 2\n", "d_s must equal d_a"),
+        ("d_s = 4\nd_a = 4\nwaypoints = 0.5,0.5,0.5\n", "waypoint must have 4 components"),
+        ("d_s = 4\nd_a = 4\ngoal_center = 1,2\n", "goal_center must have 4 components"),
+        ("d_s = 4\nd_a = 4\nstart = 0,0,0,0,0\n", "start must have 4 components"),
+        ("d_s = 4\nd_a = 4\ndisturbance_schedule = 10: 0,1,0,0; 20\n",
+         "env.cfg:3: bad value for disturbance_schedule"),
+        ("d_s = 4\nd_a = 4\ndisturbance_schedule = 10: 0,zero,1.0,0\n",
+         "env.cfg:3: bad value for disturbance_schedule"),
+        ("d_s = 4\nd_a = 4\ndisturbance_schedule = 10: 0,0,0,0,1.0\n",
+         "env.cfg: disturbance offset must have 4 components"),
+        ("d_s = 4\nd_a = 4\ndisturbance_schedule = 20: 0,0,0,1; 10: 0,0,0,1\n",
+         "env.cfg: disturbance step indices must be strictly increasing"),
+        ("d_s = 2\nd_a = 2\nstart = nan,0\n", "env.cfg: start contains non-finite entries"),
+        ("d_s = 2\nd_a = 2\ngain = inf\n", "env.cfg: gain = inf is not finite"),
+        ("d_s = 2\nd_a = 2\ndt = nan\n", "env.cfg: dt = nan is not finite"),
+        ("d_s = 2\nd_a = 2\ndt = 0\n", "env.cfg: dt > 0 violated"),
+        ("d_s = 2\nd_a = 2\ngoal_radius = nan\n", "env.cfg: goal_radius = nan is not finite"),
+        ("d_s = 2\nd_a = 2\ngoal_radius = -0.1\n", "env.cfg: goal_radius >= 0 violated"),
+        ("d_s = 2\nd_a = 2\na_max = nan\n", "env.cfg: a_max = nan is not finite"),
+        ("d_s = 2\nd_a = 2\nstart_jitter = -1\n", "env.cfg: start_jitter >= 0 violated"),
+        ("d_s = 2\nd_a = 2\nwaypoints = 1,1; inf,1\n",
+         "env.cfg: waypoint contains non-finite entries"),
+        ("d_s = 2\nd_a = 2\ngoal_center = 1,nan\n",
+         "env.cfg: goal_center contains non-finite entries"),
+        ("d_s = 2\nd_a = 2\ndisturbance_schedule = 5: 0,-inf\n",
+         "env.cfg: disturbance offset contains non-finite entries"),
     ],
     ids=[
         "unknown-key", "no-equals", "missing-d_s", "missing-d_a", "bad-int",
         "bad-vector", "bad-dynamics", "spec-invariant", "short-waypoint", "short-goal",
-        "long-start", "short-row", "non-numeric-row", "dim-out-of-range",
+        "long-start", "short-row", "non-numeric-row", "dim-out-of-range", "unordered-schedule",
+        "start-nan", "gain-inf", "dt-nan", "dt-zero", "goal-radius-nan", "goal-radius-negative",
+        "a-max-nan", "start-jitter-negative", "waypoint-inf", "goal-center-nan", "offset-inf",
     ],
 )
-def test_load_environment_rejects_bad_files(tmp_path, text, disturbances, message):
+def test_load_environment_rejects_bad_files(tmp_path, text, message):
     path = tmp_path / "env.cfg"
     path.write_text(text)
-    csv_path = None
-    if disturbances is not None:
-        csv_path = tmp_path / "dist.csv"
-        csv_path.write_text(disturbances)
     with pytest.raises(ConfigError) as exc:
-        load_environment(path, disturbances_csv=csv_path)
+        load_environment(path)
     assert any(message in err for err in exc.value.errors), exc.value.errors
+    assert all(err.startswith(str(path)) for err in exc.value.errors), exc.value.errors
+
+
+def test_spec_lists_every_fault():
+    with pytest.raises(ConfigError) as exc:
+        EnvironmentSpec(name="bad", d_s=2, d_a=2, dt=float("nan"), max_steps=0,
+                        goal_radius=-1.0, waypoints=(np.zeros(3),), start=np.array([np.inf, 0]))
+    assert exc.value.errors == [
+        "dt = nan is not finite", "max_steps >= 1 violated", "goal_radius >= 0 violated",
+        "waypoint must have 2 components", "start contains non-finite entries",
+    ]

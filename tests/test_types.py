@@ -14,7 +14,7 @@ from spo.types import (
     WeightMatrix,
     config_errors,
     load_config,
-    parse_config_text,
+    parse_config_file,
     validate_config,
     zero_action,
 )
@@ -140,8 +140,9 @@ def test_jitter_bounded_by_rtt():
     )
 
 
-def test_parse_config_text_roundtrip():
-    values = parse_config_text(
+def test_parse_config_text_roundtrip(tmp_path):
+    path = tmp_path / "net.cfg"
+    path.write_text(
         """
         # network shape
         rtt_base = 0.15
@@ -149,17 +150,24 @@ def test_parse_config_text_roundtrip():
         k_max = 10
         """
     )
+    values = parse_config_file(path)
     assert values == {"rtt_base": 0.15, "jitter_half_width": 0.03, "k_max": 10}
 
 
-def test_parse_config_text_unknown_key():
-    with pytest.raises(ConfigError):
-        parse_config_text("bogus = 1")
+def test_parse_config_text_unknown_key(tmp_path):
+    path = tmp_path / "net.cfg"
+    path.write_text("k_max = 10\nbogus = 1\n")
+    with pytest.raises(ConfigError) as exc:
+        parse_config_file(path)
+    assert exc.value.errors == [f"{path}:2: unknown config key 'bogus'"]
 
 
-def test_parse_config_text_bad_value():
-    with pytest.raises(ConfigError):
-        parse_config_text("k_max = many")
+def test_parse_config_text_bad_value(tmp_path):
+    path = tmp_path / "net.cfg"
+    path.write_text("k_max = many\n")
+    with pytest.raises(ConfigError) as exc:
+        parse_config_file(path)
+    assert exc.value.errors == [f"{path}:1: bad value for k_max: 'many'"]
 
 
 def test_load_config_with_overrides(tmp_path):
