@@ -18,7 +18,7 @@ from typing import Protocol
 import numpy as np
 
 from .ahs import AhsState, update_horizon
-from .environments import EnvironmentSpec, true_step
+from .environments import EnvironmentSpec, next_values, true_step
 from .types import ActionVector, SpeculativeTuple, SpoConfig, StateVector
 
 
@@ -118,15 +118,17 @@ class OracleWorldModel:
         return true_step(self.spec, state, action, 0)
 
 
-class DriftedWorldModel:
-    """Oracle dynamics plus per-step additive bias and seeded Gaussian noise.
+class DriftedWorldModel(OracleWorldModel):
+    """The oracle's physics plus per-step additive bias and seeded Gaussian noise.
 
-    The noise is a pure function of (state, action, seed), so rollouts stay
-    bitwise reproducible regardless of call order.
+    The drift is added to the oracle's next-state array before it is checked,
+    so a step builds one validated vector. The noise is a pure function of
+    (state, action, seed), so rollouts stay bitwise reproducible regardless of
+    call order.
     """
 
-    def __init__(self, inner: WorldModel, bias: float, noise_std: float = 0.0, seed: int = 0):
-        self.inner = inner
+    def __init__(self, spec: EnvironmentSpec, bias: float, noise_std: float = 0.0, seed: int = 0):
+        super().__init__(spec)
         self.bias = float(bias)
         self.noise_std = float(noise_std)
         self._key = int(seed) & 0xFFFFFFFFFFFFFFFF
@@ -142,8 +144,8 @@ class DriftedWorldModel:
         return rng.normal(0.0, self.noise_std, n)
 
     def step(self, state: StateVector, action: ActionVector) -> StateVector:
-        base = self.inner.step(state, action)
-        return StateVector(base.values + self.bias + self._noise(state, action, base.dim))
+        nxt = next_values(self.spec, state, action, 0)
+        return StateVector(nxt + self.bias + self._noise(state, action, nxt.size))
 
 
 def speculative_rollout(
@@ -223,9 +225,8 @@ def make_model(
     drift_noise: float = DRIFT_NOISE,
     seed: int = 0,
 ) -> WorldModel:
-    oracle = OracleWorldModel(spec)
     if kind == "oracle":
-        return oracle
+        return OracleWorldModel(spec)
     if kind == "drifted":
-        return DriftedWorldModel(oracle, drift_bias, noise_std=drift_noise, seed=seed)
+        return DriftedWorldModel(spec, drift_bias, noise_std=drift_noise, seed=seed)
     raise ValueError(f"unknown model kind {kind!r}")

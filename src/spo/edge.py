@@ -40,8 +40,11 @@ class Outcome(enum.Enum):
     DIRECT = "direct"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StepRecord:
+    """One control tick's record. Plain, not frozen: the loop builds one per tick,
+    and a frozen dataclass costs about three times as much to build."""
+
     step_index: int  # wall tick
     outcome: Outcome
     error: float | None

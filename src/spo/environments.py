@@ -56,6 +56,7 @@ class EnvironmentSpec:
         errors = [f"{name} = {value} is not finite" for name, value in vars(self).items()
                   if isinstance(value, float) and not math.isfinite(value)]
         violated = {"max_steps >= 1": self.max_steps < 1, "dt > 0": self.dt <= 0,
+                    "gain > 0": self.gain <= 0, "a_max > 0": self.a_max <= 0,
                     "goal_radius >= 0": self.goal_radius < 0,
                     "start_jitter >= 0": self.start_jitter < 0}
         errors += [f"{rule} violated" for rule, bad in violated.items() if bad]
@@ -77,10 +78,10 @@ class EnvironmentSpec:
             raise ConfigError(errors)
 
 
-def true_step(
+def next_values(
     spec: EnvironmentSpec, state: StateVector, action: ActionVector, step_index: int
-) -> StateVector:
-    """Ground-truth transition, including any scheduled disturbance at this tick."""
+) -> np.ndarray:
+    """The unchecked array of :func:`true_step`'s next state, for a caller that adds to it."""
     if state.dim != spec.d_s:
         raise DimensionError(f"state dimension {state.dim} != d_s {spec.d_s}")
     if action.dim != spec.d_a:
@@ -89,7 +90,14 @@ def true_step(
     for when, offset in spec.disturbance_schedule:
         if when == step_index:
             nxt = nxt + np.asarray(offset, dtype=np.float64)
-    return StateVector(nxt)
+    return nxt
+
+
+def true_step(
+    spec: EnvironmentSpec, state: StateVector, action: ActionVector, step_index: int
+) -> StateVector:
+    """Ground-truth transition, including any scheduled disturbance at this tick."""
+    return StateVector(next_values(spec, state, action, step_index))
 
 
 def is_success(spec: EnvironmentSpec, state: StateVector) -> bool:

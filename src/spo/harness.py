@@ -13,6 +13,8 @@ The virtual clock is event-driven: after a tick that leaves the edge awaiting a
 refill, :func:`run_episode` records the held ticks up to the link's next delivery,
 the next disturbance or ``max_steps`` in one go, without stepping them. This is
 exact, as such a tick delivers nothing, holds the zero action and is not disturbed.
+A tick that is stepped but has nothing due does no channel work: the link asks the
+channel for its next delivery and returns at once.
 """
 
 from __future__ import annotations
@@ -166,6 +168,8 @@ class VirtualLink:
         pass
 
     def due(self, now: float) -> list:
+        if self.channel.next_delivery() > now:
+            return []
         # Requests due at the cloud: respond from the arrival instant, not the
         # next edge tick, so the response leg is not tick-quantized.
         for arrived_at, (rid, req) in self.channel.cloud_inbox_timed(now):
@@ -268,14 +272,13 @@ def compile_metrics(
     diagnostic: str | None = None,
 ) -> RunMetrics:
     """Reduce a step-record trace to RunMetrics (shared by virtual and socket modes)."""
-    counts = {outcome: 0 for outcome in Outcome}
-    for rec in records:
-        counts[rec.outcome] += 1
-    hits = counts[Outcome.HIT]
-    misses = counts[Outcome.MISS]
-    holds = counts[Outcome.STARVED_HOLD]
-    awaiting = counts[Outcome.AWAITING_REFILL]
-    direct = counts[Outcome.DIRECT]
+    # list.count compares by identity first; counting in a dict would hash each Enum in Python.
+    outcomes = [rec.outcome for rec in records]
+    hits = outcomes.count(Outcome.HIT)
+    misses = outcomes.count(Outcome.MISS)
+    holds = outcomes.count(Outcome.STARVED_HOLD)
+    awaiting = outcomes.count(Outcome.AWAITING_REFILL)
+    direct = outcomes.count(Outcome.DIRECT)
     executed = hits + direct
     total_h = sum(horizons)
     dt = cfg.control_interval

@@ -165,8 +165,13 @@ class VirtualChannel:
         return deliver_at
 
     def next_delivery(self) -> float:
-        """The earliest ``deliver_at`` in either direction; ``math.inf`` if both are empty."""
-        return min((at for at, _ in self.to_cloud + self.to_edge), default=math.inf)
+        """The earliest ``deliver_at`` in either direction; ``math.inf`` if both are empty.
+
+        Each direction delivers first in, first out, so only its first entry can be next.
+        """
+        up = self.to_cloud[0][0] if self.to_cloud else math.inf
+        down = self.to_edge[0][0] if self.to_edge else math.inf
+        return min(up, down)
 
     def cloud_inbox_timed(self, now: float) -> list:
         """Pop the ``(deliver_at, item)`` requests due at or before ``now``, in send order."""

@@ -264,8 +264,18 @@ def parse_config_file(path, field_types: dict = _CONFIG_FIELD_TYPES, required=()
 
 
 def load_config(path=None, overrides: dict | None = None) -> SpoConfig:
-    """The defaults, under a config file if ``path`` is given, under CLI-style overrides."""
+    """The defaults, under a config file if ``path`` is given, under CLI-style overrides.
+
+    A violated invariant that the file's values violate on their own names ``path``.
+    """
     values = parse_config_file(path) if path else {}
-    if overrides:
-        values.update({k: v for k, v in overrides.items() if v is not None})
-    return SpoConfig(**values)
+    flags = {k: v for k, v in (overrides or {}).items() if v is not None}
+    try:
+        return SpoConfig(**{**values, **flags})
+    except ConfigError as exc:
+        own = []
+        try:
+            SpoConfig(**values)
+        except ConfigError as file_exc:
+            own = file_exc.errors
+        raise ConfigError([f"{path}: {e}" if e in own else e for e in exc.errors]) from None

@@ -149,6 +149,34 @@ def test_config_file_with_flag_override(tmp_path):
     assert doc["config"]["k_max"] == 8  # file value kept
 
 
+def test_a_config_file_fault_names_the_file(tmp_path, capsys):
+    cfg_path = tmp_path / "k.cfg"
+    cfg_path.write_text("k_min = 5\nk_max = 2\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--env", "free_space", "--config", str(cfg_path),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {cfg_path}: k_min <= k_max violated\n"
+    assert not out.exists()
+
+
+def test_a_flag_fault_under_a_config_file_does_not_name_the_file(tmp_path, capsys):
+    cfg_path = tmp_path / "k.cfg"
+    cfg_path.write_text("k_max = 8\n")
+    assert cli.main(["run", "--env", "free_space", "--config", str(cfg_path),
+                     "--kmin", "9", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "config error: k_min <= k_max violated\n"
+
+
+def test_a_config_file_fault_that_a_flag_fixes_runs(tmp_path):
+    cfg_path = tmp_path / "k.cfg"
+    cfg_path.write_text("k_min = 5\nk_max = 2\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--env", "free_space", "--config", str(cfg_path),
+                     "--kmax", "8", "--out", str(out)]) == 0
+    doc = json.loads((out / "run_spo_free_space_0.json").read_text())
+    assert (doc["config"]["k_min"], doc["config"]["k_max"]) == (5, 8)
+
+
 def test_spo_seed_environment_variable(tmp_path, monkeypatch):
     monkeypatch.setenv("SPO_SEED", "17")
     out = tmp_path / "out"

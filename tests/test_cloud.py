@@ -1,5 +1,7 @@
 """Cloud-side rollout generation, drifted world model, and refill handling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -74,8 +76,13 @@ def test_rollout_start_step_offsets_indices():
     assert [t.step_index for t in tuples] == [41, 42, 43, 44]
 
 
+def _toy_spec(d=1):
+    """A d-dimensional task whose dynamics are :class:`ToyIntegrator`'s, dt = 0.02."""
+    return EnvironmentSpec(name="toy", d_s=d, d_a=d, dt=0.02)
+
+
 def test_drifted_model_bias_compounds():
-    drifted = DriftedWorldModel(ToyIntegrator(), bias=0.1)
+    drifted = DriftedWorldModel(_toy_spec(), bias=0.1)
     tuples = speculative_rollout(StateVector([0.0]), 3, ConstantPolicy(1.0), drifted)
     predicted = [float(t.predicted_state.values[0]) for t in tuples]
     assert predicted == pytest.approx([0.12, 0.24, 0.36], abs=1e-12)
@@ -87,7 +94,7 @@ def test_drifted_model_bias_compounds():
 
 def test_drift_growth_is_nondecreasing():
     w = WeightMatrix([1.0])
-    drifted = DriftedWorldModel(ToyIntegrator(), bias=0.05, noise_std=0.01, seed=3)
+    drifted = DriftedWorldModel(_toy_spec(), bias=0.05, noise_std=0.01, seed=3)
     spec_tuples = speculative_rollout(StateVector([0.0]), 8, ConstantPolicy(1.0), drifted)
     s = StateVector([0.0])
     errors = []
@@ -98,11 +105,11 @@ def test_drift_growth_is_nondecreasing():
 
 
 def test_drifted_model_is_deterministic():
-    a = DriftedWorldModel(ToyIntegrator(), bias=0.0, noise_std=0.3, seed=42)
-    b = DriftedWorldModel(ToyIntegrator(), bias=0.0, noise_std=0.3, seed=42)
+    a = DriftedWorldModel(_toy_spec(2), bias=0.0, noise_std=0.3, seed=42)
+    b = DriftedWorldModel(_toy_spec(2), bias=0.0, noise_std=0.3, seed=42)
     s, act = StateVector([0.4, -0.2]), ActionVector([1.0, 1.0])
     assert np.array_equal(a.step(s, act).values, b.step(s, act).values)
-    c = DriftedWorldModel(ToyIntegrator(), bias=0.0, noise_std=0.3, seed=43)
+    c = DriftedWorldModel(_toy_spec(2), bias=0.0, noise_std=0.3, seed=43)
     assert not np.array_equal(a.step(s, act).values, c.step(s, act).values)
 
 
@@ -126,9 +133,7 @@ def test_make_model_drifts_by_default():
         return [t.predicted_state.values for t in speculative_rollout(
             start, 10, make_policy(spec), model)]
 
-    drifted = DriftedWorldModel(
-        OracleWorldModel(spec), DRIFT_BIAS, noise_std=DRIFT_NOISE, seed=0
-    )
+    drifted = DriftedWorldModel(spec, DRIFT_BIAS, noise_std=DRIFT_NOISE, seed=0)
     default = rollout(make_model(spec, "drifted"))
     assert np.array_equal(default, rollout(drifted))
     assert not np.array_equal(default, rollout(make_model(spec, "oracle")))
@@ -186,6 +191,22 @@ def test_oracle_is_true_step_without_disturbances():
         model.step(s, a).values, true_step(spec, s, a, bump_tick).values - bump,
         rtol=0, atol=1e-12,
     )
+
+
+@pytest.mark.parametrize("name", sorted(canonical_specs()))
+def test_drifted_step_is_the_oracle_step_plus_drift_bit_for_bit(name):
+    """One validated vector per step changes no bit of the two-vector formula."""
+    spec = get_spec(name)
+    clean = dataclasses.replace(spec, disturbance_schedule=())
+    model = DriftedWorldModel(spec, DRIFT_BIAS, noise_std=DRIFT_NOISE, seed=11)
+    policy = make_policy(spec)
+    s = start_state(spec, np.random.default_rng(5))
+    for _ in range(50):
+        a = policy.act(s)
+        expected = true_step(clean, s, a, 0).values + model.bias + model._noise(s, a, spec.d_s)
+        nxt = model.step(s, a)
+        assert nxt.values.tobytes() == expected.tobytes()
+        s = nxt
 
 
 def _req(e_miss, step_index=0, d=1):

@@ -184,6 +184,9 @@ def test_load_environment_from_file(tmp_path):
         ("d_s = 2\nd_a = 2\ngoal_radius = nan\n", "env.cfg: goal_radius = nan is not finite"),
         ("d_s = 2\nd_a = 2\ngoal_radius = -0.1\n", "env.cfg: goal_radius >= 0 violated"),
         ("d_s = 2\nd_a = 2\na_max = nan\n", "env.cfg: a_max = nan is not finite"),
+        ("d_s = 2\nd_a = 2\ngain = 0\n", "env.cfg: gain > 0 violated"),
+        ("d_s = 2\nd_a = 2\ngain = -2\n", "env.cfg: gain > 0 violated"),
+        ("d_s = 2\nd_a = 2\na_max = -1\n", "env.cfg: a_max > 0 violated"),
         ("d_s = 2\nd_a = 2\nstart_jitter = -1\n", "env.cfg: start_jitter >= 0 violated"),
         ("d_s = 2\nd_a = 2\nwaypoints = 1,1; inf,1\n",
          "env.cfg: waypoint contains non-finite entries"),
@@ -197,7 +200,8 @@ def test_load_environment_from_file(tmp_path):
         "bad-vector", "bad-dynamics", "spec-invariant", "short-waypoint", "short-goal",
         "long-start", "short-row", "non-numeric-row", "dim-out-of-range", "unordered-schedule",
         "start-nan", "gain-inf", "dt-nan", "dt-zero", "goal-radius-nan", "goal-radius-negative",
-        "a-max-nan", "start-jitter-negative", "waypoint-inf", "goal-center-nan", "offset-inf",
+        "a-max-nan", "gain-zero", "gain-negative", "a-max-negative", "start-jitter-negative",
+        "waypoint-inf", "goal-center-nan", "offset-inf",
     ],
 )
 def test_load_environment_rejects_bad_files(tmp_path, text, message):

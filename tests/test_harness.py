@@ -278,7 +278,11 @@ def _assert_skipping_is_exact(monkeypatch, cfg, envs, models, seeds):
 
 def test_skipping_held_ticks_changes_no_record_horizon_or_metric(monkeypatch):
     envs = ("free_space", "tight_tolerance", "multi_stage")
-    _assert_skipping_is_exact(monkeypatch, CFG, envs, ("oracle", "drifted"), range(3))
+    # A sub-tick round trip: a request and its reply land inside one tick, and every
+    # other tick has nothing due, so ``VirtualLink.due`` returns before the channel.
+    sub_tick = dataclasses.replace(CFG, rtt_base=0.01, jitter_half_width=0.004)
+    for cfg in (CFG, sub_tick):
+        _assert_skipping_is_exact(monkeypatch, cfg, envs, ("oracle", "drifted"), range(3))
 
 
 def test_skipping_stops_at_a_delivery_due_exactly_on_a_tick(monkeypatch):
