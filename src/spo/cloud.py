@@ -19,7 +19,7 @@ import numpy as np
 
 from .ahs import AhsState, update_horizon
 from .environments import EnvironmentSpec, next_values, true_step
-from .types import ActionVector, SpeculativeTuple, SpoConfig, StateVector
+from .types import ActionVector, SpeculativeTuple, SpoConfig, StateVector, owned
 
 
 # The drifted model's per-step bias and noise standard deviation, by default.
@@ -105,7 +105,7 @@ class ScriptedExpertPolicy:
         # for inverse-variance weight calibration (constant-velocity motion
         # would be degenerate).
         dist = math.sqrt(to_target.dot(to_target))
-        return ActionVector(v * (0.7 + 0.3 * np.cos(4.0 * dist)))
+        return owned(ActionVector, v * (0.7 + 0.3 * np.cos(4.0 * dist)))
 
 
 class OracleWorldModel:
@@ -131,21 +131,21 @@ class DriftedWorldModel(OracleWorldModel):
         super().__init__(spec)
         self.bias = float(bias)
         self.noise_std = float(noise_std)
-        self._key = int(seed) & 0xFFFFFFFFFFFFFFFF
+        self._key = (int(seed) & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
 
     def _noise(self, state: StateVector, action: ActionVector, n: int) -> np.ndarray:
         if self.noise_std == 0.0:
             return np.zeros(n)
         h = hashlib.blake2b(
-            state.values.tobytes() + action.values.tobytes() + self._key.to_bytes(8, "little"),
-            digest_size=8,
+            state.values.tobytes() + action.values.tobytes() + self._key, digest_size=8
         ).digest()
-        rng = np.random.Generator(np.random.PCG64(int.from_bytes(h, "little")))
-        return rng.normal(0.0, self.noise_std, n)
+        # Two uint32 words seed as the digest's integer does: a missing word mixes in as 0.
+        seq = np.random.SeedSequence(np.frombuffer(h, "<u4"))
+        return np.random.Generator(np.random.PCG64(seq)).normal(0.0, self.noise_std, n)
 
     def step(self, state: StateVector, action: ActionVector) -> StateVector:
         nxt = next_values(self.spec, state, action, 0)
-        return StateVector(nxt + self.bias + self._noise(state, action, nxt.size))
+        return owned(StateVector, nxt + self.bias + self._noise(state, action, nxt.size))
 
 
 def speculative_rollout(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .types import (
-    ActionVector, ConfigError, DimensionError, StateVector, parse_config_file, parse_vector,
+    ActionVector, ConfigError, DimensionError, StateVector, owned, parse_config_file, parse_vector,
 )
 
 
@@ -97,7 +97,7 @@ def true_step(
     spec: EnvironmentSpec, state: StateVector, action: ActionVector, step_index: int
 ) -> StateVector:
     """Ground-truth transition, including any scheduled disturbance at this tick."""
-    return StateVector(next_values(spec, state, action, step_index))
+    return owned(StateVector, next_values(spec, state, action, step_index))
 
 
 def is_success(spec: EnvironmentSpec, state: StateVector) -> bool:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from itertools import count
 
 import numpy as np
 
@@ -73,8 +74,8 @@ def _unpack(frame: bytes, ftype: int, header: struct.Struct, stride: int) -> tup
 
 def _tuples(payload: bytes, d_s: int, d_a: int, first_step: int) -> tuple:
     try:
-        rows = vector_rows(np.frombuffer(payload, dtype="<f4"), d_s, d_a)
-        return tuple(SpeculativeTuple(s, a, first_step + i) for i, (s, a) in enumerate(rows))
+        states, actions = vector_rows(np.frombuffer(payload, dtype="<f4"), d_s, d_a)
+        return tuple(map(SpeculativeTuple, states, actions, count(first_step)))
     except ValueError as exc:
         raise FrameError(f"bad tuple: {exc}") from None
 

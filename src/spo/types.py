@@ -3,7 +3,8 @@
 All vectors are float64 internally; the wire codec narrows to float32
 (see :mod:`spo.transport`). Every type here is an immutable value object,
 safe to pass between the edge loop, the cloud handler, and test code
-without copying.
+without copying. A public vector constructor checks and copies its input;
+:func:`owned` checks an array the caller has just computed and wraps it as is.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +51,8 @@ def _as_finite_vector(values, what: str) -> np.ndarray:
     return arr
 
 
-def vector_rows(values, d_s: int, d_a: int) -> list:
-    """A ``(StateVector, ActionVector)`` pair per ``d_s + d_a`` row of the flat ``values``.
+def vector_rows(values, d_s: int, d_a: int) -> tuple:
+    """The state and the action vectors of each ``d_s + d_a`` row of the flat ``values``.
 
     The whole array is checked once by :func:`_as_finite_vector`; each vector
     then holds a read-only row view of that checked copy, which is what its
@@ -58,17 +61,32 @@ def vector_rows(values, d_s: int, d_a: int) -> list:
     if d_s < 1 or d_a < 1:
         raise DimensionError(f"row dimensions must be >= 1, got d_s={d_s}, d_a={d_a}")
     if len(values) == 0:
-        return []
+        return [], []
     rows = _as_finite_vector(values, "rows").reshape(-1, d_s + d_a)
-    return [(_checked(StateVector, s), _checked(ActionVector, a))
-            for s, a in zip(rows[:, :d_s], rows[:, d_s:])]
+    return (list(map(partial(_checked, StateVector), rows[:, :d_s])),
+            list(map(partial(_checked, ActionVector), rows[:, d_s:])))
 
 
 def _checked(cls, values: np.ndarray):
-    """A ``cls`` holding ``values``, a view of an array :func:`_as_finite_vector` checked."""
+    """A ``cls`` holding ``values``, a read-only array that passed the constructor's checks."""
     vec = object.__new__(cls)
     object.__setattr__(vec, "values", values)
     return vec
+
+
+def owned(cls, values):
+    """``cls(values)`` without the copy, for a float64 array the caller has just computed.
+
+    The caller keeps no other reference to ``values``. If it passes the constructor's
+    checks (1-D, non-empty, finite), it is made read-only and wrapped as it is; any other
+    input, a view or one that fails a check included, goes through ``cls``.
+    """
+    if (type(values) is np.ndarray and values.dtype == np.float64 and values.base is None
+            and values.ndim == 1 and values.size > 0
+            and np.count_nonzero(np.isfinite(values)) == values.size):
+        values.setflags(write=False)
+        return _checked(cls, values)
+    return cls(values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,21 +139,20 @@ def zero_action(d_a: int) -> ActionVector:
     return ActionVector(np.zeros(int(d_a)))
 
 
-@dataclass(frozen=True)
-class SpeculativeTuple:
+class SpeculativeTuple(NamedTuple("SpeculativeTuple", [
+        ("predicted_state", StateVector), ("action", ActionVector), ("step_index", int)])):
     """One predicted (next-state, action) pair, the unit of caching and transfer.
 
     ``step_index`` is the absolute control step the tuple targets; successive
-    tuples of one rollout increase it by exactly 1.
+    tuples of one rollout increase it by exactly 1. An immutable named tuple.
     """
 
-    predicted_state: StateVector
-    action: ActionVector
-    step_index: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.step_index < 0:
+    def __new__(cls, predicted_state: StateVector, action: ActionVector, step_index: int):
+        if step_index < 0:
             raise ValueError("step_index must be nonnegative")
+        return tuple.__new__(cls, (predicted_state, action, step_index))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,10 +1,13 @@
 """Cloud-side rollout generation, drifted world model, and refill handling."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
+import spo.cloud
+import spo.environments
 from spo.ahs import AhsState
 from spo.cloud import (
     DRIFT_BIAS,
@@ -27,7 +30,7 @@ from spo.environments import (
     true_step,
 )
 from spo.transport import decode_tuple, encode_tuple
-from spo.types import ActionVector, SpoConfig, StateVector
+from spo.types import ActionVector, SpeculativeTuple, SpoConfig, StateVector
 from spo.verifier import tracking_error
 from spo.types import WeightMatrix
 
@@ -207,6 +210,75 @@ def test_drifted_step_is_the_oracle_step_plus_drift_bit_for_bit(name):
         nxt = model.step(s, a)
         assert nxt.values.tobytes() == expected.tobytes()
         s = nxt
+
+
+class _FixedDigest:
+    """A ``hashlib`` stand-in whose ``blake2b(...).digest()`` is :attr:`value`."""
+
+    value = b""
+
+    def blake2b(self, data, digest_size):
+        assert digest_size == len(self.value) == 8
+        return self
+
+    def digest(self):
+        return self.value
+
+
+def _int_seeded_normals(digest, std, n):
+    return np.random.Generator(np.random.PCG64(int.from_bytes(digest, "little"))).normal(0.0, std, n)
+
+
+def test_drifted_noise_draws_what_the_digest_integer_seeds(monkeypatch):
+    """The two-word entropy seeding draws, byte for byte, what ``PCG64(int)`` of the digest drew."""
+    model = DriftedWorldModel(_toy_spec(3), DRIFT_BIAS, noise_std=DRIFT_NOISE, seed=7)
+    s, a = StateVector([0.1, -0.2, 0.3]), ActionVector([1.0, 0.0, -1.0])
+    # Unstubbed first: the key bytes made once in __init__ hash as the seed's 8 bytes did.
+    for seed in (0, 7, 2**32 + 5, 2**64 - 1):
+        keyed = DriftedWorldModel(_toy_spec(3), DRIFT_BIAS, noise_std=DRIFT_NOISE, seed=seed)
+        h = hashlib.blake2b(s.values.tobytes() + a.values.tobytes() + seed.to_bytes(8, "little"),
+                            digest_size=8).digest()
+        assert keyed._noise(s, a, 3).tobytes() == _int_seeded_normals(h, DRIFT_NOISE, 3).tobytes()
+    stub = _FixedDigest()
+    monkeypatch.setattr(spo.cloud, "hashlib", stub)
+    rng = np.random.default_rng(2026)
+    edges = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+    digests = [d.to_bytes(8, "little") for d in edges] + [rng.bytes(8) for _ in range(10_000)]
+    for digest in digests:
+        stub.value = digest
+        got = model._noise(s, a, 3)
+        assert got.tobytes() == _int_seeded_normals(digest, DRIFT_NOISE, 3).tobytes(), digest
+
+
+@pytest.mark.parametrize("model_kind", ["oracle", "drifted"])
+@pytest.mark.parametrize("name", sorted(canonical_specs()))
+def test_rollout_is_bit_identical_to_one_built_with_the_public_constructors(
+    monkeypatch, name, model_kind
+):
+    """Wrapping fresh arrays without a copy changes no state or action byte and no step index."""
+    spec = get_spec(name)
+    policy = make_policy(spec)
+    model = make_model(spec, model_kind, seed=3)
+    starts = _policy_probe_states(spec, np.random.default_rng(4), 12)
+
+    def rollouts():
+        return [speculative_rollout(s, 10, policy, model, start_step=5 * i)
+                for i, s in enumerate(starts)]
+
+    fast = rollouts()
+    with monkeypatch.context() as m:
+        for module in (spo.cloud, spo.environments):
+            m.setattr(module, "owned", lambda cls, values: cls(values))
+        reference = rollouts()
+    assert len(fast) == len(reference) == 24
+    for got, want in zip(fast, reference):
+        assert [t.step_index for t in got] == [t.step_index for t in want]
+        for g, w in zip(got, want, strict=True):
+            assert type(g) is type(w) is SpeculativeTuple
+            assert g.predicted_state.values.tobytes() == w.predicted_state.values.tobytes()
+            assert g.action.values.tobytes() == w.action.values.tobytes()
+            assert not g.predicted_state.values.flags.writeable
+            assert not g.action.values.flags.writeable
 
 
 def _req(e_miss, step_index=0, d=1):

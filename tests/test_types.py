@@ -14,6 +14,7 @@ from spo.types import (
     WeightMatrix,
     config_errors,
     load_config,
+    owned,
     parse_config_file,
     validate_config,
     zero_action,
@@ -87,6 +88,66 @@ def test_nonfinite_vectors_rejected(values, idx, poison):
 def test_speculative_tuple_rejects_negative_step():
     with pytest.raises(ValueError):
         SpeculativeTuple(StateVector([0.0]), ActionVector([0.0]), step_index=-1)
+
+
+def test_speculative_tuple_is_immutable():
+    t = SpeculativeTuple(StateVector([0.0]), ActionVector([0.0]), 3)
+    with pytest.raises(AttributeError):
+        t.step_index = 4
+    with pytest.raises(AttributeError):
+        t.predicted_state = StateVector([1.0])
+    with pytest.raises(AttributeError):  # a light record: no instance dict
+        t.note = "extra"
+    assert t == SpeculativeTuple(StateVector([0.0]), ActionVector([0.0]), step_index=3)
+
+
+def _build(make, values):
+    """What ``make(values)`` gives: the vector's type, bytes and writeability, or its error."""
+    try:
+        vec = make(values)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return type(vec), vec.values.dtype, vec.values.tobytes(), vec.values.flags.writeable
+
+
+NOT_OWNED = {
+    "2-d": np.zeros((2, 2)),
+    "empty": np.zeros(0),
+    "nan": np.array([1.0, np.nan]),
+    "inf": np.array([-np.inf, 0.0]),
+    "float32": np.array([1.5, -2.25], dtype=np.float32),
+    "int64": np.array([1, 2]),
+    "strided-view": np.arange(6.0)[::2],
+    "slice-view": np.arange(4.0)[1:],
+    "big-endian": np.array([1.0, 2.0], dtype=">f8"),
+    "list": [0.5, 1.0],
+}
+
+
+@pytest.mark.parametrize("cls", [StateVector, ActionVector])
+@pytest.mark.parametrize("name", sorted(NOT_OWNED))
+def test_owned_builds_what_the_constructor_builds_from_an_array_it_may_not_take(cls, name):
+    values = NOT_OWNED[name]
+    before = np.array(values, copy=True)
+    expected = _build(cls, values)
+    assert _build(lambda v: owned(cls, v), values) == expected
+    if isinstance(values, np.ndarray):
+        assert values.flags.writeable  # the caller's array is left as it was
+        assert np.array_equal(values, before, equal_nan=True)
+        if expected[0] is cls:
+            assert not np.shares_memory(owned(cls, values).values, values)
+
+
+@pytest.mark.parametrize("cls", [StateVector, ActionVector])
+def test_owned_wraps_a_fresh_float64_array_read_only_without_a_copy(cls):
+    fresh = np.array([0.5, -1.0, 3.0]) * 2.0
+    vec = owned(cls, fresh)
+    assert type(vec) is cls
+    assert vec.values is fresh
+    assert not fresh.flags.writeable
+    with pytest.raises(ValueError):
+        vec.values[0] = 7.0
+    assert vec == cls([1.0, -2.0, 6.0])
 
 
 def test_weight_matrix_requires_positive_entries():
