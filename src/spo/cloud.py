@@ -157,7 +157,8 @@ def speculative_rollout(
 ) -> list[SpeculativeTuple]:
     """Autoregressive K-step rollout: a_k = policy(s_k), s_{k+1} = model(s_k, a_k).
 
-    Tuple k carries (s_{k+1}, a_k) and targets progress step start_step + k.
+    Tuple k carries (s_{k+1}, a_k) and targets progress step start_step + k. With no
+    ``model`` the state does not advance: blocking mode's one tuple is (s_0, a_0).
     """
     if horizon < 1:
         raise RolloutError("horizon must be >= 1")
@@ -166,9 +167,9 @@ def speculative_rollout(
     for k in range(1, horizon + 1):
         try:
             a = policy.act(s)
-            s_next = model.step(s, a)
+            s_next = s if model is None else model.step(s, a)
         except (ValueError, FloatingPointError) as exc:
-            raise RolloutError(f"world model diverged at depth {k}: {exc}") from exc
+            raise RolloutError(f"rollout diverged at depth {k}: {exc}") from exc
         if s_next.dim != start.dim:
             raise RolloutError(
                 f"model output dimension {s_next.dim} != state dimension {start.dim}"
@@ -182,9 +183,9 @@ class CloudSession:
     """Per-edge-session cloud endpoint state: policy, model, and horizon control.
 
     ``fixed_horizon`` overrides the adaptive controller for baseline kinds;
-    ``fixed_horizon == 0`` means blocking mode, where each reply carries a
-    single direct action for the observed state instead of a speculative
-    rollout (``horizon_used`` is reported as 0).
+    ``fixed_horizon == 0`` means blocking mode, where each reply is the one
+    tuple (observed state, direct action), with no model step, instead of a
+    speculative rollout (``horizon_used`` is reported as 0).
     """
 
     def __init__(
@@ -208,7 +209,7 @@ class CloudSession:
         else:
             horizon = self.fixed_horizon
         tuples = speculative_rollout(
-            req.observed_state, max(1, horizon), self.policy, self.model,
+            req.observed_state, max(1, horizon), self.policy, self.model if horizon else None,
             start_step=req.step_index,
         )
         return RolloutResponse(tuples=tuple(tuples), horizon_used=horizon)

@@ -9,12 +9,12 @@ randomness (start jitter, channel jitter, model noise) derives from one seed
 through :func:`episode_seeds`, so a virtual run is bitwise reproducible, and a
 socket run of the same seed draws the same start, delays and model noise.
 
-The virtual clock is event-driven: after a tick that leaves the edge awaiting a
-refill, :func:`run_episode` records the held ticks up to the link's next delivery,
-the next disturbance or ``max_steps`` in one go, without stepping them. This is
-exact, as such a tick delivers nothing, holds the zero action and is not disturbed.
-A tick that is stepped but has nothing due does no channel work: the link asks the
-channel for its next delivery and returns at once.
+The virtual clock is event-driven. After a tick that leaves the edge awaiting a refill,
+:func:`run_episode` records the held ticks up to the next delivery to the edge, the next
+disturbance or ``max_steps`` in one go; the link answers a request that reaches the cloud
+meanwhile. This is exact: such a tick delivers nothing to the edge, holds the zero action
+and is not disturbed. A refill tick holds still too, unless disturbed, and a stepped tick
+with nothing due does no channel work.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from .cloud import DRIFT_BIAS, DRIFT_NOISE, CloudSession, Policy, make_model, ma
 from .edge import EdgeSession, Outcome, StepRecord
 from .environments import EnvironmentSpec, is_success, start_state, true_step
 from .transport import LatencyModel, VirtualChannel
-from .types import (ConfigError, SpoConfig, StateVector, WeightMatrix, parse_config_file,
-                    parse_vector, validate_config)
+from .types import (ConfigError, SpoConfig, StateVector, WeightMatrix, owned,
+                    parse_config_file, parse_vector, validate_config)
 
 
 class CalibrationError(RuntimeError):
@@ -150,10 +150,11 @@ def episode_seeds(cfg: SpoConfig, seed: int):
 class VirtualLink:
     """The in-process cloud behind a :class:`VirtualChannel`, as a link of :func:`run_episode`.
 
-    A link has ``wait``, ``due``, ``send``, ``dead``, ``horizons``, ``generated`` and
-    ``next_delivery()``, the earliest arrival in either direction (``inf`` if none;
-    ``-inf`` for a link that must be stepped every tick). ``send`` takes the edge's
-    ``(request_id, request)`` pair; ``due`` returns ``(request_id, response)`` pairs.
+    A link has ``wait``, ``answer``, ``due``, ``send``, ``dead``, ``horizons``, ``generated``
+    and ``next_delivery()``, the earliest arrival either way (``inf`` if none; ``-inf`` for a
+    link stepped every tick). ``send`` takes the edge's ``(request_id, request)``; ``answer(now)``
+    handles the requests at the cloud by ``now``, then returns ``next_delivery()``; ``due(now)``
+    answers, then returns the ``(request_id, response)`` pairs at the edge by ``now``.
     """
 
     dead = False
@@ -167,16 +168,19 @@ class VirtualLink:
     def wait(self, now: float) -> None:
         pass
 
-    def due(self, now: float) -> list:
-        if self.channel.next_delivery() > now:
-            return []
-        # Requests due at the cloud: respond from the arrival instant, not the
-        # next edge tick, so the response leg is not tick-quantized.
+    def answer(self, now: float) -> float:
+        # Respond from the arrival instant, so the response leg is not tick-quantized.
         for arrived_at, (rid, req) in self.channel.cloud_inbox_timed(now):
             resp = self.cloud.handle(req)
             self.horizons.append(resp.horizon_used)
             self.generated += len(resp.tuples)
             self.channel.send_response((rid, resp), now=arrived_at)
+        return self.channel.next_delivery()
+
+    def due(self, now: float) -> list:
+        if self.channel.next_delivery() > now:
+            return []
+        self.answer(now)
         return self.channel.edge_inbox(now)
 
     def send(self, refill, now: float) -> None:
@@ -218,6 +222,7 @@ def run_episode(
     records: list[StepRecord] = []
     success = False
     diagnostic = None
+    disturbed = {t for t, _ in spec.disturbance_schedule}
 
     tick = 0
     while tick < spec.max_steps:
@@ -229,12 +234,13 @@ def run_episode(
         records.append(rec)
         if refill is not None:
             link.send(refill, now)
-        try:
-            state = true_step(spec, state, rec.action_executed, tick)
-        except ValueError as exc:
-            diagnostic = f"environment diverged at tick {tick}: {exc}"
-            break
-        if is_success(spec, state):
+        if refill is None or tick in disturbed:  # a tick that sends a refill holds still
+            try:
+                state = true_step(spec, state, rec.action_executed, tick)
+            except ValueError as exc:
+                diagnostic = f"environment diverged at tick {tick}: {exc}"
+                break
+        if is_success(spec, state):  # checked on a held tick too: tick 0 checks the start
             success = True
             break
         if link.dead and edge.in_flight_id is not None:
@@ -242,13 +248,16 @@ def run_episode(
             break
         tick += 1
         if edge.in_flight_id is not None and not edge.cache:
-            # Until the next delivery or disturbance, each awaiting tick holds still.
-            stop = min([t for t, _ in spec.disturbance_schedule if t >= tick] + [spec.max_steps])
+            # Until a delivery to the edge or a disturbance, each awaiting tick holds still.
+            stop = min([t for t in disturbed if t >= tick] + [spec.max_steps])
             arrives = link.next_delivery()
-            while tick < stop and tick * cfg.control_interval < arrives:
+            while tick < stop:
+                now = tick * cfg.control_interval
+                if now >= arrives and (arrives := link.answer(now)) <= now:
+                    break  # a response is due at the edge: this tick is run
                 records.append(edge.awaiting_record(tick))
                 tick += 1
-            state = StateVector(state.values + 0.0)  # as true_step turns -0.0 into +0.0
+            state = owned(StateVector, state.values + 0.0)  # as true_step turns -0.0 into +0.0
 
     # One copy: a socket link's reader thread may still be appending.
     horizons = list(link.horizons)

@@ -126,6 +126,9 @@ class SocketLink:
         if delay > 0:
             time.sleep(delay)
 
+    def answer(self, now: float) -> float:
+        return -math.inf  # the server answers on its own; the loop steps every tick
+
     def due(self, now: float) -> list:
         return [self._inbox.pop(0) for _ in range(len(self._inbox))]
 

@@ -80,17 +80,6 @@ def _tuples(payload: bytes, d_s: int, d_a: int, first_step: int) -> tuple:
         raise FrameError(f"bad tuple: {exc}") from None
 
 
-def encode_tuple(t: SpeculativeTuple) -> bytes:
-    """Pack one tuple as float32s, state then action: exactly 4*(d_s+d_a) bytes."""
-    return _narrow(np.concatenate([t.predicted_state.values, t.action.values]))
-
-
-def decode_tuple(data: bytes, d_s: int, d_a: int, step_index: int = 0) -> SpeculativeTuple:
-    if len(data) != 4 * (d_s + d_a):
-        raise FrameError(f"tuple payload is {len(data)} bytes, expected {4 * (d_s + d_a)}")
-    return _tuples(data, d_s, d_a, step_index)[0]
-
-
 def encode_request(request_id: int, req: RolloutRequest) -> bytes:
     state = req.observed_state.values
     if state.size > 0xFFFF:

@@ -77,13 +77,12 @@ def _checked(cls, values: np.ndarray):
 def owned(cls, values):
     """``cls(values)`` without the copy, for a float64 array the caller has just computed.
 
-    The caller keeps no other reference to ``values``. If it passes the constructor's
-    checks (1-D, non-empty, finite), it is made read-only and wrapped as it is; any other
-    input, a view or one that fails a check included, goes through ``cls``.
+    The caller keeps no other reference to ``values``. If it passes the constructor's checks
+    (1-D, non-empty, a finite sum of squares), it is made read-only and wrapped as it is; any
+    other input, a view or a square that overflows (numpy warns) included, goes through ``cls``.
     """
     if (type(values) is np.ndarray and values.dtype == np.float64 and values.base is None
-            and values.ndim == 1 and values.size > 0
-            and np.count_nonzero(np.isfinite(values)) == values.size):
+            and values.ndim == 1 and values.size > 0 and math.isfinite(values.dot(values))):
         values.setflags(write=False)
         return _checked(cls, values)
     return cls(values)

@@ -3,16 +3,15 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .types import DimensionError, SpeculativeTuple, StateVector, WeightMatrix
 
 
-@dataclass(frozen=True)
-class VerificationOutcome:
-    """Result of checking one observed state against one cached prediction."""
+class VerificationOutcome(NamedTuple):
+    """Result of checking one observed state against one cached prediction (immutable)."""
 
     error: float
     is_hit: bool
@@ -46,4 +45,4 @@ def verify(
     The boundary (error exactly equal to the tolerance) counts as a hit.
     """
     err = tracking_error(actual, tup.predicted_state, weights)
-    return VerificationOutcome(error=err, is_hit=err <= epsilon_base)
+    return VerificationOutcome(err, err <= epsilon_base)

@@ -16,11 +16,12 @@ import pytest
 import spo
 from spo import cli
 from spo.ahs import AhsState, update_horizon
+from spo.cloud import RolloutResponse
 from spo.edge import Outcome
 from spo.environments import get_spec
 from spo.harness import BaselineKind, calibrate_weights, run_single
 from spo.sockets import edge_connect_run
-from spo.transport import decode_tuple, encode_tuple
+from spo.transport import decode_response, encode_response
 from spo.types import (
     ActionVector,
     SpeculativeTuple,
@@ -34,6 +35,7 @@ CFG = SpoConfig()  # 150 +/- 30 ms RTT, 50 Hz, epsilon 20, K in [2, 10], beta 1
 DRIFT_BIAS = 8e-4
 DRIFT_NOISE = 2e-4
 SEEDS = list(range(10))
+RESPONSE_HEADER = 1 + 4 + 4 + 2  # a response frame's type, request_id, step_index, tuple_count
 
 
 def _report(n: int, detail: str) -> None:
@@ -196,16 +198,17 @@ def test_criterion_8_wire_format():
             ActionVector(rng.uniform(-2.0, 2.0, d_a).astype(np.float32).astype(np.float64)),
             step_index=i,
         )
-        data = encode_tuple(t)
-        assert len(data) == 4 * (d_s + d_a)
-        back = decode_tuple(data, d_s, d_a, step_index=i)
+        frame = encode_response(i, RolloutResponse((t,), 1), step_index=i)
+        assert len(frame) - RESPONSE_HEADER == 4 * (d_s + d_a)
+        (back,) = decode_response(frame, d_s, d_a)[1].tuples
         assert back.predicted_state == t.predicted_state  # float32-exact identity
         assert back.action == t.action
     for d_s in (141, 148, 295):
         t = SpeculativeTuple(
             StateVector(rng.uniform(-1.0, 1.0, d_s)), ActionVector(np.zeros(8)), 0
         )
-        assert len(encode_tuple(t)) == 4 * (d_s + 8)
+        frame = encode_response(0, RolloutResponse((t,), 1))
+        assert len(frame) - RESPONSE_HEADER == 4 * (d_s + 8)
     assert 4 * (148 + 8) == 624
     _report(8, f"{n} random tuples round-tripped float32-exact; "
                "sizes at d_s=141/148/295 match 4(d_s+d_a), 624 bytes at d_s=148")

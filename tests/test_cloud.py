@@ -17,6 +17,7 @@ from spo.cloud import (
     OracleWorldModel,
     RolloutError,
     RolloutRequest,
+    RolloutResponse,
     ScriptedExpertPolicy,
     make_model,
     make_policy,
@@ -29,7 +30,7 @@ from spo.environments import (
     start_state,
     true_step,
 )
-from spo.transport import decode_tuple, encode_tuple
+from spo.transport import decode_response, encode_response
 from spo.types import ActionVector, SpeculativeTuple, SpoConfig, StateVector
 from spo.verifier import tracking_error
 from spo.types import WeightMatrix
@@ -177,7 +178,8 @@ def test_oracle_consistency_on_free_space():
         s = true_step(spec, s, t.action, tick)
         assert tracking_error(s, t.predicted_state, w) == pytest.approx(0.0, abs=1e-12)
         # And survives the 32-bit wire codec within the documented tolerance.
-        wired = decode_tuple(encode_tuple(t), spec.d_s, spec.d_a, t.step_index)
+        frame = encode_response(1, RolloutResponse((t,), 1), step_index=t.step_index - 1)
+        (wired,) = decode_response(frame, spec.d_s, spec.d_a)[1].tuples
         assert tracking_error(s, wired.predicted_state, w) < 1e-5
 
 
@@ -332,6 +334,35 @@ def test_blocking_session_returns_single_direct_tuple():
     assert resp.horizon_used == 0
     assert len(resp.tuples) == 1
     assert resp.tuples[0].step_index == 6
+
+
+class SteppingForbidden:
+    def step(self, state, action):
+        raise AssertionError("a blocking reply stepped its world model")
+
+
+class FailingPolicy:
+    def act(self, state):
+        raise ValueError("policy blew up")
+
+
+def test_blocking_reply_is_the_direct_action_for_the_observed_state_without_a_model_step():
+    policy = ConstantPolicy(0.5, d_a=2)
+    session = CloudSession(SpoConfig(), policy, SteppingForbidden(), fixed_horizon=0)
+    observed = StateVector([1.0, -2.0])
+    resp = session.handle(RolloutRequest(observed, 0.0, step_index=5))
+    (t,) = resp.tuples
+    assert t.predicted_state == observed
+    assert t.action == policy.act(observed)
+    assert t.step_index == 6
+    assert resp.horizon_used == 0
+    assert speculative_rollout(observed, 1, policy, None, start_step=5) == [t]
+
+
+def test_a_failing_policy_in_a_blocking_reply_is_a_rollout_error():
+    session = CloudSession(SpoConfig(), FailingPolicy(), SteppingForbidden(), fixed_horizon=0)
+    with pytest.raises(RolloutError, match="policy blew up"):
+        session.handle(_req(0.0))
 
 
 def test_fixed_horizon_session_ignores_ahs():

@@ -281,7 +281,10 @@ def test_skipping_held_ticks_changes_no_record_horizon_or_metric(monkeypatch):
     # A sub-tick round trip: a request and its reply land inside one tick, and every
     # other tick has nothing due, so ``VirtualLink.due`` returns before the channel.
     sub_tick = dataclasses.replace(CFG, rtt_base=0.01, jitter_half_width=0.004)
-    for cfg in (CFG, sub_tick):
+    # No delay: the cloud answers on the send tick's instant and its reply is due on the
+    # next tick, which must be stepped.
+    instant = dataclasses.replace(CFG, rtt_base=0.0, jitter_half_width=0.0)
+    for cfg in (CFG, sub_tick, instant):
         _assert_skipping_is_exact(monkeypatch, cfg, envs, ("oracle", "drifted"), range(3))
 
 
@@ -320,6 +323,49 @@ def test_max_steps_in_the_middle_of_a_wait_ends_on_a_held_tick():
     assert len(result.records) == result.metrics.steps_taken == 2
     assert result.records[-1].outcome is Outcome.AWAITING_REFILL
     assert not result.metrics.success
+
+
+def test_a_virtual_edge_awaits_only_on_disturbance_ticks(monkeypatch):
+    """The skip records every held tick but those it must stop at: the cloud answers a
+    request on its arrival tick without an edge tick, so ``edge_tick`` itself returns
+    ``AWAITING_REFILL`` only on a disturbance tick."""
+    awaited = []
+    edge_tick = EdgeSession.edge_tick
+
+    def recording(self, observed, tick_index):
+        rec, refill = edge_tick(self, observed, tick_index)
+        if rec.outcome is Outcome.AWAITING_REFILL:
+            awaited.append(tick_index)
+        return rec, refill
+
+    monkeypatch.setattr(EdgeSession, "edge_tick", recording)
+    for env in ("free_space", "tight_tolerance", "multi_stage"):
+        spec = get_spec(env)
+        weights = calibrate_weights(spec, seed=0)
+        disturbed = {t for t, _ in spec.disturbance_schedule}
+        for kind in BaselineKind:
+            for model in ("oracle", "drifted"):
+                for seed in range(2):
+                    m = run_single(kind, spec, CFG, seed, weights, model_kind=model).metrics
+                    assert m.awaiting > 0, (env, kind, model, seed)
+                    assert set(awaited) <= disturbed, (env, kind, model, seed, awaited)
+                    awaited.clear()
+
+
+@pytest.mark.parametrize("kind", list(BaselineKind))
+def test_an_episode_that_starts_inside_the_goal_ends_at_tick_0(kind):
+    spec = _held_spec(start=np.array([0.5, -0.5]))
+    result = run_single(kind, spec, CFG, 0, WeightMatrix(np.ones(2)))
+    assert [r.step_index for r in result.records] == [0]
+    assert result.metrics.success and result.metrics.steps_taken == 1
+
+
+def test_a_refill_tick_that_is_disturbed_is_stepped():
+    # Tick 0 starves and sends a refill; its disturbance still moves the robot, into the goal.
+    spec = _held_spec(disturbance_schedule=((0, np.array([0.5, -0.5])),))
+    result = run_single(BaselineKind.SPO, spec, CFG, 0, WeightMatrix(np.ones(2)))
+    assert [r.outcome for r in result.records] == [Outcome.STARVED_HOLD]
+    assert result.metrics.success
 
 
 def test_a_virtual_blocking_episode_skips_edge_ticks(free_space_weights, monkeypatch):

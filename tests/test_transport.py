@@ -19,10 +19,8 @@ from spo.transport import (
     VirtualChannel,
     decode_request,
     decode_response,
-    decode_tuple,
     encode_request,
     encode_response,
-    encode_tuple,
     recv_frame,
     send_frame,
 )
@@ -38,35 +36,52 @@ def _random_tuple(rng, d_s, d_a, step=0):
     )
 
 
+RESPONSE_HEADER = 1 + 4 + 4 + 2  # type, request_id, step_index, tuple_count
+
+
+def _tuple_frame(t):
+    """A one-tuple response frame whose step index decodes back to ``t``'s."""
+    return encode_response(1, RolloutResponse((t,), 1), step_index=t.step_index - 1)
+
+
+def _tuple_bytes(t):
+    """One tuple's wire bytes: a one-tuple response frame less its header."""
+    return _tuple_frame(t)[RESPONSE_HEADER:]
+
+
+def _roundtrip(t, d_s, d_a):
+    (back,) = decode_response(_tuple_frame(t), d_s, d_a)[1].tuples
+    return back
+
+
 def test_tuple_size_624_bytes_at_ds148():
     rng = np.random.default_rng(0)
-    assert len(encode_tuple(_random_tuple(rng, 148, 8))) == 624
+    assert len(_tuple_bytes(_random_tuple(rng, 148, 8, step=1))) == 624
 
 
 def test_tuple_size_596_bytes_at_ds141():
     rng = np.random.default_rng(0)
-    assert len(encode_tuple(_random_tuple(rng, 141, 8))) == 596
+    assert len(_tuple_bytes(_random_tuple(rng, 141, 8, step=1))) == 596
 
 
 def test_ten_tuple_payload_is_6240_bytes():
     rng = np.random.default_rng(0)
     tuples = tuple(_random_tuple(rng, 148, 8, step=i + 1) for i in range(10))
     frame = encode_response(1, RolloutResponse(tuples, 10), step_index=0)
-    header = 1 + 4 + 4 + 2  # type, request_id, step_index, tuple_count
-    assert len(frame) - header == 6240
+    assert len(frame) - RESPONSE_HEADER == 6240
 
 
 def test_byte_length_law_over_ds_range():
     rng = np.random.default_rng(1)
     for d_s in range(1, 513, 7):
-        t = _random_tuple(rng, d_s, 8)
-        assert len(encode_tuple(t)) == 4 * (d_s + 8)
+        t = _random_tuple(rng, d_s, 8, step=1)
+        assert len(_tuple_bytes(t)) == 4 * (d_s + 8)
 
 
 def test_roundtrip_float32_exact():
     rng = np.random.default_rng(2)
     t = _random_tuple(rng, 16, 4, step=9)
-    back = decode_tuple(encode_tuple(t), 16, 4, step_index=9)
+    back = _roundtrip(t, 16, 4)
     assert np.array_equal(back.predicted_state.values,
                           t.predicted_state.values.astype(np.float32).astype(np.float64))
     assert np.array_equal(back.action.values,
@@ -78,23 +93,24 @@ def test_roundtrip_exactly_representable_is_identity():
     t = SpeculativeTuple(
         StateVector([0.0, 1.5, -2.25, 1024.0]), ActionVector([0.5, -0.125]), 3
     )
-    back = decode_tuple(encode_tuple(t), 4, 2, step_index=3)
+    back = _roundtrip(t, 4, 2)
     assert back.predicted_state == t.predicted_state
     assert back.action == t.action
 
 
 def test_truncated_tuple_raises():
     rng = np.random.default_rng(3)
-    data = encode_tuple(_random_tuple(rng, 148, 8))
+    frame = _tuple_frame(_random_tuple(rng, 148, 8, step=1))
+    assert len(frame) - RESPONSE_HEADER == 624
     with pytest.raises(FrameError):
-        decode_tuple(data[:623], 148, 8)
+        decode_response(frame[:-1], 148, 8)
 
 
 def test_nonfinite_encode_rejected():
     # Finite in float64 but overflows float32.
-    t = SpeculativeTuple(StateVector([1e39]), ActionVector([0.0]), 0)
+    t = SpeculativeTuple(StateVector([1e39]), ActionVector([0.0]), 1)
     with pytest.raises(FrameError):
-        encode_tuple(t)
+        _tuple_frame(t)
 
 
 def test_request_roundtrip():
@@ -139,7 +155,7 @@ def test_response_roundtrip_reconstructs_step_indices():
 def _per_tuple_encode_response(request_id, resp, step_index=0):
     """The per-tuple encoder, the reference for the whole-frame one: each tuple narrowed alone."""
     head = struct.pack("<BIIH", FRAME_TYPE_RESPONSE, request_id, step_index, len(resp.tuples))
-    return head + b"".join(encode_tuple(t) for t in resp.tuples)
+    return head + b"".join(_tuple_bytes(t) for t in resp.tuples)
 
 
 def _per_tuple_decode_payload(payload, d_s, d_a, first_step):

@@ -115,6 +115,9 @@ NOT_OWNED = {
     "empty": np.zeros(0),
     "nan": np.array([1.0, np.nan]),
     "inf": np.array([-np.inf, 0.0]),
+    "plus-inf": np.array([0.0, np.inf]),
+    "both-infs": np.array([np.inf, -np.inf]),
+    "nan-and-inf": np.array([np.nan, np.inf]),
     "float32": np.array([1.5, -2.25], dtype=np.float32),
     "int64": np.array([1, 2]),
     "strided-view": np.arange(6.0)[::2],
@@ -148,6 +151,16 @@ def test_owned_wraps_a_fresh_float64_array_read_only_without_a_copy(cls):
     with pytest.raises(ValueError):
         vec.values[0] = 7.0
     assert vec == cls([1.0, -2.0, 6.0])
+
+
+@pytest.mark.parametrize("cls", [StateVector, ActionVector])
+def test_owned_takes_a_finite_array_whose_square_overflows_through_the_constructor(cls):
+    values = np.array([1e200, 1.0])  # finite, but its sum of squares is not
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        vec = owned(cls, values)
+    assert (type(vec), vec.values.tobytes()) == (cls, cls([1e200, 1.0]).values.tobytes())
+    assert vec == cls([1e200, 1.0]) and not vec.values.flags.writeable
+    assert values.flags.writeable and not np.shares_memory(vec.values, values)
 
 
 def test_weight_matrix_requires_positive_entries():

@@ -69,6 +69,17 @@ def test_verify_error_25_is_miss():
     assert out.error == 25.0
 
 
+def test_verification_outcome_cannot_be_assigned_to():
+    out = verify(StateVector([3.0, 4.0]), _tuple(np.zeros(2)), WeightMatrix(np.ones(2)), 20.0)
+    assert (out.error, out.is_hit) == (5.0, True)
+    with pytest.raises(AttributeError):
+        out.is_hit = False
+    with pytest.raises(AttributeError):
+        out.error = 0.0
+    with pytest.raises(AttributeError):  # no instance dict either
+        out.note = "extra"
+
+
 def test_verify_boundary_is_hit():
     actual = StateVector([20.0, 0.0])
     out = verify(actual, _tuple(np.zeros(2)), WeightMatrix(np.ones(2)), 20.0)
