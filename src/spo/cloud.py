@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
-from typing import Protocol
+from dataclasses import replace
+from typing import NamedTuple, Protocol
 
 import numpy as np
 
@@ -39,28 +39,26 @@ class WorldModel(Protocol):
     def step(self, state: StateVector, action: ActionVector) -> StateVector: ...
 
 
-@dataclass(frozen=True)
-class RolloutRequest:
-    """Edge-to-cloud refill request.
+class RolloutRequest(NamedTuple("RolloutRequest", [
+        ("observed_state", StateVector), ("violation_error", float), ("step_index", int)])):
+    """Edge-to-cloud refill request, an immutable named tuple.
 
     ``step_index`` is the progress index of the last executed control action;
     generated tuples target ``step_index + 1 ..``. ``violation_error`` is the
     tube error that triggered the request, or 0 for plain starvation.
     """
 
-    observed_state: StateVector
-    violation_error: float
-    step_index: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.violation_error >= 0:  # NaN too
+    def __new__(cls, observed_state: StateVector, violation_error: float, step_index: int):
+        if not violation_error >= 0:  # NaN too
             raise ValueError("violation_error must be >= 0")
-        if self.step_index < 0:
+        if step_index < 0:
             raise ValueError("step_index must be >= 0")
+        return tuple.__new__(cls, (observed_state, violation_error, step_index))
 
 
-@dataclass(frozen=True)
-class RolloutResponse:
+class RolloutResponse(NamedTuple):
     tuples: tuple
     horizon_used: int
 

@@ -13,8 +13,9 @@ The virtual clock is event-driven. After a tick that leaves the edge awaiting a 
 :func:`run_episode` records the held ticks up to the next delivery to the edge, the next
 disturbance or ``max_steps`` in one go; the link answers a request that reaches the cloud
 meanwhile. This is exact: such a tick delivers nothing to the edge, holds the zero action
-and is not disturbed. A refill tick holds still too, unless disturbed, and a stepped tick
-with nothing due does no channel work.
+and is not disturbed. A refill tick holds still too, unless disturbed, and checks the goal
+only at tick 0; a stepped tick with nothing due does no channel work, and a tick that only
+receives does not poll the cloud side again.
 """
 
 from __future__ import annotations
@@ -154,7 +155,8 @@ class VirtualLink:
     and ``next_delivery()``, the earliest arrival either way (``inf`` if none; ``-inf`` for a
     link stepped every tick). ``send`` takes the edge's ``(request_id, request)``; ``answer(now)``
     handles the requests at the cloud by ``now``, then returns ``next_delivery()``; ``due(now)``
-    answers, then returns the ``(request_id, response)`` pairs at the edge by ``now``.
+    answers if a request is at the cloud by ``now``, then returns the ``(request_id, response)``
+    pairs at the edge by ``now``.
     """
 
     dead = False
@@ -178,10 +180,12 @@ class VirtualLink:
         return self.channel.next_delivery()
 
     def due(self, now: float) -> list:
-        if self.channel.next_delivery() > now:
+        channel = self.channel
+        if channel.next_delivery() > now:
             return []
-        self.answer(now)
-        return self.channel.edge_inbox(now)
+        if channel.to_cloud and channel.to_cloud[0][0] <= now:  # else the cloud has answered
+            self.answer(now)
+        return channel.edge_inbox(now)
 
     def send(self, refill, now: float) -> None:
         self.channel.send_request(refill, now)
@@ -234,13 +238,15 @@ def run_episode(
         records.append(rec)
         if refill is not None:
             link.send(refill, now)
-        if refill is None or tick in disturbed:  # a tick that sends a refill holds still
+        moved = refill is None or tick in disturbed  # a tick that sends a refill holds still
+        if moved:
             try:
                 state = true_step(spec, state, rec.action_executed, tick)
             except ValueError as exc:
                 diagnostic = f"environment diverged at tick {tick}: {exc}"
                 break
-        if is_success(spec, state):  # checked on a held tick too: tick 0 checks the start
+        # A held tick keeps the state checked when it last moved; only tick 0's start is new.
+        if (moved or not tick) and is_success(spec, state):
             success = True
             break
         if link.dead and edge.in_flight_id is not None:

@@ -9,9 +9,12 @@ Frame layout (all little-endian):
                payload = tuple_count * 4 * (d_s + d_a) bytes,
                each tuple packed as state then action float32s
 
+Each frame is one header struct and one float32 array, packed and unpacked once.
 A decoder raises :class:`FrameError`, and nothing else, for every malformed frame.
-:mod:`spo.types` checks the values, a response payload once per frame rather than
-once per tuple; the encoder narrows a whole response to float32 in one pass.
+It widens the payload to float64 once and checks it once, a request's state through
+:func:`spo.types.owned`, a response by one sum of squares, then gives each tuple
+read-only row views of that one array; the encoder narrows a whole frame to float32
+in one pass, refusing any value that float32 would round to infinity.
 Socket mode prefixes every frame with a 4B length, at most :data:`MAX_FRAME_BYTES`.
 Both modes draw delays from one :class:`LatencyModel`, an uplink leg then a
 downlink leg per request. The harness delivers both legs through a
@@ -24,19 +27,19 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from itertools import count
 
 import numpy as np
 
 from .cloud import RolloutRequest, RolloutResponse
-from .types import SpeculativeTuple, StateVector, vector_rows
+from .types import ActionVector, SpeculativeTuple, StateVector, _checked, owned
 
 FRAME_TYPE_REQUEST = 1
 FRAME_TYPE_RESPONSE = 2
 
-_COMMON = struct.Struct("<BII")
-_REQ_HEADER = struct.Struct("<fH")
-_RESP_HEADER = struct.Struct("<H")
+_REQUEST = struct.Struct("<BIIfH")  # type, request_id, step_index, violation_error, d_s
+_RESPONSE = struct.Struct("<BIIH")  # type, request_id, step_index, tuple_count
+# The least magnitude that float32 narrowing rounds to infinity: half an ulp above float32 max.
+_F32_OVERFLOW = 2.0**128 - 2.0**103
 _LEN_PREFIX = struct.Struct("<I")
 
 # The longest frame either end sends or reads. A peer's length prefix can
@@ -50,34 +53,22 @@ class FrameError(ValueError):
 
 
 def _narrow(values: np.ndarray) -> bytes:
-    """``values`` as little-endian float32 bytes, refusing any that overflow."""
-    with np.errstate(over="ignore"):
-        flat = values.astype("<f4")
-    if np.count_nonzero(np.isfinite(flat)) != flat.size:
+    """``values`` as little-endian float32 bytes, refusing any that overflow (or are NaN)."""
+    if not np.abs(values).max() < _F32_OVERFLOW:
         raise FrameError("non-finite value after float32 narrowing")
-    return flat.tobytes()
+    return values.astype("<f4").tobytes()
 
 
 def _unpack(frame: bytes, ftype: int, header: struct.Struct, stride: int) -> tuple:
-    """``(request_id, step_index, *header, payload)``; header[-1] counts ``stride``-byte items."""
-    start = _COMMON.size + header.size
-    if len(frame) < start:
-        raise FrameError(f"frame of {len(frame)} bytes is shorter than its headers")
-    got, request_id, step_index = _COMMON.unpack_from(frame)
-    if got != ftype:
-        raise FrameError(f"expected frame type {ftype}, got type {got}")
-    fields = header.unpack_from(frame, _COMMON.size)
-    if len(frame) - start != fields[-1] * stride:
-        raise FrameError(f"payload is {len(frame) - start} bytes, expected {fields[-1] * stride}")
-    return (request_id, step_index, *fields, frame[start:])
-
-
-def _tuples(payload: bytes, d_s: int, d_a: int, first_step: int) -> tuple:
-    try:
-        states, actions = vector_rows(np.frombuffer(payload, dtype="<f4"), d_s, d_a)
-        return tuple(map(SpeculativeTuple, states, actions, count(first_step)))
-    except ValueError as exc:
-        raise FrameError(f"bad tuple: {exc}") from None
+    """``header``'s fields of ``frame``, type first; the last counts ``stride``-byte items."""
+    if len(frame) < header.size:
+        raise FrameError(f"frame of {len(frame)} bytes is shorter than its header")
+    fields = header.unpack_from(frame)
+    if fields[0] != ftype:
+        raise FrameError(f"expected frame type {ftype}, got type {fields[0]}")
+    if (got := len(frame) - header.size) != fields[-1] * stride:
+        raise FrameError(f"payload is {got} bytes, expected {fields[-1] * stride}")
+    return fields
 
 
 def encode_request(request_id: int, req: RolloutRequest) -> bytes:
@@ -85,17 +76,18 @@ def encode_request(request_id: int, req: RolloutRequest) -> bytes:
     if state.size > 0xFFFF:
         raise FrameError(f"a request counts its {state.size} state components in a uint16")
     try:
-        header = _REQ_HEADER.pack(req.violation_error, state.size)
+        header = _REQUEST.pack(
+            FRAME_TYPE_REQUEST, request_id, req.step_index, req.violation_error, state.size)
     except OverflowError:
         raise FrameError(f"violation_error {req.violation_error} is beyond float32 range") from None
-    return _COMMON.pack(FRAME_TYPE_REQUEST, request_id, req.step_index) + header + _narrow(state)
+    return header + _narrow(state)
 
 
 def decode_request(frame: bytes) -> tuple[int, RolloutRequest]:
-    rid, step, violation_error, _, payload = _unpack(frame, FRAME_TYPE_REQUEST, _REQ_HEADER, 4)
+    _, rid, step, violation_error, _ = _unpack(frame, FRAME_TYPE_REQUEST, _REQUEST, 4)
     try:
-        state = StateVector(np.frombuffer(payload, dtype="<f4"))
-        return rid, RolloutRequest(state, float(violation_error), step)
+        state = owned(StateVector, np.frombuffer(frame, "<f4", offset=_REQUEST.size).astype(float))
+        return rid, RolloutRequest(state, violation_error, step)
     except ValueError as exc:
         raise FrameError(f"bad request: {exc}") from None
 
@@ -103,7 +95,7 @@ def decode_request(frame: bytes) -> tuple[int, RolloutRequest]:
 def encode_response(request_id: int, resp: RolloutResponse, step_index: int = 0) -> bytes:
     """One frame; all tuples' floats are joined, then narrowed and checked once."""
     count = len(resp.tuples)
-    head = _COMMON.pack(FRAME_TYPE_RESPONSE, request_id, step_index) + _RESP_HEADER.pack(count)
+    head = _RESPONSE.pack(FRAME_TYPE_RESPONSE, request_id, step_index, count)
     if not count:
         return head
     values = [v for t in resp.tuples for v in (t.predicted_state.values, t.action.values)]
@@ -111,8 +103,23 @@ def encode_response(request_id: int, resp: RolloutResponse, step_index: int = 0)
 
 
 def decode_response(frame: bytes, d_s: int, d_a: int) -> tuple[int, RolloutResponse]:
-    rid, step, count, payload = _unpack(frame, FRAME_TYPE_RESPONSE, _RESP_HEADER, 4 * (d_s + d_a))
-    return rid, RolloutResponse(_tuples(payload, d_s, d_a, step + 1), horizon_used=count)
+    """The frame's tuples, each two read-only row views of one widened, checked array.
+
+    The squares of float32 values cannot overflow float64, so one sum of squares is
+    finite exactly when every value is.
+    """
+    if d_s < 1 or d_a < 1:
+        raise FrameError(f"row dimensions must be >= 1, got d_s={d_s}, d_a={d_a}")
+    _, rid, step, count = _unpack(frame, FRAME_TYPE_RESPONSE, _RESPONSE, 4 * (d_s + d_a))
+    flat = np.frombuffer(frame, "<f4", offset=_RESPONSE.size).astype(float)
+    if not math.isfinite(flat.dot(flat)):
+        raise FrameError("bad tuple: non-finite value in the payload")
+    flat.setflags(write=False)
+    rows = flat.reshape(count, d_s + d_a)
+    tuples = tuple([
+        SpeculativeTuple(_checked(StateVector, row[:d_s]), _checked(ActionVector, row[d_s:]), i)
+        for i, row in enumerate(rows, step + 1)])
+    return rid, RolloutResponse(tuples, count)
 
 
 @dataclass

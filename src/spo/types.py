@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -49,22 +48,6 @@ def _as_finite_vector(values, what: str) -> np.ndarray:
         raise ValueError(f"{what} contains non-finite entries")
     arr.setflags(write=False)
     return arr
-
-
-def vector_rows(values, d_s: int, d_a: int) -> tuple:
-    """The state and the action vectors of each ``d_s + d_a`` row of the flat ``values``.
-
-    The whole array is checked once by :func:`_as_finite_vector`; each vector
-    then holds a read-only row view of that checked copy, which is what its
-    own constructor would build, without a check per row.
-    """
-    if d_s < 1 or d_a < 1:
-        raise DimensionError(f"row dimensions must be >= 1, got d_s={d_s}, d_a={d_a}")
-    if len(values) == 0:
-        return [], []
-    rows = _as_finite_vector(values, "rows").reshape(-1, d_s + d_a)
-    return (list(map(partial(_checked, StateVector), rows[:, :d_s])),
-            list(map(partial(_checked, ActionVector), rows[:, d_s:])))
 
 
 def _checked(cls, values: np.ndarray):

@@ -470,3 +470,27 @@ def test_expert_policy_later_segment_wins_a_tie():
 def test_make_model_rejects_unknown_kind():
     with pytest.raises(ValueError):
         make_model(get_spec("free_space"), "learned")
+
+
+@pytest.mark.parametrize("violation_error, step_index", [
+    (float("nan"), 0), (-1.0, 0), (-float("inf"), 0), (0.0, -1),
+])
+def test_rollout_request_refuses_bad_values(violation_error, step_index):
+    with pytest.raises(ValueError):
+        RolloutRequest(StateVector([0.0]), violation_error, step_index)
+    with pytest.raises(ValueError):
+        RolloutRequest(StateVector([0.0]), violation_error=violation_error, step_index=step_index)
+
+
+def test_rollout_records_cannot_be_assigned_to():
+    req = RolloutRequest(StateVector([1.0]), 0.5, step_index=3)
+    resp = RolloutResponse((), horizon_used=0)
+    assert (req.violation_error, req.step_index, resp.tuples, resp.horizon_used) == (0.5, 3, (), 0)
+    for record, name in ((req, "observed_state"), (req, "violation_error"), (req, "step_index"),
+                         (resp, "tuples"), (resp, "horizon_used")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    for record in (req, resp):
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):  # a light record: no instance dict
+            record.note = "extra"

@@ -368,6 +368,65 @@ def test_a_refill_tick_that_is_disturbed_is_stepped():
     assert result.metrics.success
 
 
+def test_the_goal_is_checked_on_tick_0_and_then_only_when_the_state_moved(monkeypatch):
+    """A held refill tick keeps a state that was checked when it last moved; only tick 0's
+    start state has not been checked before."""
+    calls = {"true_step": 0, "is_success": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    specs = {env: get_spec(env) for env in ("free_space", "tight_tolerance", "multi_stage")}
+    weights = {env: calibrate_weights(spec, seed=0) for env, spec in specs.items()}
+    monkeypatch.setattr(harness, "true_step", counting("true_step", true_step))
+    monkeypatch.setattr(harness, "is_success", counting("is_success", is_success))
+    for env, spec in specs.items():
+        disturbed = {t for t, _ in spec.disturbance_schedule}
+        for kind in BaselineKind:
+            calls.update(true_step=0, is_success=0)
+            result = run_single(kind, spec, CFG, 0, weights[env], model_kind="drifted")
+            held = [r.step_index for r in result.records
+                    if r.outcome in (Outcome.MISS, Outcome.STARVED_HOLD)
+                    and r.step_index not in disturbed]
+            assert len(held) > 1 and held[0] == 0, (env, kind)
+            assert calls["is_success"] == calls["true_step"] + 1, (env, kind, calls)
+
+
+def test_a_response_tick_polls_the_cloud_side_of_the_channel_at_most_once(monkeypatch):
+    """Each refill's request is popped by one poll of the cloud side; the awaiting skip
+    polls once more on the tick its response reaches the edge, and the stepped tick
+    that installs it does not poll again."""
+    polls, delivered = [], []
+
+    class CountingChannel(harness.VirtualChannel):
+        def cloud_inbox_timed(self, now):
+            due = super().cloud_inbox_timed(now)
+            polls.append(len(due))
+            return due
+
+        def edge_inbox(self, now):
+            due = super().edge_inbox(now)
+            delivered.extend(due)
+            return due
+
+    monkeypatch.setattr(harness, "VirtualChannel", CountingChannel)
+    instant = dataclasses.replace(CFG, rtt_base=0.0, jitter_half_width=0.0)
+    for env in ("free_space", "tight_tolerance", "multi_stage"):
+        spec = get_spec(env)
+        weights = calibrate_weights(spec, seed=0)
+        for cfg in (CFG, instant):
+            for kind in BaselineKind:
+                polls.clear()
+                delivered.clear()
+                result = run_single(kind, spec, cfg, 0, weights, model_kind="drifted")
+                assert delivered and set(polls) <= {0, 1}, (env, kind)
+                assert sum(polls) == len(result.horizons)  # one poll pops each request
+                assert polls.count(0) <= len(delivered), (env, kind, cfg.rtt_base)
+
+
 def test_a_virtual_blocking_episode_skips_edge_ticks(free_space_weights, monkeypatch):
     calls = []
     edge_tick = EdgeSession.edge_tick

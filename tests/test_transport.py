@@ -435,3 +435,56 @@ def test_float32_vectors_round_trip_exactly(rid, step, violation, state, d_s, ro
         assert not vec.values.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             vec.values[0] = 0.0
+
+
+F32_OVERFLOW = 2.0**128 - 2.0**103  # the least magnitude float32 rounds to infinity
+
+
+@pytest.mark.parametrize("bad", [F32_OVERFLOW, -F32_OVERFLOW, math.nan, math.inf, -math.inf])
+def test_a_value_float32_cannot_hold_is_refused_in_a_request_state_and_a_response(bad):
+    # The vector constructors refuse NaN and the infinities, and the encoders must
+    # refuse them too, so each value is put into a vector already built.
+    state = StateVector([1.0, 2.0])
+    object.__setattr__(state, "values", np.array([1.0, bad]))
+    with pytest.raises(FrameError, match="non-finite"):
+        encode_request(1, RolloutRequest(state, 0.0, 0))
+    rng = np.random.default_rng(8)
+    tuples = [_random_tuple(rng, 2, 2, step=1 + i) for i in range(3)]
+    action = ActionVector([0.0, 0.0])
+    object.__setattr__(action, "values", np.array([0.5, bad]))
+    tuples[-1] = SpeculativeTuple(tuples[-1].predicted_state, action, 3)
+    with pytest.raises(FrameError, match="non-finite"):
+        encode_response(1, RolloutResponse(tuple(tuples), 3))
+
+
+def test_the_largest_value_below_the_overflow_bound_narrows_to_float32_max():
+    below = float(np.nextafter(F32_OVERFLOW, 0.0))
+    f32_max = float(np.finfo(np.float32).max)
+    assert below > f32_max
+    frame = encode_request(1, RolloutRequest(StateVector([below, -below]), 0.0, 0))
+    assert np.array_equal(np.frombuffer(frame[-8:], "<f4"), [f32_max, -f32_max])
+    t = SpeculativeTuple(StateVector([below]), ActionVector([-below]), 1)
+    back = _roundtrip(t, 1, 1)
+    assert (back.predicted_state.values[0], back.action.values[0]) == (f32_max, -f32_max)
+
+
+@pytest.mark.parametrize("tuples", [0, 1])
+def test_decode_response_refuses_a_zero_dimension_even_for_an_empty_frame(tuples):
+    tup = SpeculativeTuple(StateVector([1.0, 2.0]), ActionVector([3.0]), 1)
+    frame = encode_response(1, RolloutResponse((tup,) * tuples, tuples))
+    d = 3
+    for d_s, d_a in ((0, d), (d, 0)):
+        with pytest.raises(FrameError, match="dimensions"):
+            decode_response(frame, d_s, d_a)
+
+
+def test_every_vector_of_a_decoded_frame_views_one_read_only_array():
+    rng = np.random.default_rng(9)
+    tuples = tuple(_random_tuple(rng, 4, 2, step=6 + i) for i in range(5))
+    _, resp = decode_response(encode_response(1, RolloutResponse(tuples, 5), step_index=5), 4, 2)
+    vectors = [v.values for t in resp.tuples for v in (t.predicted_state, t.action)]
+    base = vectors[0].base
+    assert isinstance(base, np.ndarray) and base.dtype == np.float64 and base.size == 5 * 6
+    assert not base.flags.writeable
+    assert all(v.base is base for v in vectors)
+    assert np.array_equal(np.concatenate(vectors), base)
