@@ -18,7 +18,7 @@ from typing import NamedTuple, Protocol
 import numpy as np
 
 from .ahs import AhsState, update_horizon
-from .environments import EnvironmentSpec, next_values, true_step
+from .environments import EnvironmentSpec, next_values
 from .types import ActionVector, SpeculativeTuple, SpoConfig, StateVector, owned
 
 
@@ -93,17 +93,17 @@ class ScriptedExpertPolicy:
 
     def act(self, state: StateVector) -> ActionVector:
         pos = state.values
-        target = self._target(pos)
-        to_target = target - pos
-        v = self.spec.gain * to_target
+        v = self._target(pos) - pos
+        dist = math.sqrt(v.dot(v))
+        v *= self.spec.gain
         speed = math.sqrt(v.dot(v))
         if speed > self.spec.a_max:
-            v = v * (self.spec.a_max / speed)
+            v *= self.spec.a_max / speed
         # Speed varies along the path so one-step deltas have usable variance
         # for inverse-variance weight calibration (constant-velocity motion
         # would be degenerate).
-        dist = math.sqrt(to_target.dot(to_target))
-        return owned(ActionVector, v * (0.7 + 0.3 * np.cos(4.0 * dist)))
+        v *= 0.7 + 0.3 * math.cos(4.0 * dist)
+        return owned(ActionVector, v)
 
 
 class OracleWorldModel:
@@ -113,7 +113,7 @@ class OracleWorldModel:
         self.spec = replace(spec, disturbance_schedule=())
 
     def step(self, state: StateVector, action: ActionVector) -> StateVector:
-        return true_step(self.spec, state, action, 0)
+        return owned(StateVector, next_values(self.spec, state, action, 0))
 
 
 class DriftedWorldModel(OracleWorldModel):
@@ -143,7 +143,9 @@ class DriftedWorldModel(OracleWorldModel):
 
     def step(self, state: StateVector, action: ActionVector) -> StateVector:
         nxt = next_values(self.spec, state, action, 0)
-        return owned(StateVector, nxt + self.bias + self._noise(state, action, nxt.size))
+        nxt += self.bias
+        nxt += self._noise(state, action, nxt.size)
+        return owned(StateVector, nxt)
 
 
 def speculative_rollout(
@@ -160,19 +162,21 @@ def speculative_rollout(
     """
     if horizon < 1:
         raise RolloutError("horizon must be >= 1")
+    if start_step < 0:  # so every index below is >= 1, and no tuple re-checks its own
+        raise ValueError("step_index must be nonnegative")
     tuples: list[SpeculativeTuple] = []
-    s = start
+    s, dim = start, start.dim
     for k in range(1, horizon + 1):
         try:
             a = policy.act(s)
             s_next = s if model is None else model.step(s, a)
         except (ValueError, FloatingPointError) as exc:
             raise RolloutError(f"rollout diverged at depth {k}: {exc}") from exc
-        if s_next.dim != start.dim:
+        if s_next.values.size != dim:
             raise RolloutError(
-                f"model output dimension {s_next.dim} != state dimension {start.dim}"
+                f"model output dimension {s_next.dim} != state dimension {dim}"
             )
-        tuples.append(SpeculativeTuple(s_next, a, step_index=start_step + k))
+        tuples.append(tuple.__new__(SpeculativeTuple, (s_next, a, start_step + k)))
         s = s_next
     return tuples
 

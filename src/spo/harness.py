@@ -154,9 +154,8 @@ class VirtualLink:
     A link has ``wait``, ``answer``, ``due``, ``send``, ``dead``, ``horizons``, ``generated``
     and ``next_delivery()``, the earliest arrival either way (``inf`` if none; ``-inf`` for a
     link stepped every tick). ``send`` takes the edge's ``(request_id, request)``; ``answer(now)``
-    handles the requests at the cloud by ``now``, then returns ``next_delivery()``; ``due(now)``
-    answers if a request is at the cloud by ``now``, then returns the ``(request_id, response)``
-    pairs at the edge by ``now``.
+    handles the requests at the cloud by ``now``, if any, then returns ``next_delivery()``;
+    ``due(now)`` answers, then returns the ``(request_id, response)`` pairs at the edge by ``now``.
     """
 
     dead = False
@@ -171,21 +170,18 @@ class VirtualLink:
         pass
 
     def answer(self, now: float) -> float:
-        # Respond from the arrival instant, so the response leg is not tick-quantized.
-        for arrived_at, (rid, req) in self.channel.cloud_inbox_timed(now):
-            resp = self.cloud.handle(req)
-            self.horizons.append(resp.horizon_used)
-            self.generated += len(resp.tuples)
-            self.channel.send_response((rid, resp), now=arrived_at)
-        return self.channel.next_delivery()
+        channel = self.channel
+        if channel.to_cloud and channel.to_cloud[0][0] <= now:  # else there is nothing to poll
+            # Respond from the arrival instant, so the response leg is not tick-quantized.
+            for arrived_at, (rid, req) in channel.cloud_inbox_timed(now):
+                resp = self.cloud.handle(req)
+                self.horizons.append(resp.horizon_used)
+                self.generated += len(resp.tuples)
+                channel.send_response((rid, resp), now=arrived_at)
+        return channel.next_delivery()
 
     def due(self, now: float) -> list:
-        channel = self.channel
-        if channel.next_delivery() > now:
-            return []
-        if channel.to_cloud and channel.to_cloud[0][0] <= now:  # else the cloud has answered
-            self.answer(now)
-        return channel.edge_inbox(now)
+        return [] if self.answer(now) > now else self.channel.edge_inbox(now)
 
     def send(self, refill, now: float) -> None:
         self.channel.send_request(refill, now)

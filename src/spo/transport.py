@@ -73,13 +73,14 @@ def _unpack(frame: bytes, ftype: int, header: struct.Struct, stride: int) -> tup
 
 def encode_request(request_id: int, req: RolloutRequest) -> bytes:
     state = req.observed_state.values
-    if state.size > 0xFFFF:
-        raise FrameError(f"a request counts its {state.size} state components in a uint16")
     try:
         header = _REQUEST.pack(
             FRAME_TYPE_REQUEST, request_id, req.step_index, req.violation_error, state.size)
     except OverflowError:
         raise FrameError(f"violation_error {req.violation_error} is beyond float32 range") from None
+    except struct.error:  # the id and step are uint32s, the state's size a uint16
+        raise FrameError(f"request {request_id} at step {req.step_index} with {state.size} "
+                         "state components overflows its uint32 ids or uint16 count") from None
     return header + _narrow(state)
 
 
@@ -95,7 +96,11 @@ def decode_request(frame: bytes) -> tuple[int, RolloutRequest]:
 def encode_response(request_id: int, resp: RolloutResponse, step_index: int = 0) -> bytes:
     """One frame; all tuples' floats are joined, then narrowed and checked once."""
     count = len(resp.tuples)
-    head = _RESPONSE.pack(FRAME_TYPE_RESPONSE, request_id, step_index, count)
+    try:
+        head = _RESPONSE.pack(FRAME_TYPE_RESPONSE, request_id, step_index, count)
+    except struct.error:
+        raise FrameError(f"response {request_id} at step {step_index} with {count} "
+                         "tuples overflows its uint32 ids or uint16 count") from None
     if not count:
         return head
     values = [v for t in resp.tuples for v in (t.predicted_state.values, t.action.values)]
@@ -106,7 +111,7 @@ def decode_response(frame: bytes, d_s: int, d_a: int) -> tuple[int, RolloutRespo
     """The frame's tuples, each two read-only row views of one widened, checked array.
 
     The squares of float32 values cannot overflow float64, so one sum of squares is
-    finite exactly when every value is.
+    finite exactly when every value is. The uint32 step makes every index >= 1 unchecked.
     """
     if d_s < 1 or d_a < 1:
         raise FrameError(f"row dimensions must be >= 1, got d_s={d_s}, d_a={d_a}")
@@ -117,8 +122,8 @@ def decode_response(frame: bytes, d_s: int, d_a: int) -> tuple[int, RolloutRespo
     flat.setflags(write=False)
     rows = flat.reshape(count, d_s + d_a)
     tuples = tuple([
-        SpeculativeTuple(_checked(StateVector, row[:d_s]), _checked(ActionVector, row[d_s:]), i)
-        for i, row in enumerate(rows, step + 1)])
+        tuple.__new__(SpeculativeTuple, (_checked(StateVector, s), _checked(ActionVector, a), i))
+        for i, s, a in zip(range(step + 1, step + 1 + count), rows[:, :d_s], rows[:, d_s:])])
     return rid, RolloutResponse(tuples, count)
 
 

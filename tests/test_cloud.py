@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -494,3 +495,67 @@ def test_rollout_records_cannot_be_assigned_to():
         assert not hasattr(record, "__dict__")
         with pytest.raises(AttributeError):  # a light record: no instance dict
             record.note = "extra"
+
+
+def _scalar_formula_act(policy, state):
+    """The expert's action as the out-of-place expression it replaced computed it."""
+    pos = state.values
+    to_target = policy._target(pos) - pos
+    v = policy.spec.gain * to_target
+    speed = math.sqrt(v.dot(v))
+    if speed > policy.spec.a_max:
+        v = v * (policy.spec.a_max / speed)
+    dist = math.sqrt(to_target.dot(to_target))
+    return v * (0.7 + 0.3 * np.cos(4.0 * dist))
+
+
+@pytest.mark.parametrize("name", sorted(canonical_specs()))
+def test_the_in_place_expert_action_is_the_scalar_formula_byte_for_byte(name):
+    spec = get_spec(name)
+    policy = make_policy(spec)
+    goal = np.asarray(spec.waypoints[-1], dtype=np.float64)
+    far = StateVector(goal + 50.0)  # the a_max clip fires
+    at_target = StateVector(goal)  # dist 0: the action is zero
+    states = _policy_probe_states(spec, np.random.default_rng(21), 100) + [far, at_target]
+    clipped = []
+    for s in states:
+        want = _scalar_formula_act(policy, s)
+        got = policy.act(s).values
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+        to_target = policy._target(s.values) - s.values
+        clipped.append(spec.gain * math.sqrt(to_target.dot(to_target)) > spec.a_max)
+    assert clipped[-2] and not clipped[-1] and not all(clipped)
+    assert policy._target(goal) is policy._path[-1]
+    assert not np.any(policy.act(at_target).values)
+
+
+def test_a_negative_start_step_is_refused_before_the_policy_acts():
+    calls = []
+
+    class Recording(ConstantPolicy):
+        def act(self, state):
+            calls.append(state)
+            return super().act(state)
+
+    with pytest.raises(ValueError, match="step_index must be nonnegative"):
+        speculative_rollout(StateVector([0.0]), 3, Recording(1.0), ToyIntegrator(), start_step=-1)
+    assert calls == []
+    tuples = speculative_rollout(StateVector([0.0]), 2, Recording(1.0), ToyIntegrator())
+    assert [t.step_index for t in tuples] == [1, 2] and len(calls) == 2
+
+
+@pytest.mark.parametrize("model_kind", ["oracle", "drifted"])
+@pytest.mark.parametrize("name", sorted(canonical_specs()))
+def test_a_world_model_step_leaves_its_inputs_and_returns_a_read_only_array(name, model_kind):
+    spec = get_spec(name)
+    policy, model = make_policy(spec), make_model(spec, model_kind, seed=2)
+    s = start_state(spec, np.random.default_rng(6))
+    for _ in range(20):
+        a = policy.act(s)
+        before = (s.values.tobytes(), a.values.tobytes())
+        nxt = model.step(s, a)
+        assert (s.values.tobytes(), a.values.tobytes()) == before
+        assert not nxt.values.flags.writeable
+        assert nxt.values is not s.values and nxt.values.base is None
+        s = nxt

@@ -396,9 +396,8 @@ def test_the_goal_is_checked_on_tick_0_and_then_only_when_the_state_moved(monkey
 
 
 def test_a_response_tick_polls_the_cloud_side_of_the_channel_at_most_once(monkeypatch):
-    """Each refill's request is popped by one poll of the cloud side; the awaiting skip
-    polls once more on the tick its response reaches the edge, and the stepped tick
-    that installs it does not poll again."""
+    """Each refill's request is popped by one poll of the cloud side, and no tick
+    polls the cloud side for nothing: every poll of an episode returns a request."""
     polls, delivered = [], []
 
     class CountingChannel(harness.VirtualChannel):
@@ -422,9 +421,8 @@ def test_a_response_tick_polls_the_cloud_side_of_the_channel_at_most_once(monkey
                 polls.clear()
                 delivered.clear()
                 result = run_single(kind, spec, cfg, 0, weights, model_kind="drifted")
-                assert delivered and set(polls) <= {0, 1}, (env, kind)
-                assert sum(polls) == len(result.horizons)  # one poll pops each request
-                assert polls.count(0) <= len(delivered), (env, kind, cfg.rtt_base)
+                assert delivered, (env, kind)
+                assert polls == [1] * len(result.horizons), (env, kind, cfg.rtt_base)
 
 
 def test_a_virtual_blocking_episode_skips_edge_ticks(free_space_weights, monkeypatch):

@@ -345,3 +345,15 @@ def test_server_closes_a_connection_on_a_bad_request_and_no_thread_raises(
         server.stop()
     _join_sessions()
     assert raised == []
+
+
+def test_a_request_the_wire_cannot_carry_marks_the_socket_link_dead_without_raising(quick_spec):
+    edge_end, peer_end = socket.socketpair()
+    with edge_end, peer_end:
+        link = spo.sockets.SocketLink(edge_end, quick_spec, blocking=False)
+        req = RolloutRequest(StateVector(np.zeros(quick_spec.d_s)), 0.0, 2**32)
+        link.send((1, req), 0.0)
+        assert link.dead
+        peer_end.setblocking(False)
+        with pytest.raises(BlockingIOError):  # nothing was sent
+            peer_end.recv(1)

@@ -488,3 +488,28 @@ def test_every_vector_of_a_decoded_frame_views_one_read_only_array():
     assert not base.flags.writeable
     assert all(v.base is base for v in vectors)
     assert np.array_equal(np.concatenate(vectors), base)
+
+
+@pytest.mark.parametrize("rid, step", [(2**32, 0), (0, 2**32)], ids=["id", "step"])
+def test_an_id_or_step_beyond_uint32_is_a_frame_error_in_either_encoder(rid, step):
+    req = RolloutRequest(StateVector([1.0]), 0.0, step)
+    resp = RolloutResponse((SpeculativeTuple(StateVector([1.0]), ActionVector([0.0]), 1),), 1)
+    with pytest.raises(FrameError, match="uint32"):
+        encode_request(rid, req)
+    with pytest.raises(FrameError, match="uint32"):
+        encode_response(rid, resp, step_index=step)
+    rid, step = min(rid, 2**32 - 1), min(step, 2**32 - 1)  # the largest each field holds
+    back_rid, back = decode_request(encode_request(rid, RolloutRequest(StateVector([1.0]), 0.0, step)))
+    assert (back_rid, back.step_index) == (rid, step)
+    back_rid, back = decode_response(encode_response(rid, resp, step_index=step), 1, 1)
+    assert (back_rid, back.tuples[0].step_index) == (rid, step + 1)
+
+
+@pytest.mark.parametrize("step", [0, 7, 2**32 - 11])
+@pytest.mark.parametrize("count", [0, 1, 10])
+def test_decoded_tuples_carry_the_indices_after_the_header_step(step, count):
+    rng = np.random.default_rng(count)
+    tuples = tuple(_random_tuple(rng, 3, 2, step=step + 1 + i) for i in range(count))
+    _, resp = decode_response(encode_response(4, RolloutResponse(tuples, count), step), 3, 2)
+    assert [t.step_index for t in resp.tuples] == list(range(step + 1, step + 1 + count))
+    assert all(type(t) is SpeculativeTuple for t in resp.tuples)
