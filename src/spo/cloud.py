@@ -10,7 +10,6 @@ predictor of modest accuracy.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import replace
 from typing import NamedTuple, Protocol
@@ -36,7 +35,8 @@ class Policy(Protocol):
 
 
 class WorldModel(Protocol):
-    def step(self, state: StateVector, action: ActionVector) -> StateVector: ...
+    """``step`` predicts the state that progress step ``step_index`` lands on."""
+    def step(self, state: StateVector, action: ActionVector, step_index: int) -> StateVector: ...
 
 
 class RolloutRequest(NamedTuple("RolloutRequest", [
@@ -112,39 +112,38 @@ class OracleWorldModel:
     def __init__(self, spec: EnvironmentSpec):
         self.spec = replace(spec, disturbance_schedule=())
 
-    def step(self, state: StateVector, action: ActionVector) -> StateVector:
+    def step(self, state: StateVector, action: ActionVector, step_index: int) -> StateVector:
         return owned(StateVector, next_values(self.spec, state, action, 0))
 
 
 class DriftedWorldModel(OracleWorldModel):
-    """The oracle's physics plus per-step additive bias and seeded Gaussian noise.
+    """The oracle's physics plus a per-step additive bias and seeded Gaussian noise.
 
-    The drift is added to the oracle's next-state array before it is checked,
-    so a step builds one validated vector. The noise is a pure function of
-    (state, action, seed), so rollouts stay bitwise reproducible regardless of
-    call order.
+    The step that lands on progress step p adds row p of a noise table. Its block b,
+    ``BLOCK_ROWS`` rows, is drawn from ``default_rng([seed, b])``, so row p is a pure
+    function of (drift seed, p) whatever the call order, and a socket server draws the
+    rows its virtual twin draws. At most ``BLOCKS_HELD`` blocks are kept.
     """
+
+    BLOCK_ROWS, BLOCKS_HELD = 256, 4
 
     def __init__(self, spec: EnvironmentSpec, bias: float, noise_std: float = 0.0, seed: int = 0):
         super().__init__(spec)
         self.bias = float(bias)
         self.noise_std = float(noise_std)
-        self._key = (int(seed) & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+        self._blocks: dict[int, np.ndarray] = {}
 
-    def _noise(self, state: StateVector, action: ActionVector, n: int) -> np.ndarray:
-        if self.noise_std == 0.0:
-            return np.zeros(n)
-        h = hashlib.blake2b(
-            state.values.tobytes() + action.values.tobytes() + self._key, digest_size=8
-        ).digest()
-        # Two uint32 words seed as the digest's integer does: a missing word mixes in as 0.
-        seq = np.random.SeedSequence(np.frombuffer(h, "<u4"))
-        return np.random.Generator(np.random.PCG64(seq)).normal(0.0, self.noise_std, n)
-
-    def step(self, state: StateVector, action: ActionVector) -> StateVector:
+    def step(self, state: StateVector, action: ActionVector, step_index: int) -> StateVector:
+        b, row = divmod(step_index, self.BLOCK_ROWS)
+        if (block := self._blocks.get(b)) is None:
+            if len(self._blocks) >= self.BLOCKS_HELD:
+                self._blocks.clear()
+            block = self._blocks[b] = np.random.default_rng([self.seed, b]).normal(
+                0.0, self.noise_std, (self.BLOCK_ROWS, self.spec.d_s))
         nxt = next_values(self.spec, state, action, 0)
         nxt += self.bias
-        nxt += self._noise(state, action, nxt.size)
+        nxt += block[row]
         return owned(StateVector, nxt)
 
 
@@ -155,7 +154,7 @@ def speculative_rollout(
     model: WorldModel,
     start_step: int = 0,
 ) -> list[SpeculativeTuple]:
-    """Autoregressive K-step rollout: a_k = policy(s_k), s_{k+1} = model(s_k, a_k).
+    """Autoregressive K-step rollout: a_k = policy(s_k), s_{k+1} = model(s_k, a_k, start_step + k).
 
     Tuple k carries (s_{k+1}, a_k) and targets progress step start_step + k. With no
     ``model`` the state does not advance: blocking mode's one tuple is (s_0, a_0).
@@ -169,7 +168,7 @@ def speculative_rollout(
     for k in range(1, horizon + 1):
         try:
             a = policy.act(s)
-            s_next = s if model is None else model.step(s, a)
+            s_next = s if model is None else model.step(s, a, start_step + k)
         except (ValueError, FloatingPointError) as exc:
             raise RolloutError(f"rollout diverged at depth {k}: {exc}") from exc
         if s_next.values.size != dim:

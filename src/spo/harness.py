@@ -259,7 +259,6 @@ def run_episode(
                     break  # a response is due at the edge: this tick is run
                 records.append(edge.awaiting_record(tick))
                 tick += 1
-            state = owned(StateVector, state.values + 0.0)  # as true_step turns -0.0 into +0.0
 
     # One copy: a socket link's reader thread may still be appending.
     horizons = list(link.horizons)

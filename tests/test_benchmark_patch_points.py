@@ -37,7 +37,7 @@ class _Stay:
     def act(self, state):
         return ActionVector(np.zeros(state.dim))
 
-    def step(self, state, action):
+    def step(self, state, action, step_index):
         return state
 
 

@@ -477,13 +477,13 @@ def test_serve_on_a_port_in_use_is_a_network_error(capsys):
 # --seeds 3 --seed 0`: any change to an episode's numbers shows here.
 COMPARE_CSV_SHA256 = {
     ("free_space", "oracle"): "454825106752e7225ff15aa0b9dcddad145a16ce6db71fecad3e3e91883724be",
-    ("free_space", "drifted"): "203ff56289c14c1a350319e78178616b60af1e22365418d48ae57bea67839be4",
+    ("free_space", "drifted"): "e35d74a6e0a1afd458c7595ee1335e56edb62b68846ded09bbe80b113ad65685",
     ("tight_tolerance", "oracle"):
         "485d11e80e9bcaef448e10fe8955627565a2421fa2cfddff446fc1dc30a4712a",
     ("tight_tolerance", "drifted"):
-        "a264e1f1d0dc0167da6314f0b4f7b51a0fd5d0d0a89a611ddb79dd72dcb26604",
+        "57c12a23b2fdfaa181f43e8a243e5e0671e705511d495d4ac6c612b59128239a",
     ("multi_stage", "oracle"): "8025b25ed08918d59ce35a3c52c86bd62d91527915886a8f5ce086c99f34c0eb",
-    ("multi_stage", "drifted"): "f3a44cbf3935f7b1daf62cbed3489c424b06cfc3930155a28a0ae70642b3801b",
+    ("multi_stage", "drifted"): "64b9a9018e015ed7b02c0ffc6954b4de6d36ed01bf64a23d60f11665f6c8b61e",
 }
 
 
@@ -510,7 +510,7 @@ def test_a_spec_file_spelling_out_multi_stage_gives_the_canonical_results(tmp_pa
         f"max_steps = {spec.max_steps}\ngoal_radius = {spec.goal_radius!r}\n"
         f"start_jitter = {spec.start_jitter!r}\ngain = {spec.gain!r}\na_max = {spec.a_max!r}\n"
         f"waypoints = {'; '.join(map(vector, spec.waypoints))}\n"
-        # the second bump's zeros are -0.0: the drifted model hashes the state bytes
+        # the second bump's zeros are -0.0, and the file keeps their sign, bit for bit
         "disturbance_schedule = "
         + "; ".join(f"{step}: {vector(offset)}" for step, offset in spec.disturbance_schedule)
         + "\n"

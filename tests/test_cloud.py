@@ -1,7 +1,6 @@
 """Cloud-side rollout generation, drifted world model, and refill handling."""
 
 import dataclasses
-import hashlib
 import math
 
 import numpy as np
@@ -51,7 +50,7 @@ class ToyIntegrator:
     def __init__(self, dt=0.02):
         self.dt = dt
 
-    def step(self, state, action):
+    def step(self, state, action, step_index):
         return StateVector(state.values + action.values * self.dt)
 
 
@@ -71,7 +70,7 @@ def test_rollout_base_case_k1():
     s0 = StateVector([1.0])
     (t,) = speculative_rollout(s0, 1, policy, model)
     assert t.action == policy.act(s0)
-    assert t.predicted_state == model.step(s0, policy.act(s0))
+    assert t.predicted_state == model.step(s0, policy.act(s0), 1)
 
 
 def test_rollout_start_step_offsets_indices():
@@ -104,7 +103,7 @@ def test_drift_growth_is_nondecreasing():
     s = StateVector([0.0])
     errors = []
     for t in spec_tuples:
-        s = ToyIntegrator().step(s, t.action)
+        s = ToyIntegrator().step(s, t.action, t.step_index)
         errors.append(tracking_error(s, t.predicted_state, w))
     assert all(b >= a - 1e-9 for a, b in zip(errors, errors[1:]))
 
@@ -113,9 +112,9 @@ def test_drifted_model_is_deterministic():
     a = DriftedWorldModel(_toy_spec(2), bias=0.0, noise_std=0.3, seed=42)
     b = DriftedWorldModel(_toy_spec(2), bias=0.0, noise_std=0.3, seed=42)
     s, act = StateVector([0.4, -0.2]), ActionVector([1.0, 1.0])
-    assert np.array_equal(a.step(s, act).values, b.step(s, act).values)
+    assert np.array_equal(a.step(s, act, 1).values, b.step(s, act, 1).values)
     c = DriftedWorldModel(_toy_spec(2), bias=0.0, noise_std=0.3, seed=43)
-    assert not np.array_equal(a.step(s, act).values, c.step(s, act).values)
+    assert not np.array_equal(a.step(s, act, 1).values, c.step(s, act, 1).values)
 
 
 def test_rollout_is_bitwise_deterministic():
@@ -151,7 +150,7 @@ def test_rollout_rejects_bad_horizon():
 
 def test_rollout_aborts_on_model_blowup():
     class Exploding:
-        def step(self, state, action):
+        def step(self, state, action, step_index):
             return StateVector(state.values * np.inf)
 
     with pytest.raises(RolloutError):
@@ -160,7 +159,7 @@ def test_rollout_aborts_on_model_blowup():
 
 def test_rollout_aborts_on_dimension_change():
     class Widening:
-        def step(self, state, action):
+        def step(self, state, action, step_index):
             return StateVector(np.append(state.values, 0.0))
 
     with pytest.raises(RolloutError):
@@ -192,65 +191,71 @@ def test_oracle_is_true_step_without_disturbances():
     model = OracleWorldModel(spec)
     s = start_state(spec, np.random.default_rng(0))
     a = make_policy(spec).act(s)
-    assert model.step(s, a) == true_step(spec, s, a, bump_tick - 1)
+    assert model.step(s, a, bump_tick) == true_step(spec, s, a, bump_tick - 1)
     np.testing.assert_allclose(
-        model.step(s, a).values, true_step(spec, s, a, bump_tick).values - bump,
+        model.step(s, a, bump_tick).values, true_step(spec, s, a, bump_tick).values - bump,
         rtol=0, atol=1e-12,
     )
 
 
+def _noise_row(seed, p, d, std=DRIFT_NOISE):
+    """Row p of the drifted model's noise table, spelled out from its definition."""
+    rows = DriftedWorldModel.BLOCK_ROWS
+    return np.random.default_rng([seed, p // rows]).normal(0.0, std, (rows, d))[p % rows]
+
+
 @pytest.mark.parametrize("name", sorted(canonical_specs()))
 def test_drifted_step_is_the_oracle_step_plus_drift_bit_for_bit(name):
-    """One validated vector per step changes no bit of the two-vector formula."""
+    """A step landing on progress step p is the oracle step + bias + noise row p, to the bit."""
     spec = get_spec(name)
     clean = dataclasses.replace(spec, disturbance_schedule=())
     model = DriftedWorldModel(spec, DRIFT_BIAS, noise_std=DRIFT_NOISE, seed=11)
     policy = make_policy(spec)
     s = start_state(spec, np.random.default_rng(5))
-    for _ in range(50):
+    for p in [*range(1, 50), 255, 256, 257, 1000, 3]:
         a = policy.act(s)
-        expected = true_step(clean, s, a, 0).values + model.bias + model._noise(s, a, spec.d_s)
-        nxt = model.step(s, a)
+        expected = true_step(clean, s, a, 0).values + model.bias + _noise_row(11, p, spec.d_s)
+        nxt = model.step(s, a, p)
         assert nxt.values.tobytes() == expected.tobytes()
         s = nxt
 
 
-class _FixedDigest:
-    """A ``hashlib`` stand-in whose ``blake2b(...).digest()`` is :attr:`value`."""
-
-    value = b""
-
-    def blake2b(self, data, digest_size):
-        assert digest_size == len(self.value) == 8
-        return self
-
-    def digest(self):
-        return self.value
+def _drift_only(seed, d=3):
+    """A zero-bias drifted model, with a state and an action it steps to its noise row alone."""
+    model = DriftedWorldModel(_toy_spec(d), 0.0, noise_std=DRIFT_NOISE, seed=seed)
+    return model, StateVector(np.zeros(d)), ActionVector(np.zeros(d))
 
 
-def _int_seeded_normals(digest, std, n):
-    return np.random.Generator(np.random.PCG64(int.from_bytes(digest, "little"))).normal(0.0, std, n)
+def test_drifted_noise_row_does_not_depend_on_call_order():
+    model, s, a = _drift_only(7)
+    far = model.step(s, a, 5000).values
+    near = model.step(s, a, 3).values
+    fresh, _, _ = _drift_only(7)
+    assert near.tobytes() == fresh.step(s, a, 3).values.tobytes()
+    assert near.tobytes() == _noise_row(7, 3, 3).tobytes()
+    assert far.tobytes() == _noise_row(7, 5000, 3).tobytes()
 
 
-def test_drifted_noise_draws_what_the_digest_integer_seeds(monkeypatch):
-    """The two-word entropy seeding draws, byte for byte, what ``PCG64(int)`` of the digest drew."""
-    model = DriftedWorldModel(_toy_spec(3), DRIFT_BIAS, noise_std=DRIFT_NOISE, seed=7)
-    s, a = StateVector([0.1, -0.2, 0.3]), ActionVector([1.0, 0.0, -1.0])
-    # Unstubbed first: the key bytes made once in __init__ hash as the seed's 8 bytes did.
-    for seed in (0, 7, 2**32 + 5, 2**64 - 1):
-        keyed = DriftedWorldModel(_toy_spec(3), DRIFT_BIAS, noise_std=DRIFT_NOISE, seed=seed)
-        h = hashlib.blake2b(s.values.tobytes() + a.values.tobytes() + seed.to_bytes(8, "little"),
-                            digest_size=8).digest()
-        assert keyed._noise(s, a, 3).tobytes() == _int_seeded_normals(h, DRIFT_NOISE, 3).tobytes()
-    stub = _FixedDigest()
-    monkeypatch.setattr(spo.cloud, "hashlib", stub)
-    rng = np.random.default_rng(2026)
-    edges = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
-    digests = [d.to_bytes(8, "little") for d in edges] + [rng.bytes(8) for _ in range(10_000)]
-    for digest in digests:
-        stub.value = digest
-        got = model._noise(s, a, 3)
-        assert got.tobytes() == _int_seeded_normals(digest, DRIFT_NOISE, 3).tobytes(), digest
+def test_drifted_noise_rows_follow_the_drift_seed():
+    steps = [1, 2, 255, 256, 700]
+
+    def rows(seed):
+        model, s, a = _drift_only(seed)
+        return [model.step(s, a, p).values.tobytes() for p in steps]
+
+    assert rows(7) == rows(7)
+    assert all(mine != other for mine, other in zip(rows(7), rows(8)))
+    assert len(set(rows(7))) == len(steps)
+
+
+def test_a_drifted_step_near_the_uint32_limit_holds_at_most_its_block_bound():
+    model, s, a = _drift_only(7)
+    last = 2**32 - 1
+    assert model.step(s, a, last).values.tobytes() == _noise_row(7, last, 3).tobytes()
+    rows = DriftedWorldModel.BLOCK_ROWS
+    for p in [*range(0, 20 * rows, rows // 2), last, 0, last - rows]:
+        model.step(s, a, p)
+        assert 1 <= len(model._blocks) <= DriftedWorldModel.BLOCKS_HELD
 
 
 @pytest.mark.parametrize("model_kind", ["oracle", "drifted"])
@@ -338,7 +343,7 @@ def test_blocking_session_returns_single_direct_tuple():
 
 
 class SteppingForbidden:
-    def step(self, state, action):
+    def step(self, state, action, step_index):
         raise AssertionError("a blocking reply stepped its world model")
 
 
@@ -551,10 +556,10 @@ def test_a_world_model_step_leaves_its_inputs_and_returns_a_read_only_array(name
     spec = get_spec(name)
     policy, model = make_policy(spec), make_model(spec, model_kind, seed=2)
     s = start_state(spec, np.random.default_rng(6))
-    for _ in range(20):
+    for p in range(1, 21):
         a = policy.act(s)
         before = (s.values.tobytes(), a.values.tobytes())
-        nxt = model.step(s, a)
+        nxt = model.step(s, a, p)
         assert (s.values.tobytes(), a.values.tobytes()) == before
         assert not nxt.values.flags.writeable
         assert nxt.values is not s.values and nxt.values.base is None

@@ -1,5 +1,6 @@
 """Socket mode: TCP server and its emulated network delays, real-time edge loop."""
 
+import concurrent.futures
 import dataclasses
 import json
 import socket
@@ -13,7 +14,7 @@ import pytest
 import spo.sockets
 from spo import cli, transport
 from spo.cloud import CloudSession, RolloutRequest, make_model, make_policy
-from spo.edge import EdgeSession
+from spo.edge import EdgeSession, Outcome
 from spo.environments import EnvironmentSpec, load_environment, start_state
 from spo.harness import FIXED_HORIZON, BaselineKind, calibrate_weights, episode_seeds, run_single
 from spo.sockets import CloudServer, edge_connect_run
@@ -131,6 +132,54 @@ def test_socket_run_sleeps_the_delays_the_virtual_run_draws(quick_spec, monkeypa
     n = min(len(socket_draws), len(draws))
     assert n >= 6  # three refills at least
     assert socket_draws[:n] == draws[:n]
+
+
+def _waits_per_refill(records):
+    """Awaiting ticks after each refill record (MISS or STARVED_HOLD) whose response arrived."""
+    waits, pending = [], None
+    for rec in records:
+        if rec.outcome is Outcome.AWAITING_REFILL:
+            pending += 1
+            continue
+        if pending is not None:
+            waits.append(pending)
+        pending = 0 if rec.outcome in (Outcome.MISS, Outcome.STARVED_HOLD) else None
+    return waits
+
+
+def test_a_socket_run_is_the_episode_its_virtual_twin_plays(quick_spec):
+    """Every kind under both models: the same episode over the wire, up to float32 rounding."""
+    spec = dataclasses.replace(quick_spec, max_steps=120)  # the baselines run to max_steps
+    cfg = SpoConfig(rtt_base=0.06, jitter_half_width=0.01)
+    weights = calibrate_weights(spec, seed=0)
+    runs = [(kind, model) for kind in BaselineKind for model in ("oracle", "drifted")]
+
+    def socket_run(kind, model):
+        server = CloudServer(0, spec, cfg, kind, model_kind=model)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            return edge_connect_run(("127.0.0.1", server.port), spec, cfg, kind, 0, weights)
+        finally:
+            server.stop()
+            thread.join(timeout=5)
+
+    with concurrent.futures.ThreadPoolExecutor(len(runs)) as pool:  # real time, so overlap them
+        sockets = list(pool.map(lambda run: socket_run(*run), runs))
+    for (kind, model), sock in zip(runs, sockets):
+        virt = run_single(kind, spec, cfg, 0, weights, model_kind=model)
+        acted = [[rec for rec in run.records if rec.outcome is not Outcome.AWAITING_REFILL]
+                 for run in (sock, virt)]
+        if sock.metrics.success or virt.metrics.success:
+            assert sock.metrics.success == virt.metrics.success, (kind, model)
+            assert len(acted[0]) == len(acted[1]), (kind, model)
+        assert min(map(len, acted)) >= 30, (kind, model)
+        for a, b in zip(*acted):
+            assert (a.outcome, a.progress) == (b.outcome, b.progress), (kind, model, b.step_index)
+            gap = np.max(np.abs(a.action_executed.values - b.action_executed.values))
+            assert gap <= 1e-6, (kind, model, b.step_index, gap)
+        waits = [_waits_per_refill(run.records) for run in (sock, virt)]
+        assert waits[1] and all(s >= v for s, v in zip(*waits)), (kind, model, waits)
 
 
 @pytest.mark.parametrize("rtt, sleeps_per_request", [(0.0, 0), (0.04, 1)])
