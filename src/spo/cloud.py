@@ -18,7 +18,7 @@ import numpy as np
 
 from .ahs import AhsState, update_horizon
 from .environments import EnvironmentSpec, next_values
-from .types import ActionVector, SpeculativeTuple, SpoConfig, StateVector, owned
+from .types import ActionVector, SpeculativeTuple, SpoConfig, StateVector, _checked, owned
 
 
 # The drifted model's per-step bias and noise standard deviation, by default.
@@ -76,7 +76,7 @@ class ScriptedExpertPolicy:
         anchor = np.zeros(spec.d_s)
         self._path = [anchor] + [np.asarray(w, dtype=np.float64) for w in spec.waypoints]
         # Each segment as (start, start-to-end, squared length), built once.
-        self._segments = [(a, b - a, float(np.dot(b - a, b - a)))
+        self._segments = [(a, b - a, float((b - a).dot(b - a)))
                           for a, b in zip(self._path, self._path[1:])]
 
     def _target(self, pos: np.ndarray) -> np.ndarray:
@@ -84,7 +84,7 @@ class ScriptedExpertPolicy:
             return self._path[-1]
         best_k, best_d = 0, math.inf
         for k, (a, ab, denom) in enumerate(self._segments):
-            t = 0.0 if denom == 0 else min(max(float(np.dot(pos - a, ab)) / denom, 0.0), 1.0)
+            t = 0.0 if denom == 0 else min(max(float((pos - a).dot(ab)) / denom, 0.0), 1.0)
             off = pos - (a + t * ab)
             d = math.sqrt(off.dot(off))
             if d <= best_d + 1e-9:
@@ -103,7 +103,10 @@ class ScriptedExpertPolicy:
         # for inverse-variance weight calibration (constant-velocity motion
         # would be degenerate).
         v *= 0.7 + 0.3 * math.cos(4.0 * dist)
-        return owned(ActionVector, v)
+        if math.isfinite(speed):  # it bounds every component, and each factor since is <= 1
+            v.setflags(write=False)
+            return _checked(ActionVector, v)
+        return ActionVector(v)
 
 
 class OracleWorldModel:

@@ -4,7 +4,7 @@ Three canonical specs mirror an increasing-complexity ladder:
 
 * ``free_space``      - single waypoint, no disturbances, generous goal radius
 * ``tight_tolerance`` - same physics, small goal radius (insertion-like)
-* ``multi_stage``     - several waypoints plus scripted contact disturbances
+* ``multi_stage``     - one leg (three waypoints on one line) plus two contact disturbances
 
 Physics are intentionally simple: positions integrate velocity actions, and a
 zero action is a physical stop (state frozen). Scheduled disturbances add a

@@ -93,16 +93,16 @@ class CloudServer:
 class SocketLink:
     """A remote cloud over TCP, in real time, as a link of :func:`~spo.harness.run_episode`.
 
-    A reader thread decodes each response, counts it, and queues it; the next tick
-    takes it, as the server already slept both delay legs. Any receive, decode or
-    send error marks the link ``dead``.
+    A reader thread decodes each response, counts it, and queues it with its arrival time;
+    the first tick whose time has reached it takes it, as the server slept both delay legs.
+    Any receive, decode or send error marks the link ``dead``.
     """
 
     def __init__(self, sock: socket.socket, spec: EnvironmentSpec, blocking: bool):
         self._sock = sock
         self._spec = spec
         self._blocking = blocking
-        self._inbox: list = []  # appended by the reader, popped from the front by the loop
+        self._inbox: list = []  # (arrival, reply): the reader appends, the loop pops the front
         self._t0 = time.monotonic()
         self.horizons: list[int] = []
         self.generated = 0
@@ -116,7 +116,7 @@ class SocketLink:
                 # The wire carries no horizon; the blocking reply's is 0.
                 self.horizons.append(0 if self._blocking else len(resp.tuples))
                 self.generated += len(resp.tuples)
-                self._inbox.append((rid, resp))  # last, so a taken response is counted
+                self._inbox.append((time.monotonic() - self._t0, (rid, resp)))  # after counting
         except (OSError, transport.FrameError):
             pass
         self.dead = True
@@ -130,7 +130,10 @@ class SocketLink:
         return -math.inf  # the server answers on its own; the loop steps every tick
 
     def due(self, now: float) -> list:
-        return [self._inbox.pop(0) for _ in range(len(self._inbox))]
+        inbox, taken = self._inbox, []
+        while inbox and inbox[0][0] <= now:
+            taken.append(inbox.pop(0)[1])
+        return taken
 
     def next_delivery(self) -> float:
         # Replies arrive in wall-clock time, so the loop steps every tick.

@@ -140,7 +140,7 @@ class LatencyModel:
             return self.base_one_way
         lo = self.base_one_way - self.jitter_half_width_one_way
         hi = self.base_one_way + self.jitter_half_width_one_way
-        return max(0.0, float(self.rng.uniform(lo, hi)))
+        return max(0.0, lo + (hi - lo) * self.rng.random())  # Generator.uniform's own formula
 
 
 @dataclass
@@ -156,15 +156,11 @@ class VirtualChannel:
     to_cloud: list = field(default_factory=list)
     to_edge: list = field(default_factory=list)
 
-    def send_request(self, item, now: float) -> float:
-        deliver_at = now + self.latency.sample()
-        self.to_cloud.append((deliver_at, item))
-        return deliver_at
+    def send_request(self, item, now: float) -> None:
+        self.to_cloud.append((now + self.latency.sample(), item))
 
-    def send_response(self, item, now: float) -> float:
-        deliver_at = now + self.latency.sample()
-        self.to_edge.append((deliver_at, item))
-        return deliver_at
+    def send_response(self, item, now: float) -> None:
+        self.to_edge.append((now + self.latency.sample(), item))
 
     def next_delivery(self) -> float:
         """The earliest ``deliver_at`` in either direction; ``math.inf`` if both are empty.

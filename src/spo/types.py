@@ -16,6 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+_F64 = np.dtype(np.float64)  # native byte order: a '>f8' array's dtype is another object
+
 
 class DimensionError(ValueError):
     """A vector's length does not match the declared dimension."""
@@ -58,13 +60,13 @@ def _checked(cls, values: np.ndarray):
 
 
 def owned(cls, values):
-    """``cls(values)`` without the copy, for a float64 array the caller has just computed.
+    """``cls(values)`` without the copy, for a native float64 array the caller has just computed.
 
     The caller keeps no other reference to ``values``. If it passes the constructor's checks
     (1-D, non-empty, a finite sum of squares), it is made read-only and wrapped as it is; any
     other input, a view or a square that overflows (numpy warns) included, goes through ``cls``.
     """
-    if (type(values) is np.ndarray and values.dtype == np.float64 and values.base is None
+    if (type(values) is np.ndarray and values.dtype is _F64 and values.base is None
             and values.ndim == 1 and values.size > 0 and math.isfinite(values.dot(values))):
         values.setflags(write=False)
         return _checked(cls, values)

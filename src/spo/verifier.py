@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .types import DimensionError, SpeculativeTuple, StateVector, WeightMatrix
 
 
@@ -31,7 +29,7 @@ def tracking_error(
             f"weights={weights.dim}"
         )
     diff = actual.values - predicted.values
-    return math.sqrt(float(np.dot(weights.inverse_variances, diff * diff)))
+    return math.sqrt(weights.inverse_variances.dot(diff * diff))
 
 
 def verify(

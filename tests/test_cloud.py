@@ -27,11 +27,12 @@ from spo.environments import (
     EnvironmentSpec,
     canonical_specs,
     get_spec,
+    is_success,
     start_state,
     true_step,
 )
 from spo.transport import decode_response, encode_response
-from spo.types import ActionVector, SpeculativeTuple, SpoConfig, StateVector
+from spo.types import ActionVector, SpeculativeTuple, SpoConfig, StateVector, owned
 from spo.verifier import tracking_error
 from spo.types import WeightMatrix
 
@@ -466,6 +467,66 @@ def test_expert_policy_is_bit_identical_to_the_reference(name):
         assert policy.act(s).values.tobytes() == reference.act(s).values.tobytes()
 
 
+def _bent_spec(d=8):
+    """Three legs that turn at each waypoint; the last four coordinates are 0 on the path."""
+    w1, w2, w3 = np.zeros(d), np.zeros(d), np.zeros(d)
+    w1[:3], w2[:3], w3[:3] = [1.0, 0.5, -0.25], [1.5, 1.5, 0.5], [0.5, 2.0, 1.25]
+    return EnvironmentSpec(name="bent", d_s=d, d_a=d, max_steps=3000, waypoints=(w1, w2, w3),
+                           goal_center=w3, goal_radius=0.05)
+
+
+def _target_probe_states(spec, rng):
+    """Random states, states 1e-12..1 from each path point, points on the segments, and
+    (for a path off the last coordinates) states as far from two adjacent legs exactly."""
+    path = [np.zeros(spec.d_s)] + list(spec.waypoints)
+    states = list(rng.uniform(-3.0, 3.0, (5400, spec.d_s)))
+    for p in path:
+        for scale in np.logspace(-12, 0, 520):
+            step = rng.normal(size=spec.d_s)
+            states.append(p + scale * step / math.sqrt(step.dot(step)))
+    for a, b in zip(path, path[1:]):
+        states += [a + t * (b - a) for t in np.concatenate([[0.0, 0.5, 1.0], rng.uniform(0, 1, 900)])]
+    ties = []
+    if not any(np.any(w[4:]) for w in spec.waypoints):
+        for w in spec.waypoints[:-1]:
+            for _ in range(150):
+                off = np.zeros(spec.d_s)
+                off[4:] = rng.uniform(-1.0, 1.0, spec.d_s - 4)
+                ties.append(w + off)
+    return states + ties, ties
+
+
+@pytest.mark.parametrize("spec", [_bent_spec(), get_spec("multi_stage")], ids=["bent", "multi_stage"])
+def test_expert_target_is_the_per_segment_loop_on_every_probe_state(spec):
+    policy, reference = ScriptedExpertPolicy(spec), _ReferenceExpertPolicy(spec)
+    states, ties = _target_probe_states(spec, np.random.default_rng(31))
+    assert len(states) >= 10_000
+    for pos in states:
+        assert policy._target(pos) is reference._target(pos), pos
+    # An exact tie between the legs meeting at waypoint k goes to the later leg, k+1.
+    for pos in ties:
+        k = next(i for i, w in enumerate(spec.waypoints, 1) if np.array_equal(w[:4], pos[:4]))
+        assert policy._target(pos) is policy._path[k + 1]
+
+
+def test_an_expert_episode_on_a_bent_path_reaches_each_waypoint_in_order():
+    spec = _bent_spec()
+    policy, s = ScriptedExpertPolicy(spec), start_state(spec)
+    visited, closest = [], [math.inf] * len(spec.waypoints)
+    for t in range(spec.max_steps):
+        k = [p is policy._target(s.values) for p in policy._path].index(True)
+        if not visited or visited[-1] != k:
+            visited.append(k)
+        for i, w in enumerate(spec.waypoints):
+            closest[i] = min(closest[i], float(np.linalg.norm(s.values - w)))
+        if is_success(spec, s):
+            break
+        s = true_step(spec, s, policy.act(s), t)
+    assert is_success(spec, s)
+    assert visited == [1, 2, 3]
+    assert max(closest[:-1]) < 1e-6 and closest[-1] <= spec.goal_radius
+
+
 def test_expert_policy_later_segment_wins_a_tie():
     spec = _square_path_spec()
     policy = ScriptedExpertPolicy(spec)
@@ -533,6 +594,56 @@ def test_the_in_place_expert_action_is_the_scalar_formula_byte_for_byte(name):
     assert clipped[-2] and not clipped[-1] and not all(clipped)
     assert policy._target(goal) is policy._path[-1]
     assert not np.any(policy.act(at_target).values)
+
+
+def _owned_act(policy, state):
+    """The expert's action computed in place as ``act`` does, then wrapped by ``owned``."""
+    pos = state.values
+    v = policy._target(pos) - pos
+    dist = math.sqrt(v.dot(v))
+    v *= policy.spec.gain
+    speed = math.sqrt(v.dot(v))
+    if speed > policy.spec.a_max:
+        v *= policy.spec.a_max / speed
+    v *= 0.7 + 0.3 * math.cos(4.0 * dist)
+    return owned(ActionVector, v)
+
+
+def _act_outcome(act, state):
+    """The action's type, bytes and writeability, or the error text."""
+    try:
+        a = act(state)
+    except ValueError as exc:
+        return str(exc)
+    return type(a), a.values.tobytes(), a.values.flags.writeable
+
+
+def _hot_probe_states():
+    """States 1e-320..1e295 from the goal of a gain-1e300 spec. Moving out, the scaled
+    squares overflow (the zero action), then a component does (a non-finite action), then
+    the distance itself (``math.cos`` refuses it)."""
+    goal = np.array([1.0, -1.0])
+    spec = EnvironmentSpec(name="hot", d_s=2, d_a=2, waypoints=(goal,), gain=1e300)
+    return spec, [StateVector(goal - 10.0**e * np.array([1.0, 0.5])) for e in range(-320, 300, 5)]
+
+
+@pytest.mark.parametrize("name", sorted(canonical_specs()) + ["bent", "hot"])
+def test_an_expert_action_has_the_outcome_of_the_owned_path(name):
+    """Proved finite by its speed, an action is the one ``owned`` wrapped; else the same error."""
+    if name == "hot":
+        spec, states = _hot_probe_states()
+    else:
+        spec = _bent_spec() if name == "bent" else get_spec(name)
+        states = _policy_probe_states(spec, np.random.default_rng(41), 150)
+    policy = make_policy(spec)
+    with np.errstate(all="ignore"):
+        outcomes = [_act_outcome(policy.act, s) for s in states]
+        assert outcomes == [_act_outcome(lambda x: _owned_act(policy, x), s) for s in states]
+    if name == "hot":
+        assert (ActionVector, bytes(16), False) in outcomes
+        assert {"action contains non-finite entries", "math domain error"} < set(outcomes)
+    else:
+        assert all(o[0] is ActionVector and not o[2] for o in outcomes)
 
 
 def test_a_negative_start_step_is_refused_before_the_policy_acts():

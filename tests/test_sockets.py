@@ -3,6 +3,7 @@
 import concurrent.futures
 import dataclasses
 import json
+import math
 import socket
 import struct
 import threading
@@ -406,3 +407,29 @@ def test_a_request_the_wire_cannot_carry_marks_the_socket_link_dead_without_rais
         peer_end.setblocking(False)
         with pytest.raises(BlockingIOError):  # nothing was sent
             peer_end.recv(1)
+
+
+def test_a_socket_link_takes_a_reply_only_at_a_tick_whose_time_has_reached_its_arrival(
+    quick_spec,
+):
+    """A loop running behind its schedule takes no reply before its virtual twin could."""
+    edge_end, peer_end = socket.socketpair()
+    with edge_end, peer_end:
+        link = spo.sockets.SocketLink(edge_end, quick_spec, blocking=False)
+        created = time.monotonic()
+        time.sleep(0.02)
+        req = RolloutRequest(StateVector(np.full(quick_spec.d_s, 0.1)), 0.0, 3)
+        cloud = CloudSession(FAST, make_policy(quick_spec), make_model(quick_spec, "oracle"), None)
+        resp = cloud.handle(req)
+        sent = time.monotonic()
+        transport.send_frame(peer_end, transport.encode_response(7, resp, req.step_index))
+        deadline = time.monotonic() + 5.0
+        while not link._inbox and time.monotonic() < deadline:
+            time.sleep(0.001)
+        [(arrival, _)] = link._inbox
+        assert arrival >= sent - created > 0.0
+        for now in [*np.linspace(0.0, arrival, 50, endpoint=False), np.nextafter(arrival, 0.0)]:
+            assert link.due(float(now)) == [], now
+        [(rid, got)] = link.due(arrival)
+        assert (rid, len(got.tuples)) == (7, len(resp.tuples))
+        assert link.due(math.inf) == [] and link.generated == len(resp.tuples)

@@ -285,8 +285,21 @@ def test_recv_frame_reads_a_frame_in_small_pieces_in_linear_time():
 
 def test_sample_delay_degenerate_cases():
     rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
     assert LatencyModel(0.075, 0.0, rng).sample() == 0.075
     assert LatencyModel(0.0, 0.0, rng).sample() == 0.0
+    assert rng.bit_generator.state == before  # zero jitter consumes no draw
+
+
+@pytest.mark.parametrize("base, half_width", [(0.075, 0.015), (0.01, 0.03)],
+                         ids=["jittered", "clamped-at-zero"])
+def test_a_latency_draw_is_generator_uniform_draw_for_draw(base, half_width):
+    model = LatencyModel(base, half_width, np.random.default_rng(9))
+    twin = np.random.default_rng(9)
+    lo, hi = base - half_width, base + half_width
+    draws = [model.sample() for _ in range(10_000)]
+    assert draws == [max(0.0, float(twin.uniform(lo, hi))) for _ in range(10_000)]
+    assert (min(draws) == 0.0) == (lo < 0)
 
 
 def test_sample_delay_uniform_moments():
