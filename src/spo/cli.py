@@ -4,7 +4,7 @@ Subcommands:
 
 * ``run``          - one (kind, env, seed) episode on the virtual clock, JSON output
 * ``compare``      - all four kinds over a seed list, CSV + JSON + report
-* ``sweep``        - vary one config parameter, CSV curve
+* ``sweep``        - a ``compare`` at each point of a one-parameter grid, one CSV
 * ``calibrate``    - write an inverse-variance weight file
 * ``serve``        - start the TCP cloud endpoint (socket mode)
 * ``edge-connect`` - one episode in real time against a ``serve`` endpoint
@@ -148,56 +148,49 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_compare(args) -> int:
-    cfg = _effective_config(args)
-    spec = _spec(args)
-    seeds = list(range(cfg.rng_seed, cfg.rng_seed + args.seeds))
-    world = _world_model(args)
-    weights = _weights(args, spec, cfg)
-    extra = {"env": spec.name, "mode": "virtual", "config": _config_echo(cfg, world)}
-    results = {}
-    for kind in BaselineKind:
-        metrics = harness.run_experiment(kind, spec, cfg, seeds, **world, weights=weights)
-        results[kind] = metrics
-        for m in metrics:
-            harness.write_atomic(
-                os.path.join(args.out, f"run_{kind.value}_{spec.name}_{m.seed}.json"),
-                harness.run_json_document(m, cfg, extra),
-            )
-    report = harness.compare_report(results)
-    harness.write_metrics_csv(
-        os.path.join(args.out, f"compare_{spec.name}.csv"), report.rows
-    )
-    print(report.to_text())
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    cfg = _effective_config(args)
-    spec = _spec(args)
-    seeds = list(range(cfg.rng_seed, cfg.rng_seed + args.seeds))
-    kind = BaselineKind(args.kind)
+def _grid(args, cfg: SpoConfig, spec) -> list:
+    """The sweep's (grid value, config) points, every one checked before the first episode."""
     if args.param not in {f.name for f in dataclasses.fields(SpoConfig)}:
         raise ConfigError([f"unknown sweep parameter {args.param!r}"])
     field_type = type(getattr(cfg, args.param))
     span = args.to - args.from_
-    grid = []  # every point is checked before the first episode runs
+    grid = []
     for i in range(args.steps):
         value = args.from_ + span * i / max(1, args.steps - 1)
         if field_type is int and not value.is_integer():
             raise ConfigError([f"{args.param} is an integer field; grid point {value!r} is not"])
         point = dataclasses.replace(cfg, **{args.param: field_type(value)})
         grid.append((value, validate_config(point, spec)))
+    if args.steps == 1 and args.to != args.from_:
+        raise ConfigError([f"--steps 1 runs only --from {args.from_!r}, not --to {args.to!r}"])
+    return grid
+
+
+def cmd_experiment(args) -> int:
+    """All four kinds over the seeds at each grid point; ``compare``'s one point is the config."""
+    cfg = _effective_config(args)
+    spec = _spec(args)
+    seeds = list(range(cfg.rng_seed, cfg.rng_seed + args.seeds))
+    sweep = args.command == "sweep"
+    grid = _grid(args, cfg, spec) if sweep else [(None, cfg)]
     world = _world_model(args)
     weights = _weights(args, spec, cfg)
-    lines = ["param_value," + harness.CSV_HEADER]
-    for value, swept in grid:
-        metrics = harness.run_experiment(kind, spec, swept, seeds, **world, weights=weights)
-        for m in metrics:
-            lines.append(f"{value!r},{harness.metrics_csv_line(m)}")
-    path = os.path.join(args.out, f"sweep_{args.param}_{kind.value}_{spec.name}.csv")
-    harness.write_atomic(path, "\n".join(lines) + "\n")
-    print(f"wrote {path}")
+    extra = {"env": spec.name, "mode": "virtual", "config": _config_echo(cfg, world)}
+    lines = [("param_value," if sweep else "") + harness.CSV_HEADER]
+    for value, point in grid:
+        report = harness.compare_report({kind: harness.run_experiment(
+            kind, spec, point, seeds, **world, weights=weights) for kind in BaselineKind})
+        lines += [(f"{value!r}," if sweep else "") + harness.metrics_csv_line(m)
+                  for m in report.rows]
+        if sweep:  # a sweep writes no run JSONs
+            print(f"{args.param} = {value!r}")
+        else:
+            for m in report.rows:
+                path = os.path.join(args.out, f"run_{m.kind}_{spec.name}_{m.seed}.json")
+                harness.write_atomic(path, harness.run_json_document(m, cfg, extra))
+        print(report.to_text())
+    name = f"sweep_{args.param}" if sweep else "compare"
+    harness.write_atomic(os.path.join(args.out, f"{name}_{spec.name}.csv"), "\n".join(lines) + "\n")
     return 0
 
 
@@ -238,12 +231,12 @@ def build_parser() -> argparse.ArgumentParser:
     subcommand("run", cmd_run, "run one episode on the virtual clock",
                f"config env kind {net} seed out {drift} weights")
 
-    p = subcommand("compare", cmd_compare, "run all baselines over a seed list",
+    p = subcommand("compare", cmd_experiment, "run all baselines over a seed list",
                    f"config env {net} seed out {drift} weights")
     p.add_argument("--seeds", type=_int_in(1), default=5, help="number of seeds from the base seed")
 
-    p = subcommand("sweep", cmd_sweep, "vary one config parameter",
-                   f"config env kind {net} seed out {drift} weights")
+    p = subcommand("sweep", cmd_experiment, "run all baselines at each point of a config grid",
+                   f"config env {net} seed out {drift} weights")
     p.add_argument("--param", required=True)
     p.add_argument("--from", dest="from_", type=float, required=True)
     p.add_argument("--to", dest="to", type=float, required=True)

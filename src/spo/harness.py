@@ -356,16 +356,17 @@ class ComparisonReport:
                 f"{agg['hit_rate_mean']:>12.3f}{agg['mean_k_mean']:>10.2f}"
                 f"{agg['wasted_mean']:>12.1f}{agg['success_rate']:>10.2f}"
             )
-        for kind, pct in self.idle_reduction_vs_blocking_pct.items():
-            lines.append(f"idle reduction vs blocking [{kind}]: {pct:.1f}%")
-        for kind, pct in self.wasted_reduction_vs_nftc_pct.items():
-            lines.append(f"wasted reduction vs nftc [{kind}]: {pct:.1f}%")
+        for name, pcts in (("idle reduction vs blocking", self.idle_reduction_vs_blocking_pct),
+                           ("wasted reduction vs nftc", self.wasted_reduction_vs_nftc_pct)):
+            lines += [f"{name} [{kind}]: " + ("n/a" if pct is None else f"{pct:.1f}%")
+                      for kind, pct in pcts.items()]
         return "\n".join(lines)
 
 
-def _reduction_pct(baseline: float, value: float) -> float:
+def _reduction_pct(baseline: float, value: float) -> float | None:
+    """The reduction from ``baseline`` in percent; None (undefined) when ``baseline`` is 0."""
     if baseline == 0:
-        return 0.0
+        return None
     return 100.0 * (1.0 - value / baseline)
 
 
@@ -431,11 +432,6 @@ def write_atomic(path, data: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def write_metrics_csv(path, rows: list[RunMetrics]) -> None:
-    lines = [CSV_HEADER] + [metrics_csv_line(m) for m in rows]
-    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def run_json_document(m: RunMetrics, cfg: SpoConfig, extra: dict | None = None) -> str:

@@ -39,26 +39,34 @@ def test_compare_writes_csv_and_report(tmp_path, capsys):
     assert code == 0
     csv_path = out / "compare_free_space.csv"
     lines = csv_path.read_text().splitlines()
-    assert lines[0].startswith("kind,seed,")
+    assert lines[0] == "kind,seed,success,steps,idle_s,hit_rate,mean_k,wasted,generated"
     assert len(lines) == 1 + 4 * 2  # header + 4 kinds x 2 seeds
+    assert lines[5].startswith("spo,0,1,")  # rows sorted by (kind, seed)
     assert len(list(out.glob("run_*.json"))) == 8
     printed = capsys.readouterr().out
     assert "idle reduction vs blocking [spo]" in printed
 
 
-def test_sweep_emits_grid_rows(tmp_path):
+def test_sweep_emits_grid_rows(tmp_path, capsys):
     out = tmp_path / "sweep"
     code = cli.main([
-        "sweep", "--env", "free_space", "--kind", "spo", "--param", "rtt_base",
+        "sweep", "--env", "free_space", "--param", "rtt_base",
         "--from", "0.05", "--to", "0.25", "--steps", "3", "--seeds", "1",
         "--jitter", "0.0", "--out", str(out),
     ])
     assert code == 0
-    lines = (out / "sweep_rtt_base_spo_free_space.csv").read_text().splitlines()
-    assert lines[0].startswith("param_value,kind,")
-    assert len(lines) == 4
-    assert lines[1].startswith("0.05,spo,")
-    assert lines[3].startswith("0.25")  # float repr of the last grid point
+    lines = (out / "sweep_rtt_base_free_space.csv").read_text().splitlines()
+    assert lines[0] == "param_value," + harness.CSV_HEADER
+    assert len(lines) == 1 + 3 * 4  # header + 3 points x 4 kinds x 1 seed
+    assert [line.split(",")[1] for line in lines[1:5]] == ["blocking", "nftc", "spo", "t1sc"]
+    assert lines[1].startswith("0.05,blocking,")
+    assert lines[-1].startswith("0.25,t1sc,")  # float repr of the last grid point
+    assert [path.name for path in out.iterdir()] == ["sweep_rtt_base_free_space.csv"]
+    printed = capsys.readouterr().out
+    assert [line for line in printed.splitlines() if line.startswith("rtt_base = ")] == [
+        "rtt_base = 0.05", "rtt_base = 0.15000000000000002", "rtt_base = 0.25"
+    ]
+    assert printed.count("idle reduction vs blocking [spo]") == 3
 
 
 def test_sweep_rejects_unknown_parameter(tmp_path):
@@ -72,16 +80,33 @@ def test_sweep_rejects_unknown_parameter(tmp_path):
 def test_sweep_labels_an_integer_field_with_its_float_grid_point(tmp_path):
     argv = ["sweep", "--param", "k_max", "--from", "2", "--to", "4", "--steps", "3"]
     assert cli.main([*argv, "--out", str(tmp_path)]) == 0
-    lines = (tmp_path / "sweep_k_max_spo_free_space.csv").read_text().splitlines()
-    assert [line.split(",")[0] for line in lines] == ["param_value", "2.0", "3.0", "4.0"]
+    lines = (tmp_path / "sweep_k_max_free_space.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines] == [
+        "param_value", *["2.0"] * 4, *["3.0"] * 4, *["4.0"] * 4  # 4 kinds x 1 seed per point
+    ]
+
+
+def test_a_one_point_sweep_is_a_compare(tmp_path, capsys):
+    common = ["--seeds", "2", "--model", "drifted"]
+    assert cli.main(["compare", *common, "--out", str(tmp_path / "cmp")]) == 0
+    compared = capsys.readouterr().out
+    point = ["--param", "k_max", "--from", "10", "--to", "10", "--steps", "1"]
+    assert cli.main(["sweep", *point, *common, "--out", str(tmp_path / "sweep")]) == 0
+    assert capsys.readouterr().out == "k_max = 10.0\n" + compared
+    [swept] = (tmp_path / "sweep").iterdir()  # and no run JSONs
+    assert swept.name == "sweep_k_max_free_space.csv"
+    cut = b"".join(line.split(b",", 1)[1] + b"\n" for line in swept.read_bytes().splitlines())
+    assert cut == (tmp_path / "cmp" / "compare_free_space.csv").read_bytes()
 
 
 @pytest.mark.parametrize(
     "param, grid, message",
     [("k_max", ["2", "3", "3"], "k_max is an integer field; grid point 2.5 is not"),
      ("k_min", ["2", "12", "3"], "k_min <= k_max violated"),
-     ("control_interval", ["0.02", "0.04", "2"], "control_interval 0.04 != free_space dt 0.02")],
-    ids=["non-integral-int-point", "last-point-invalid", "control-interval-off-the-spec-dt"],
+     ("control_interval", ["0.02", "0.04", "2"], "control_interval 0.04 != free_space dt 0.02"),
+     ("k_max", ["2", "8", "1"], "--steps 1 runs only --from 2.0, not --to 8.0")],
+    ids=["non-integral-int-point", "last-point-invalid", "control-interval-off-the-spec-dt",
+         "one-point-grid-from-not-to"],
 )
 def test_sweep_checks_every_grid_point_before_the_first_episode(
     tmp_path, capsys, monkeypatch, param, grid, message
@@ -535,6 +560,7 @@ def test_a_spec_file_spelling_out_multi_stage_gives_the_canonical_results(tmp_pa
         ["compare", "--mode", "socket"],
         ["sweep", "--param", "k_max", "--from", "2", "--to", "4", "--steps", "2",
          "--mode", "socket"],
+        ["sweep", "--param", "k_max", "--from", "2", "--to", "4", "--steps", "2", "--kind", "spo"],
         ["calibrate", "--kind", "spo"],
         ["calibrate", "--jobs", "2"],
         ["calibrate", "--model", "drifted"],

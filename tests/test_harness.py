@@ -29,7 +29,6 @@ from spo.harness import (
     run_single,
     save_weights,
     write_atomic,
-    write_metrics_csv,
 )
 from spo.types import ActionVector, SpoConfig, StateVector, WeightMatrix
 
@@ -499,6 +498,14 @@ def test_compare_report_reduction_arithmetic():
     # Equal idle -> 0% reduction.
     results[BaselineKind.SPO] = [fake(BaselineKind.SPO, 0, 10.0, 20)]
     assert compare_report(results).idle_reduction_vs_blocking_pct["spo"] == pytest.approx(0.0)
+    # A zero baseline leaves the reduction undefined: None, printed n/a, not 0.0%.
+    results[BaselineKind.NFTC] = [fake(BaselineKind.NFTC, 0, 5.0, 0)]
+    report = compare_report(results)
+    assert report.wasted_reduction_vs_nftc_pct == {"blocking": None, "spo": None}
+    text = report.to_text().splitlines()
+    assert "wasted reduction vs nftc [blocking]: n/a" in text
+    assert "wasted reduction vs nftc [spo]: n/a" in text
+    assert "idle reduction vs blocking [spo]: 0.0%" in text
 
 
 def test_compare_report_rejects_mismatched_seeds(free_space_weights):
@@ -518,14 +525,11 @@ def test_json_document_echoes_config(free_space_weights):
     assert doc["env"] == "free_space"
 
 
-def test_write_atomic_and_csv(tmp_path, free_space_weights):
-    m = run_single(BaselineKind.SPO, get_spec("free_space"), CFG, 0, free_space_weights).metrics
+def test_write_atomic_creates_its_directory_and_leaves_no_temp_file(tmp_path):
     path = tmp_path / "nested" / "out.csv"
-    write_metrics_csv(path, [m])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "kind,seed,success,steps,idle_s,hit_rate,mean_k,wasted,generated"
-    assert lines[1].startswith("spo,0,1,")
-    assert not list(path.parent.glob("*.tmp"))
+    write_atomic(path, "a,b\n1,2\n")
+    assert path.read_text() == "a,b\n1,2\n"
+    assert [p.name for p in path.parent.iterdir()] == ["out.csv"]
 
 
 def test_weights_roundtrip(tmp_path, free_space_weights):
