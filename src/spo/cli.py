@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
 
 from . import harness, sockets
-from .cloud import DRIFT_BIAS, DRIFT_NOISE
+from .cloud import DRIFT_BIAS, DRIFT_NOISE, make_model
 from .environments import get_spec, load_environment
 from .harness import BaselineKind
 from .types import ConfigError, SpoConfig, load_config, validate_config
@@ -82,20 +81,16 @@ def _effective_config(args) -> SpoConfig:
     return load_config(args.config, overrides)
 
 
-def _world_model(args) -> dict:
-    """An episode's world-model arguments, checked; the drift flags need ``--model drifted``."""
-    errors = []
+def _world_model(args, spec) -> dict:
+    """An episode's world-model arguments, defaults filled in, checked by building its model."""
     if args.model != "drifted" and (args.drift_bias, args.drift_noise) != (None, None):
-        errors.append(f"--drift-bias and --drift-noise need --model drifted, not {args.model}")
-    bias = DRIFT_BIAS if args.drift_bias is None else args.drift_bias
-    noise = DRIFT_NOISE if args.drift_noise is None else args.drift_noise
-    errors += [f"{name} = {value} is not finite" for name, value
-               in (("drift_bias", bias), ("drift_noise", noise)) if not math.isfinite(value)]
-    if noise < 0:
-        errors.append("drift_noise >= 0 violated")
-    if errors:
-        raise ConfigError(errors)
-    return {"model_kind": args.model, "drift_bias": bias, "drift_noise": noise}
+        raise ConfigError(
+            [f"--drift-bias and --drift-noise need --model drifted, not {args.model}"])
+    world = {"model_kind": args.model,
+             "drift_bias": DRIFT_BIAS if args.drift_bias is None else args.drift_bias,
+             "drift_noise": DRIFT_NOISE if args.drift_noise is None else args.drift_noise}
+    make_model(spec, **world)
+    return world
 
 
 def _config_echo(cfg: SpoConfig, world: dict) -> dict:
@@ -127,7 +122,7 @@ def cmd_run(args) -> int:
     cfg = _effective_config(args)
     spec = _spec(args)
     kind = BaselineKind(args.kind)
-    world = _world_model(args) if args.command == "run" else None
+    world = _world_model(args, spec) if args.command == "run" else None
     weights = _weights(args, spec, cfg)
     if args.command == "edge-connect":
         mode, echo = "socket", {field: getattr(cfg, field) for field in EDGE_CONFIG_FIELDS}
@@ -173,7 +168,7 @@ def cmd_experiment(args) -> int:
     seeds = list(range(cfg.rng_seed, cfg.rng_seed + args.seeds))
     sweep = args.command == "sweep"
     grid = _grid(args, cfg, spec) if sweep else [(None, cfg)]
-    world = _world_model(args)
+    world = _world_model(args, spec)
     weights = _weights(args, spec, cfg)
     extra = {"env": spec.name, "mode": "virtual", "config": _config_echo(cfg, world)}
     lines = [("param_value," if sweep else "") + harness.CSV_HEADER]
@@ -207,7 +202,7 @@ def cmd_calibrate(args) -> int:
 def cmd_serve(args) -> int:
     cfg = _effective_config(args)
     spec = _spec(args)
-    world = _world_model(args)
+    world = _world_model(args, spec)
     server = sockets.CloudServer(args.port, spec, cfg, BaselineKind(args.kind), **world)
     print(f"serving on port {server.port}", flush=True)
     server.serve_forever()

@@ -18,7 +18,8 @@ import numpy as np
 
 from .ahs import AhsState, update_horizon
 from .environments import EnvironmentSpec, next_values
-from .types import ActionVector, SpeculativeTuple, SpoConfig, StateVector, _checked, owned
+from .types import (ActionVector, ConfigError, SpeculativeTuple, SpoConfig, StateVector,
+                    _checked, owned)
 
 
 # The drifted model's per-step bias and noise standard deviation, by default.
@@ -125,7 +126,8 @@ class DriftedWorldModel(OracleWorldModel):
     The step that lands on progress step p adds row p of a noise table. Its block b,
     ``BLOCK_ROWS`` rows, is drawn from ``default_rng([seed, b])``, so row p is a pure
     function of (drift seed, p) whatever the call order, and a socket server draws the
-    rows its virtual twin draws. At most ``BLOCKS_HELD`` blocks are kept.
+    rows its virtual twin draws. At most ``BLOCKS_HELD`` blocks are kept. A non-finite
+    bias or noise, or a negative noise, is a :class:`~spo.types.ConfigError` listing each.
     """
 
     BLOCK_ROWS, BLOCKS_HELD = 256, 4
@@ -134,6 +136,13 @@ class DriftedWorldModel(OracleWorldModel):
         super().__init__(spec)
         self.bias = float(bias)
         self.noise_std = float(noise_std)
+        errors = [f"{name} = {value} is not finite" for name, value in
+                  (("drift_bias", self.bias), ("drift_noise", self.noise_std))
+                  if not math.isfinite(value)]
+        if self.noise_std < 0:
+            errors.append("drift_noise >= 0 violated")
+        if errors:
+            raise ConfigError(errors)
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
         self._blocks: dict[int, np.ndarray] = {}
 
@@ -225,13 +234,14 @@ def make_policy(spec: EnvironmentSpec) -> ScriptedExpertPolicy:
 
 def make_model(
     spec: EnvironmentSpec,
-    kind: str = "oracle",
+    model_kind: str = "oracle",
     drift_bias: float = DRIFT_BIAS,
     drift_noise: float = DRIFT_NOISE,
     seed: int = 0,
 ) -> WorldModel:
-    if kind == "oracle":
+    """The world model every layer builds; its arguments past ``spec`` are the run's world."""
+    if model_kind == "oracle":
         return OracleWorldModel(spec)
-    if kind == "drifted":
+    if model_kind == "drifted":
         return DriftedWorldModel(spec, drift_bias, noise_std=drift_noise, seed=seed)
-    raise ValueError(f"unknown model kind {kind!r}")
+    raise ValueError(f"unknown model kind {model_kind!r}")

@@ -24,6 +24,7 @@ import concurrent.futures
 import dataclasses
 import enum
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import DRIFT_BIAS, DRIFT_NOISE, CloudSession, Policy, make_model, make_policy
+from .cloud import CloudSession, Policy, make_model, make_policy
 from .edge import EdgeSession, Outcome, StepRecord
 from .environments import EnvironmentSpec, is_success, start_state, true_step
 from .transport import LatencyModel, VirtualChannel
@@ -151,11 +152,11 @@ def episode_seeds(cfg: SpoConfig, seed: int):
 class VirtualLink:
     """The in-process cloud behind a :class:`VirtualChannel`, as a link of :func:`run_episode`.
 
-    A link has ``wait``, ``answer``, ``due``, ``send``, ``dead``, ``horizons``, ``generated``
-    and ``next_delivery()``, the earliest arrival either way (``inf`` if none; ``-inf`` for a
-    link stepped every tick). ``send`` takes the edge's ``(request_id, request)``; ``answer(now)``
-    handles the requests at the cloud by ``now``, if any, then returns ``next_delivery()``;
-    ``due(now)`` answers, then returns the ``(request_id, response)`` pairs at the edge by ``now``.
+    A link has ``wait``, ``answer``, ``due``, ``send``, ``dead``, ``horizons`` and ``generated``.
+    ``send`` takes the edge's ``(request_id, request)``; ``answer(now)`` handles the requests at
+    the cloud by ``now``, if any, then returns the earliest arrival either way (``inf`` if none;
+    ``-inf`` for a link stepped every tick); ``due(now)`` answers, then returns the
+    ``(request_id, response)`` pairs at the edge by ``now``.
     """
 
     dead = False
@@ -186,9 +187,6 @@ class VirtualLink:
     def send(self, refill, now: float) -> None:
         self.channel.send_request(refill, now)
 
-    def next_delivery(self) -> float:
-        return self.channel.next_delivery()
-
 
 def run_single(
     kind: BaselineKind,
@@ -196,17 +194,12 @@ def run_single(
     cfg: SpoConfig,
     seed: int,
     weights: WeightMatrix,
-    model_kind: str = "oracle",
-    drift_bias: float = DRIFT_BIAS,
-    drift_noise: float = DRIFT_NOISE,
+    **world,
 ) -> RunResult:
-    """One deterministic virtual-clock episode."""
+    """One deterministic virtual-clock episode; ``world`` is :func:`~spo.cloud.make_model`'s."""
     start_rng, latency, drift_seed = episode_seeds(cfg, seed)
-    policy = make_policy(spec)
-    model = make_model(
-        spec, model_kind, drift_bias=drift_bias, drift_noise=drift_noise, seed=drift_seed
-    )
-    cloud = CloudSession(cfg, policy, model, fixed_horizon=FIXED_HORIZON[kind])
+    model = make_model(spec, seed=drift_seed, **world)
+    cloud = CloudSession(cfg, make_policy(spec), model, fixed_horizon=FIXED_HORIZON[kind])
     link = VirtualLink(cloud, VirtualChannel(latency))
     return run_episode(kind, spec, cfg, seed, weights, link, start_state(spec, start_rng))
 
@@ -252,7 +245,7 @@ def run_episode(
         if edge.in_flight_id is not None and not edge.cache:
             # Until a delivery to the edge or a disturbance, each awaiting tick holds still.
             stop = min([t for t in disturbed if t >= tick] + [spec.max_steps])
-            arrives = link.next_delivery()
+            arrives = -math.inf  # so the first held tick asks the link
             while tick < stop:
                 now = tick * cfg.control_interval
                 if now >= arrives and (arrives := link.answer(now)) <= now:
@@ -318,20 +311,15 @@ def run_experiment(
     spec: EnvironmentSpec,
     cfg: SpoConfig,
     seeds: list[int],
-    model_kind: str = "oracle",
-    drift_bias: float = DRIFT_BIAS,
-    drift_noise: float = DRIFT_NOISE,
     *,
     weights: WeightMatrix,
     jobs: int = 1,
+    **world,
 ) -> list[RunMetrics]:
-    """One RunMetrics per seed; seeds may run in parallel, merged by seed order."""
+    """One RunMetrics per seed, ``world`` as in :func:`run_single`; seeds may run in parallel."""
 
     def one(seed: int) -> RunMetrics:
-        return run_single(
-            kind, spec, cfg, seed, weights,
-            model_kind=model_kind, drift_bias=drift_bias, drift_noise=drift_noise,
-        ).metrics
+        return run_single(kind, spec, cfg, seed, weights, **world).metrics
 
     if jobs <= 1 or len(seeds) <= 1:
         return [one(s) for s in seeds]
@@ -386,21 +374,14 @@ def compare_report(results: dict[BaselineKind, list[RunMetrics]]) -> ComparisonR
             "wasted_mean": float(np.mean([m.wasted_predictions for m in ms])),
             "success_rate": float(np.mean([m.success for m in ms])),
         }
-    idle_red = {}
-    if BaselineKind.BLOCKING in results:
-        base = aggregate[BaselineKind.BLOCKING.value]["idle_mean"]
-        for kind in results:
-            if kind is not BaselineKind.BLOCKING:
-                idle_red[kind.value] = _reduction_pct(base, aggregate[kind.value]["idle_mean"])
-    wasted_red = {}
-    if BaselineKind.NFTC in results:
-        base = aggregate[BaselineKind.NFTC.value]["wasted_mean"]
-        for kind in results:
-            if kind is not BaselineKind.NFTC:
-                wasted_red[kind.value] = _reduction_pct(base, aggregate[kind.value]["wasted_mean"])
+    reductions = []  # idle against blocking, then wasted against nftc: empty without the base
+    for base, key in ((BaselineKind.BLOCKING, "idle_mean"), (BaselineKind.NFTC, "wasted_mean")):
+        reductions.append({} if base not in results else {
+            kind.value: _reduction_pct(aggregate[base.value][key], aggregate[kind.value][key])
+            for kind in results if kind is not base})
     rows = [m for ms in results.values() for m in ms]
     rows.sort(key=lambda m: (m.kind, m.seed))
-    return ComparisonReport(rows, aggregate, idle_red, wasted_red)
+    return ComparisonReport(rows, aggregate, *reductions)
 
 
 def metrics_csv_line(m: RunMetrics) -> str:

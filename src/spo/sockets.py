@@ -16,14 +16,17 @@ import threading
 import time
 
 from . import transport
-from .cloud import DRIFT_BIAS, DRIFT_NOISE, CloudSession, RolloutError, make_model, make_policy
+from .cloud import CloudSession, RolloutError, make_model, make_policy
 from .environments import EnvironmentSpec, start_state
 from .harness import FIXED_HORIZON, BaselineKind, RunResult, episode_seeds, run_episode
 from .types import SpoConfig, WeightMatrix
 
 
 class CloudServer:
-    """Serves rollout requests over TCP; one isolated session per connection."""
+    """Serves rollout requests over TCP; one isolated session per connection.
+
+    ``world`` is :func:`~spo.cloud.make_model`'s; a bad one is refused before the listener opens.
+    """
 
     def __init__(
         self,
@@ -31,17 +34,14 @@ class CloudServer:
         spec: EnvironmentSpec,
         cfg: SpoConfig,
         kind: BaselineKind = BaselineKind.SPO,
-        model_kind: str = "oracle",
-        drift_bias: float = DRIFT_BIAS,
-        drift_noise: float = DRIFT_NOISE,
         host: str = "127.0.0.1",
+        **world,
     ):
+        make_model(spec, seed=0, **world)  # as each session builds it, so a bad world fails here
         self.spec = spec
         self.cfg = cfg
         self.kind = kind
-        self.model_kind = model_kind
-        self.drift_bias = drift_bias
-        self.drift_noise = drift_noise
+        self.world = world
         self._listener = socket.create_server((host, port))
         self._stop = threading.Event()
         self._session_counter = 0
@@ -71,10 +71,7 @@ class CloudServer:
 
     def _session(self, conn: socket.socket, session_id: int) -> None:
         _, latency, drift_seed = episode_seeds(self.cfg, self.cfg.rng_seed + session_id - 1)
-        model = make_model(
-            self.spec, self.model_kind,
-            drift_bias=self.drift_bias, drift_noise=self.drift_noise, seed=drift_seed,
-        )
+        model = make_model(self.spec, seed=drift_seed, **self.world)
         cloud = CloudSession(self.cfg, make_policy(self.spec), model, FIXED_HORIZON[self.kind])
         with conn:
             try:
@@ -134,10 +131,6 @@ class SocketLink:
         while inbox and inbox[0][0] <= now:
             taken.append(inbox.pop(0)[1])
         return taken
-
-    def next_delivery(self) -> float:
-        # Replies arrive in wall-clock time, so the loop steps every tick.
-        return -math.inf
 
     def send(self, refill, now: float) -> None:
         try:

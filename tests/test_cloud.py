@@ -8,6 +8,7 @@ import pytest
 
 import spo.cloud
 import spo.environments
+import spo.sockets
 from spo.ahs import AhsState
 from spo.cloud import (
     DRIFT_BIAS,
@@ -31,8 +32,10 @@ from spo.environments import (
     start_state,
     true_step,
 )
+from spo.harness import BaselineKind, run_experiment, run_single
+from spo.sockets import CloudServer
 from spo.transport import decode_response, encode_response
-from spo.types import ActionVector, SpeculativeTuple, SpoConfig, StateVector, owned
+from spo.types import ActionVector, ConfigError, SpeculativeTuple, SpoConfig, StateVector, owned
 from spo.verifier import tracking_error
 from spo.types import WeightMatrix
 
@@ -537,6 +540,50 @@ def test_expert_policy_later_segment_wins_a_tie():
 def test_make_model_rejects_unknown_kind():
     with pytest.raises(ValueError):
         make_model(get_spec("free_space"), "learned")
+
+
+def _no_listener(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a listener opened")
+
+    monkeypatch.setattr(spo.sockets.socket, "create_server", never)
+
+
+# Each layer that builds a world model, on a good spec and config, with the given ``world``.
+WORLD_BUILDERS = {
+    "make_model": make_model,
+    "run_single": lambda spec, **world: run_single(
+        BaselineKind.SPO, spec, SpoConfig(), 0, WeightMatrix(np.ones(spec.d_s)), **world),
+    "run_experiment": lambda spec, **world: run_experiment(
+        BaselineKind.SPO, spec, SpoConfig(), [0], weights=WeightMatrix(np.ones(spec.d_s)),
+        **world),
+    "CloudServer": lambda spec, **world: CloudServer(0, spec, SpoConfig(), **world),
+}
+
+
+@pytest.mark.parametrize("builder", ["make_model", "run_single", "CloudServer"])
+@pytest.mark.parametrize("bias, noise, errors", [
+    (math.nan, DRIFT_NOISE, ["drift_bias = nan is not finite"]),
+    (math.inf, DRIFT_NOISE, ["drift_bias = inf is not finite"]),
+    (DRIFT_BIAS, math.nan, ["drift_noise = nan is not finite"]),
+    (DRIFT_BIAS, -1.0, ["drift_noise >= 0 violated"]),
+    (math.nan, -1.0, ["drift_bias = nan is not finite", "drift_noise >= 0 violated"]),
+], ids=["bias-nan", "bias-inf", "noise-nan", "noise-negative", "both"])
+def test_every_layer_refuses_a_bad_drift_with_every_violation_listed(
+    monkeypatch, builder, bias, noise, errors
+):
+    _no_listener(monkeypatch)
+    with pytest.raises(ConfigError) as exc:
+        WORLD_BUILDERS[builder](
+            get_spec("free_space"), model_kind="drifted", drift_bias=bias, drift_noise=noise)
+    assert exc.value.errors == errors
+
+
+@pytest.mark.parametrize("builder", ["run_single", "run_experiment", "CloudServer"])
+def test_a_misspelled_world_keyword_is_a_type_error_not_ignored(monkeypatch, builder):
+    _no_listener(monkeypatch)
+    with pytest.raises(TypeError, match="drift_bais"):
+        WORLD_BUILDERS[builder](get_spec("free_space"), model_kind="drifted", drift_bais=1e-3)
 
 
 @pytest.mark.parametrize("violation_error, step_index", [

@@ -508,6 +508,27 @@ def test_compare_report_reduction_arithmetic():
     assert "idle reduction vs blocking [spo]: 0.0%" in text
 
 
+@pytest.mark.parametrize("kinds, absent, present", [
+    ((BaselineKind.SPO, BaselineKind.NFTC), "idle reduction vs blocking",
+     "wasted reduction vs nftc"),
+    ((BaselineKind.BLOCKING, BaselineKind.SPO), "wasted reduction vs nftc",
+     "idle reduction vs blocking"),
+])
+def test_a_report_without_a_base_kind_has_no_reductions_against_it(kinds, absent, present):
+    results = {kind: [harness.RunMetrics(
+        kind=kind.value, env="x", seed=0, success=True, steps_taken=10, sim_wall_time=0.2,
+        idle_time=3.0, hits=5, misses=0, holds=5, awaiting=0, direct=0, hit_rate=0.5,
+        mean_horizon=5.0, wasted_predictions=20, generated_predictions=25)] for kind in kinds}
+    report = compare_report(results)
+    reductions = {"idle reduction vs blocking": report.idle_reduction_vs_blocking_pct,
+                  "wasted reduction vs nftc": report.wasted_reduction_vs_nftc_pct}
+    assert reductions[absent] == {}
+    assert reductions[present] == {"spo": 0.0}
+    text = report.to_text()
+    assert absent not in text
+    assert f"{present} [spo]: 0.0%" in text.splitlines()
+
+
 def test_compare_report_rejects_mismatched_seeds(free_space_weights):
     spec = get_spec("free_space")
     a = run_experiment(BaselineKind.SPO, spec, CFG, [0], weights=free_space_weights)
