@@ -100,7 +100,7 @@ def _config_echo(cfg: SpoConfig, world: dict) -> dict:
 
 
 def _spec(args):
-    if os.path.exists(args.env):
+    if os.path.exists(args.env) and not os.path.isdir(args.env):  # a run's --out dir is no spec
         return load_environment(args.env)
     try:
         return get_spec(args.env)

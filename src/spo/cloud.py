@@ -69,25 +69,33 @@ class ScriptedExpertPolicy:
 
     Progress is recovered from the state alone (nearest polyline segment,
     later segments win ties), so the policy replans from whatever state it
-    is given, including post-disturbance states.
+    is given, including post-disturbance states. The leg search runs on one
+    table of Python floats with ``math.dist``, not on numpy vectors, whose
+    per-call overhead would dominate at these sizes. Its distances may differ
+    from a numpy loop's in the last bits, about a millionth of the 1e-9 tie
+    band at the distances episodes reach, so the chosen leg is the same.
     """
 
     def __init__(self, spec: EnvironmentSpec):
         self.spec = spec
         anchor = np.zeros(spec.d_s)
         self._path = [anchor] + [np.asarray(w, dtype=np.float64) for w in spec.waypoints]
-        # Each segment as (start, start-to-end, squared length), built once.
-        self._segments = [(a, b - a, float((b - a).dot(b - a)))
-                          for a, b in zip(self._path, self._path[1:])]
+        # Each leg as (start, end, start-to-end, squared length), in floats, built once.
+        self._legs = [(a.tolist(), b.tolist(), (b - a).tolist(), float((b - a).dot(b - a)))
+                      for a, b in zip(self._path, self._path[1:])]
 
     def _target(self, pos: np.ndarray) -> np.ndarray:
-        if len(self._segments) < 2:
+        if len(self._legs) < 2:
             return self._path[-1]
+        px, dist = pos.tolist(), math.dist
         best_k, best_d = 0, math.inf
-        for k, (a, ab, denom) in enumerate(self._segments):
-            t = 0.0 if denom == 0 else min(max(float((pos - a).dot(ab)) / denom, 0.0), 1.0)
-            off = pos - (a + t * ab)
-            d = math.sqrt(off.dot(off))
+        for k, (a, b, ab, denom) in enumerate(self._legs):
+            d = da = dist(px, a)
+            if denom:
+                db = dist(px, b)
+                # The projection's t by the law of cosines: (p - a)·ab = (da² + denom - db²) / 2.
+                t = min(max((da * da + denom - db * db) / (2 * denom), 0.0), 1.0)
+                d = dist(px, [x + t * y for x, y in zip(a, ab)])
             if d <= best_d + 1e-9:
                 best_k, best_d = k, min(best_d, d)
         return self._path[best_k + 1]

@@ -317,6 +317,7 @@ def run_experiment(
     **world,
 ) -> list[RunMetrics]:
     """One RunMetrics per seed, ``world`` as in :func:`run_single`; seeds may run in parallel."""
+    make_model(spec, seed=0, **world)  # as each episode builds it: a bad world fails with no seeds
 
     def one(seed: int) -> RunMetrics:
         return run_single(kind, spec, cfg, seed, weights, **world).metrics

@@ -121,6 +121,17 @@ def test_sweep_checks_every_grid_point_before_the_first_episode(
     assert not list(tmp_path.iterdir())
 
 
+def test_a_directory_named_after_a_canonical_env_does_not_hide_it(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "free_space").mkdir()  # as `spo compare --out free_space` leaves it
+    assert cli.main(["calibrate", "--env", "free_space", "--out", "free_space"]) == 0
+    assert (tmp_path / "free_space" / "weights_free_space.txt").is_file()
+    capsys.readouterr()
+    (tmp_path / "results").mkdir()
+    assert cli.main(["calibrate", "--env", "results"]) == 2
+    assert "config error: no spec file at 'results'" in capsys.readouterr().err
+
+
 def test_calibrate_writes_loadable_weights(tmp_path):
     from spo.harness import load_weights
 
@@ -426,15 +437,17 @@ def test_environment_errors_exit_two(tmp_path, capsys, argv, message):
 )
 def test_unreadable_local_file_is_a_config_error(tmp_path, capsys, flag):
     bad = str(tmp_path / "missing.txt")
+    undecodable = tmp_path / "latin1.cfg"  # exists, but is not UTF-8
+    undecodable.write_bytes(b"name = caf\xe9\n")
     argv = {
         "--config": ["--config", bad],
-        "--env": ["--env", str(tmp_path)],  # exists, but is a directory
+        "--env": ["--env", str(undecodable)],
         "--weights": ["--weights", bad],
     }[flag]
     code = cli.main(["run", *argv, "--out", str(tmp_path / "out")])
     assert code == 2
     err = capsys.readouterr().err
-    expected = str(tmp_path) if flag == "--env" else bad
+    expected = str(undecodable) if flag == "--env" else bad
     assert err.startswith(f"config error: cannot read {expected}: "), err
 
 

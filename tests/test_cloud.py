@@ -479,12 +479,13 @@ def _bent_spec(d=8):
 
 
 def _target_probe_states(spec, rng):
-    """Random states, states 1e-12..1 from each path point, points on the segments, and
-    (for a path off the last coordinates) states as far from two adjacent legs exactly."""
+    """Random states, states 1e-12..1 and 10..1e6 from each path point, points on the
+    segments, and (for a path off the last coordinates) states as far from two adjacent legs
+    exactly. The far states are where a projection from distances loses the most digits."""
     path = [np.zeros(spec.d_s)] + list(spec.waypoints)
     states = list(rng.uniform(-3.0, 3.0, (5400, spec.d_s)))
     for p in path:
-        for scale in np.logspace(-12, 0, 520):
+        for scale in np.concatenate([np.logspace(-12, 0, 520), np.logspace(1, 6, 2000)]):
             step = rng.normal(size=spec.d_s)
             states.append(p + scale * step / math.sqrt(step.dot(step)))
     for a, b in zip(path, path[1:]):
@@ -557,11 +558,15 @@ WORLD_BUILDERS = {
     "run_experiment": lambda spec, **world: run_experiment(
         BaselineKind.SPO, spec, SpoConfig(), [0], weights=WeightMatrix(np.ones(spec.d_s)),
         **world),
+    "run_experiment-no-seeds": lambda spec, **world: run_experiment(
+        BaselineKind.SPO, spec, SpoConfig(), [], weights=WeightMatrix(np.ones(spec.d_s)),
+        **world),
     "CloudServer": lambda spec, **world: CloudServer(0, spec, SpoConfig(), **world),
 }
 
 
-@pytest.mark.parametrize("builder", ["make_model", "run_single", "CloudServer"])
+@pytest.mark.parametrize("builder", ["make_model", "run_single", "run_experiment-no-seeds",
+                                     "CloudServer"])
 @pytest.mark.parametrize("bias, noise, errors", [
     (math.nan, DRIFT_NOISE, ["drift_bias = nan is not finite"]),
     (math.inf, DRIFT_NOISE, ["drift_bias = inf is not finite"]),
@@ -579,7 +584,8 @@ def test_every_layer_refuses_a_bad_drift_with_every_violation_listed(
     assert exc.value.errors == errors
 
 
-@pytest.mark.parametrize("builder", ["run_single", "run_experiment", "CloudServer"])
+@pytest.mark.parametrize("builder", ["run_single", "run_experiment", "run_experiment-no-seeds",
+                                     "CloudServer"])
 def test_a_misspelled_world_keyword_is_a_type_error_not_ignored(monkeypatch, builder):
     _no_listener(monkeypatch)
     with pytest.raises(TypeError, match="drift_bais"):
