@@ -88,7 +88,7 @@ class EdgeSession:
         self, observed: StateVector, tick_index: int
     ) -> tuple[StepRecord, tuple[int, RolloutRequest] | None]:
         """Verify-and-execute (or hold) for one control tick."""
-        if observed.dim != self.weights.dim:
+        if observed.values.size != self.weights.inverse_variances.size:
             raise DimensionError(
                 f"observed dimension {observed.dim} != calibrated d_s {self.weights.dim}"
             )

@@ -82,9 +82,9 @@ def next_values(
     spec: EnvironmentSpec, state: StateVector, action: ActionVector, step_index: int
 ) -> np.ndarray:
     """The unchecked array of :func:`true_step`'s next state, for a caller that adds to it."""
-    if state.dim != spec.d_s:
+    if state.values.size != spec.d_s:
         raise DimensionError(f"state dimension {state.dim} != d_s {spec.d_s}")
-    if action.dim != spec.d_a:
+    if action.values.size != spec.d_a:
         raise DimensionError(f"action dimension {action.dim} != d_a {spec.d_a}")
     nxt = state.values + action.values * spec.dt
     for when, offset in spec.disturbance_schedule:

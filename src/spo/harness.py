@@ -14,8 +14,8 @@ The virtual clock is event-driven. After a tick that leaves the edge awaiting a 
 disturbance or ``max_steps`` in one go; the link answers a request that reaches the cloud
 meanwhile. This is exact: such a tick delivers nothing to the edge, holds the zero action
 and is not disturbed. A refill tick holds still too, unless disturbed, and checks the goal
-only at tick 0; a stepped tick with nothing due does no channel work, and a tick that only
-receives does not poll the cloud side again.
+only at tick 0; a stepped tick on an empty channel does not touch it, one with nothing due
+does no channel work, and a tick that only receives does not poll the cloud side again.
 """
 
 from __future__ import annotations
@@ -51,13 +51,18 @@ class BaselineKind(enum.Enum):
     SPO = "spo"
 
 
-# Fixed speculative depth per baseline; None = adaptive.
+# Fixed speculative depth per baseline; None = adaptive. NFTC's is the config's k_max.
 FIXED_HORIZON = {
     BaselineKind.BLOCKING: 0,
     BaselineKind.T1SC: 1,
-    BaselineKind.NFTC: 10,
     BaselineKind.SPO: None,
 }
+
+
+def fixed_horizon(kind: BaselineKind, cfg: SpoConfig) -> int | None:
+    """The speculative depth ``kind`` runs at under ``cfg``; None = adaptive."""
+    return cfg.k_max if kind is BaselineKind.NFTC else FIXED_HORIZON[kind]
+
 
 SCHEMA_VERSION = 1
 WEIGHT_CAP = 1e9
@@ -156,7 +161,7 @@ class VirtualLink:
     ``send`` takes the edge's ``(request_id, request)``; ``answer(now)`` handles the requests at
     the cloud by ``now``, if any, then returns the earliest arrival either way (``inf`` if none;
     ``-inf`` for a link stepped every tick); ``due(now)`` answers, then returns the
-    ``(request_id, response)`` pairs at the edge by ``now``.
+    ``(request_id, response)`` pairs at the edge by ``now``: none, at once, on an empty channel.
     """
 
     dead = False
@@ -182,7 +187,10 @@ class VirtualLink:
         return channel.next_delivery()
 
     def due(self, now: float) -> list:
-        return [] if self.answer(now) > now else self.channel.edge_inbox(now)
+        channel = self.channel
+        if not (channel.to_cloud or channel.to_edge):
+            return []  # an empty channel has nothing to answer or deliver
+        return [] if self.answer(now) > now else channel.edge_inbox(now)
 
     def send(self, refill, now: float) -> None:
         self.channel.send_request(refill, now)
@@ -199,7 +207,7 @@ def run_single(
     """One deterministic virtual-clock episode; ``world`` is :func:`~spo.cloud.make_model`'s."""
     start_rng, latency, drift_seed = episode_seeds(cfg, seed)
     model = make_model(spec, seed=drift_seed, **world)
-    cloud = CloudSession(cfg, make_policy(spec), model, fixed_horizon=FIXED_HORIZON[kind])
+    cloud = CloudSession(cfg, make_policy(spec), model, fixed_horizon=fixed_horizon(kind, cfg))
     link = VirtualLink(cloud, VirtualChannel(latency))
     return run_episode(kind, spec, cfg, seed, weights, link, start_state(spec, start_rng))
 

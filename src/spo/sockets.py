@@ -18,7 +18,7 @@ import time
 from . import transport
 from .cloud import CloudSession, RolloutError, make_model, make_policy
 from .environments import EnvironmentSpec, start_state
-from .harness import FIXED_HORIZON, BaselineKind, RunResult, episode_seeds, run_episode
+from .harness import BaselineKind, RunResult, episode_seeds, fixed_horizon, run_episode
 from .types import SpoConfig, WeightMatrix
 
 
@@ -72,7 +72,8 @@ class CloudServer:
     def _session(self, conn: socket.socket, session_id: int) -> None:
         _, latency, drift_seed = episode_seeds(self.cfg, self.cfg.rng_seed + session_id - 1)
         model = make_model(self.spec, seed=drift_seed, **self.world)
-        cloud = CloudSession(self.cfg, make_policy(self.spec), model, FIXED_HORIZON[self.kind])
+        horizon = fixed_horizon(self.kind, self.cfg)
+        cloud = CloudSession(self.cfg, make_policy(self.spec), model, horizon)
         with conn:
             try:
                 while (frame := transport.recv_frame(conn)) is not None:

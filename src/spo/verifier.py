@@ -23,13 +23,13 @@ def tracking_error(
     Symmetric in (actual, predicted); zero iff the vectors are equal.
     Computed in double precision regardless of wire-format rounding.
     """
-    if actual.dim != predicted.dim or actual.dim != weights.dim:
+    a, p, w = actual.values, predicted.values, weights.inverse_variances
+    if a.size != p.size or a.size != w.size:
         raise DimensionError(
-            f"dimension mismatch: actual={actual.dim} predicted={predicted.dim} "
-            f"weights={weights.dim}"
+            f"dimension mismatch: actual={a.size} predicted={p.size} weights={w.size}"
         )
-    diff = actual.values - predicted.values
-    return math.sqrt(weights.inverse_variances.dot(diff * diff))
+    diff = a - p
+    return math.sqrt(w.dot(diff * diff))
 
 
 def verify(
@@ -43,4 +43,5 @@ def verify(
     The boundary (error exactly equal to the tolerance) counts as a hit.
     """
     err = tracking_error(actual, tup.predicted_state, weights)
-    return VerificationOutcome(err, err <= epsilon_base)
+    # Built as the rollout builds a SpeculativeTuple, past the named tuple's Python __new__.
+    return tuple.__new__(VerificationOutcome, (err, err <= epsilon_base))

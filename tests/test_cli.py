@@ -99,6 +99,15 @@ def test_a_one_point_sweep_is_a_compare(tmp_path, capsys):
     assert cut == (tmp_path / "cmp" / "compare_free_space.csv").read_bytes()
 
 
+def test_nftc_rows_of_a_k_max_sweep_speculate_to_that_k_max(tmp_path):
+    argv = ["sweep", "--param", "k_max", "--from", "6", "--to", "6", "--steps", "1", "--seeds", "2"]
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    header, *rows = (tmp_path / "sweep_k_max_free_space.csv").read_text().splitlines()
+    kind, mean_k = header.split(",").index("kind"), header.split(",").index("mean_k")
+    nftc = [row.split(",")[mean_k] for row in rows if row.split(",")[kind] == "nftc"]
+    assert nftc == ["6.0", "6.0"]
+
+
 @pytest.mark.parametrize(
     "param, grid, message",
     [("k_max", ["2", "3", "3"], "k_max is an integer field; grid point 2.5 is not"),

@@ -138,7 +138,7 @@ def test_blocking_session_executes_direct_without_verification():
 
 def test_dimension_mismatch_is_fatal():
     edge = _session()
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match=r"^observed dimension 4 != calibrated d_s 3$"):
         edge.edge_tick(StateVector(np.zeros(D + 1)), 0)
 
 

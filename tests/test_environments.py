@@ -86,9 +86,9 @@ def test_dimension_validation():
     with pytest.raises(DimensionError):
         EnvironmentSpec(name="bad", d_s=3, d_a=2)
     spec = _toy_1d()
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match=r"^state dimension 2 != d_s 1$"):
         true_step(spec, StateVector([0.0, 0.0]), ActionVector([1.0]), 0)
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match=r"^action dimension 2 != d_a 1$"):
         true_step(spec, StateVector([0.0]), ActionVector([1.0, 1.0]), 0)
 
 

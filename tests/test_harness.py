@@ -243,6 +243,36 @@ def test_stop_and_wait_refill_waits_lie_within_the_jittered_round_trip(rtt, jitt
     assert low <= min(waits) and max(waits) <= high, (min(waits), max(waits), low, high)
 
 
+def _idle_ticks_by_refill(records, steps_taken, cfg, seed):
+    """Idle ticks as a sum over refills: a refill sent at tick i idles until the first tick j
+    with j*dt >= (i*dt + up) + down, its legs redrawn in order, or until the episode ends."""
+    dt = cfg.control_interval
+    latency = harness.episode_seeds(cfg, seed)[1]
+    total = 0
+    for rec in records:
+        if rec.outcome in (Outcome.MISS, Outcome.STARVED_HOLD):
+            i = rec.step_index
+            arrives = (i * dt + latency.sample()) + latency.sample()
+            j = i + 1
+            while j * dt < arrives:
+                j += 1
+            total += min(j, steps_taken) - i
+    return total
+
+
+def test_every_idle_tick_belongs_to_one_stop_and_wait_refill():
+    for env in ("free_space", "tight_tolerance", "multi_stage"):
+        spec = get_spec(env)
+        weights = calibrate_weights(spec, seed=0)
+        for kind in BaselineKind:
+            for model in ("oracle", "drifted"):
+                for seed in range(3):
+                    result = run_single(kind, spec, CFG, seed, weights, model_kind=model)
+                    m = result.metrics
+                    idle = _idle_ticks_by_refill(result.records, m.steps_taken, CFG, seed)
+                    assert m.holds + m.misses + m.awaiting == idle, (env, kind, model, seed)
+
+
 class TickByTickChannel(harness.VirtualChannel):
     """Reports no next delivery, so ``run_episode`` steps every held tick."""
 
@@ -422,6 +452,48 @@ def test_a_response_tick_polls_the_cloud_side_of_the_channel_at_most_once(monkey
                 result = run_single(kind, spec, cfg, 0, weights, model_kind="drifted")
                 assert delivered, (env, kind)
                 assert polls == [1] * len(result.horizons), (env, kind, cfg.rtt_base)
+
+
+def test_a_tick_that_begins_with_an_empty_channel_makes_no_channel_call(monkeypatch):
+    """``VirtualLink.due`` on an empty channel returns at once: it neither reads the next
+    delivery time nor polls either side. A tick with a message in flight reads the channel."""
+    calls = []
+    calls_by_tick = {True: [], False: []}  # keyed by whether the tick began on an empty channel
+
+    class CountingChannel(harness.VirtualChannel):
+        def next_delivery(self):
+            calls.append("next_delivery")
+            return super().next_delivery()
+
+        def cloud_inbox_timed(self, now):
+            calls.append("cloud_inbox_timed")
+            return super().cloud_inbox_timed(now)
+
+        def edge_inbox(self, now):
+            calls.append("edge_inbox")
+            return super().edge_inbox(now)
+
+    due = harness.VirtualLink.due
+
+    def recording(self, now):
+        empty = not (self.channel.to_cloud or self.channel.to_edge)
+        before = len(calls)
+        got = due(self, now)
+        calls_by_tick[empty].append(len(calls) - before)
+        return got
+
+    monkeypatch.setattr(harness, "VirtualChannel", CountingChannel)
+    monkeypatch.setattr(harness.VirtualLink, "due", recording)
+    for env in ("free_space", "tight_tolerance", "multi_stage"):
+        spec = get_spec(env)
+        weights = calibrate_weights(spec, seed=0)
+        for kind in BaselineKind:
+            for model in ("oracle", "drifted"):
+                run_single(kind, spec, CFG, 0, weights, model_kind=model)
+                assert calls_by_tick[True] and set(calls_by_tick[True]) == {0}, (env, kind)
+                assert calls_by_tick[False] and min(calls_by_tick[False]) >= 1, (env, kind)
+                calls_by_tick[True].clear()
+                calls_by_tick[False].clear()
 
 
 def test_a_virtual_blocking_episode_skips_edge_ticks(free_space_weights, monkeypatch):

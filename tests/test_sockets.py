@@ -371,6 +371,21 @@ def test_server_session_n_plays_episode_seed_s_plus_n_minus_1(quick_spec):
     assert frames[0] != frames[1]
 
 
+def test_an_nftc_server_speculates_to_its_config_k_max(quick_spec):
+    server = _serve(quick_spec, dataclasses.replace(FAST, k_max=6), kind=BaselineKind.NFTC)
+    req = RolloutRequest(StateVector([0.1, -0.2, 0.3, -0.4]), violation_error=0.0, step_index=4)
+    try:
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as conn:
+            transport.send_frame(conn, transport.encode_request(1, req))
+            frame = transport.recv_frame(conn)
+    finally:
+        server.stop()
+    _join_sessions()
+    _, resp = transport.decode_response(frame, 4, 4)
+    assert resp.horizon_used == 6
+    assert [t.step_index for t in resp.tuples] == [5, 6, 7, 8, 9, 10]
+
+
 def _request_frame(violation_error, d_s):
     header = struct.pack("<BIIfH", transport.FRAME_TYPE_REQUEST, 1, 0, violation_error, d_s)
     return header + np.zeros(d_s, dtype="<f4").tobytes()

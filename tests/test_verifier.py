@@ -47,9 +47,10 @@ def test_weighted_example_matches_brute_force():
 
 
 def test_dimension_mismatch_raises():
-    with pytest.raises(DimensionError):
+    mismatch = r"^dimension mismatch: actual=1 predicted={} weights={}$"
+    with pytest.raises(DimensionError, match=mismatch.format(2, 1)):
         tracking_error(StateVector([1.0]), StateVector([1.0, 2.0]), WeightMatrix([1.0]))
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match=mismatch.format(1, 2)):
         tracking_error(StateVector([1.0]), StateVector([1.0]), WeightMatrix([1.0, 1.0]))
 
 
