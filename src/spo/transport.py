@@ -13,8 +13,10 @@ Each frame is one header struct and one float32 array, packed and unpacked once.
 A decoder raises :class:`FrameError`, and nothing else, for every malformed frame.
 It widens the payload to float64 once and checks it once, a request's state through
 :func:`spo.types.owned`, a response by one sum of squares, then gives each tuple
-read-only row views of that one array; the encoder narrows a whole frame to float32
-in one pass, refusing any value that float32 would round to infinity.
+read-only row views of that one array. Each encoder narrows a whole frame to float32
+in one pass, refusing any value that float32 would round to infinity: one sum of
+squares below the bound's square proves the range, else each value is checked
+(squares beyond float64 make numpy warn first, as in :func:`spo.types.owned`).
 Socket mode prefixes every frame with a 4B length, at most :data:`MAX_FRAME_BYTES`.
 Both modes draw delays from one :class:`LatencyModel`, an uplink leg then a
 downlink leg per request. The harness delivers both legs through a
@@ -40,6 +42,7 @@ _REQUEST = struct.Struct("<BIIfH")  # type, request_id, step_index, violation_er
 _RESPONSE = struct.Struct("<BIIH")  # type, request_id, step_index, tuple_count
 # The least magnitude that float32 narrowing rounds to infinity: half an ulp above float32 max.
 _F32_OVERFLOW = 2.0**128 - 2.0**103
+_F32_OVERFLOW_SQ = _F32_OVERFLOW**2  # exact: (2**25 - 1)**2 needs only 51 bits
 _LEN_PREFIX = struct.Struct("<I")
 
 # The longest frame either end sends or reads. A peer's length prefix can
@@ -53,8 +56,15 @@ class FrameError(ValueError):
 
 
 def _narrow(values: np.ndarray) -> bytes:
-    """``values`` as little-endian float32 bytes, refusing any that overflow (or are NaN)."""
-    if not np.abs(values).max() < _F32_OVERFLOW:
+    """``values`` as little-endian float32 bytes, refusing any that overflow (or are NaN).
+
+    A rounded sum of non-negative squares is never below its largest rounded square,
+    in any order and with or without FMA, so a sum below the bound's square proves
+    every |v| below the bound; NaN fails the comparison. Any other payload falls
+    through to the per-value bound. Squares that overflow float64 (|v| above about
+    1.3e154) make numpy warn, as in :func:`spo.types.owned`, before the refusal.
+    """
+    if not (values.dot(values) < _F32_OVERFLOW_SQ or np.abs(values).max() < _F32_OVERFLOW):
         raise FrameError("non-finite value after float32 narrowing")
     return values.astype("<f4").tobytes()
 

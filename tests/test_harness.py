@@ -273,6 +273,23 @@ def test_every_idle_tick_belongs_to_one_stop_and_wait_refill():
                     assert m.holds + m.misses + m.awaiting == idle, (env, kind, model, seed)
 
 
+@pytest.mark.parametrize("rtt", [0.05, 0.30])
+def test_spo_idles_about_one_round_trip_of_ticks_per_refill(rtt):
+    """Each stop-and-wait refill idles ceil((up + down)/dt) ticks, so over many refills
+    SPO's idle ticks per refill lie between rtt/dt and rtt/dt + 1, whatever K it chose."""
+    cfg = dataclasses.replace(CFG, rtt_base=rtt, jitter_half_width=0.03)
+    spec = get_spec("free_space")
+    weights = calibrate_weights(spec, seed=0)
+    idle = refills = 0
+    for seed in range(5):
+        result = run_single(BaselineKind.SPO, spec, cfg, seed, weights, model_kind="drifted")
+        m = result.metrics
+        idle += m.holds + m.misses + m.awaiting
+        refills += len(result.horizons)
+    per_refill, dt = idle / refills, cfg.control_interval
+    assert rtt / dt <= per_refill <= rtt / dt + 1, (per_refill, rtt / dt)
+
+
 class TickByTickChannel(harness.VirtualChannel):
     """Reports no next delivery, so ``run_episode`` steps every held tick."""
 

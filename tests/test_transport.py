@@ -481,6 +481,66 @@ def test_the_largest_value_below_the_overflow_bound_narrows_to_float32_max():
     assert (back.predicted_state.values[0], back.action.values[0]) == (f32_max, -f32_max)
 
 
+def _encode_both(values, split):
+    """``values`` encoded as a request's state and as one tuple split at ``split``."""
+    state = StateVector(np.ones(values.size))
+    object.__setattr__(state, "values", values)
+    tup_state, action = StateVector(np.ones(split)), ActionVector(np.ones(values.size - split))
+    object.__setattr__(tup_state, "values", values[:split])
+    object.__setattr__(action, "values", values[split:])
+    tup = SpeculativeTuple(tup_state, action, 1)
+    return (lambda: encode_request(1, RolloutRequest(state, 0.0, 0)),
+            lambda: encode_response(1, RolloutResponse((tup,), 1)))
+
+
+def _ulps_around(x, n=3):
+    """``x`` and its ``n`` nearest float64 neighbours on each side."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(float(np.nextafter(below[-1], -math.inf)))
+        above.append(float(np.nextafter(above[-1], math.inf)))
+    return below + above[1:]
+
+
+_EDGE_MAGNITUDES = _ulps_around(F32_OVERFLOW) + _ulps_around(float(np.finfo(np.float32).max))
+_special_floats = st.one_of(
+    st.sampled_from(_EDGE_MAGNITUDES + [-m for m in _EDGE_MAGNITUDES]),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.floats(1e199, 1e201),
+    st.floats(-1e201, -1e199),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8),
+       st.lists(_special_floats, min_size=1, max_size=2), st.data())
+def test_the_sum_of_squares_proof_refuses_exactly_what_the_per_value_bound_refuses(
+        ordinary, special, data):
+    v = np.array(data.draw(st.permutations(ordinary + special)))
+    refused = not np.abs(v).max() < F32_OVERFLOW
+    for encode in _encode_both(v, data.draw(st.integers(1, v.size - 1))):
+        with np.errstate(over="ignore"):  # squares near 1e200 overflow the dot; numpy warns
+            if refused:
+                with pytest.raises(FrameError, match="non-finite"):
+                    encode()
+            else:
+                assert encode()[-4 * v.size:] == v.astype("<f4").tobytes()
+
+
+def test_a_payload_whose_sum_of_squares_fails_the_proof_is_checked_value_by_value():
+    v = np.full(8, np.nextafter(F32_OVERFLOW, 0.0))
+    assert not v.dot(v) < F32_OVERFLOW**2
+    f32_max = np.full(8, np.finfo(np.float32).max, "<f4").tobytes()
+    for encode in _encode_both(v, 4):
+        assert encode()[-32:] == f32_max
+
+
+def test_a_value_whose_square_overflows_float64_warns_then_is_refused():
+    for encode in _encode_both(np.array([1e200, 0.0]), 1):
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(FrameError):
+            encode()
+
+
 @pytest.mark.parametrize("tuples", [0, 1])
 def test_decode_response_refuses_a_zero_dimension_even_for_an_empty_frame(tuples):
     tup = SpeculativeTuple(StateVector([1.0, 2.0]), ActionVector([3.0]), 1)
