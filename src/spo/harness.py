@@ -40,8 +40,8 @@ from .types import (ConfigError, SpoConfig, StateVector, WeightMatrix, owned,
                     parse_config_file, parse_vector, validate_config)
 
 
-class CalibrationError(RuntimeError):
-    """Calibration rollout produced no usable per-dimension variance."""
+class CalibrationError(ConfigError):
+    """Calibration rollout produced no usable per-dimension variance: the spec is at fault."""
 
 
 class BaselineKind(enum.Enum):
@@ -129,9 +129,8 @@ def calibrate_weights(
     var = np.var(np.asarray(deltas), axis=0)
     degenerate = np.flatnonzero(var < VARIANCE_FLOOR)
     if degenerate.size == var.size:
-        raise CalibrationError(
-            f"all state dimensions constant during calibration: {degenerate.tolist()}"
-        )
+        raise CalibrationError([f"{spec.name}: all state dimensions constant during "
+                                f"calibration: {degenerate.tolist()}"])
     if degenerate.size:
         warnings.warn(
             f"calibration: constant dimensions {degenerate.tolist()} clamped to "

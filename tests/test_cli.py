@@ -442,6 +442,24 @@ def test_environment_errors_exit_two(tmp_path, capsys, argv, message):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["run"], ["compare", "--seeds", "1"],
+     ["sweep", "--param", "k_max", "--from", "4", "--to", "6", "--steps", "2", "--seeds", "1"],
+     ["calibrate"], ["edge-connect", "--addr", "127.0.0.1:9"]],
+    ids=["run", "compare", "sweep", "calibrate", "edge-connect"],
+)
+def test_a_spec_whose_expert_never_moves_is_a_config_error(tmp_path, capsys, argv):
+    # With no waypoints the expert steers to the origin anchor, where every episode starts.
+    spec_path = tmp_path / "still.spec"
+    spec_path.write_text("name = still\nd_s = 2\nd_a = 2\ngoal_center = 1.0,1.0\n")
+    code = cli.main([*argv, "--env", str(spec_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "config error: still: all state dimensions constant during calibration: [0, 1]\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "flag", ["--config", "--env", "--weights"],
 )
 def test_unreadable_local_file_is_a_config_error(tmp_path, capsys, flag):

@@ -480,8 +480,10 @@ def _bent_spec(d=8):
 
 def _target_probe_states(spec, rng):
     """Random states, states 1e-12..1 and 10..1e6 from each path point, points on the
-    segments, and (for a path off the last coordinates) states as far from two adjacent legs
-    exactly. The far states are where a projection from distances loses the most digits."""
+    segments, states 1e-9..1e-1 off a segment's interior, square to it, and (for a path off
+    the last coordinates) states as far from two adjacent legs exactly. The far states are
+    where a projection from distances loses the most digits; the ones just off a segment
+    take both sides of the expert's guard on the Pythagorean distance."""
     path = [np.zeros(spec.d_s)] + list(spec.waypoints)
     states = list(rng.uniform(-3.0, 3.0, (5400, spec.d_s)))
     for p in path:
@@ -490,6 +492,13 @@ def _target_probe_states(spec, rng):
             states.append(p + scale * step / math.sqrt(step.dot(step)))
     for a, b in zip(path, path[1:]):
         states += [a + t * (b - a) for t in np.concatenate([[0.0, 0.5, 1.0], rng.uniform(0, 1, 900)])]
+        ab = b - a
+        if not ab.any():
+            continue
+        for off in np.logspace(-9, -1, 600):
+            step = rng.normal(size=spec.d_s)
+            step -= step.dot(ab) / ab.dot(ab) * ab
+            states.append(a + rng.uniform(0.05, 0.95) * ab + off * step / math.sqrt(step.dot(step)))
     ties = []
     if not any(np.any(w[4:]) for w in spec.waypoints):
         for w in spec.waypoints[:-1]:
@@ -500,16 +509,25 @@ def _target_probe_states(spec, rng):
     return states + ties, ties
 
 
-@pytest.mark.parametrize("spec", [_bent_spec(), get_spec("multi_stage")], ids=["bent", "multi_stage"])
+def _repeat_spec():
+    """The bent path's first two legs with the first waypoint repeated: a zero-length leg."""
+    w1, w2, _ = _bent_spec().waypoints
+    return dataclasses.replace(_bent_spec(), name="repeat", waypoints=(w1, w1.copy(), w2),
+                               goal_center=w2)
+
+
+@pytest.mark.parametrize("spec", [_bent_spec(), get_spec("multi_stage"), _repeat_spec()],
+                         ids=["bent", "multi_stage", "repeat"])
 def test_expert_target_is_the_per_segment_loop_on_every_probe_state(spec):
     policy, reference = ScriptedExpertPolicy(spec), _ReferenceExpertPolicy(spec)
     states, ties = _target_probe_states(spec, np.random.default_rng(31))
     assert len(states) >= 10_000
     for pos in states:
         assert policy._target(pos) is reference._target(pos), pos
-    # An exact tie between the legs meeting at waypoint k goes to the later leg, k+1.
+    # An exact tie between the legs meeting at waypoint k goes to the later leg, k+1
+    # (at a repeated waypoint, the leg after its last copy).
     for pos in ties:
-        k = next(i for i, w in enumerate(spec.waypoints, 1) if np.array_equal(w[:4], pos[:4]))
+        k = max(i for i, w in enumerate(spec.waypoints, 1) if np.array_equal(w[:4], pos[:4]))
         assert policy._target(pos) is policy._path[k + 1]
 
 
