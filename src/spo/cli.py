@@ -117,10 +117,8 @@ def _weights(args, spec, cfg):
     return weights
 
 
-def cmd_run(args) -> int:
+def cmd_run(args, cfg: SpoConfig, spec) -> int:
     """One episode: ``run`` on the virtual clock, ``edge-connect`` against a remote cloud."""
-    cfg = _effective_config(args)
-    spec = _spec(args)
     kind = BaselineKind(args.kind)
     world = _world_model(args, spec) if args.command == "run" else None
     weights = _weights(args, spec, cfg)
@@ -161,10 +159,8 @@ def _grid(args, cfg: SpoConfig, spec) -> list:
     return grid
 
 
-def cmd_experiment(args) -> int:
+def cmd_experiment(args, cfg: SpoConfig, spec) -> int:
     """All four kinds over the seeds at each grid point; ``compare``'s one point is the config."""
-    cfg = _effective_config(args)
-    spec = _spec(args)
     seeds = list(range(cfg.rng_seed, cfg.rng_seed + args.seeds))
     sweep = args.command == "sweep"
     grid = _grid(args, cfg, spec) if sweep else [(None, cfg)]
@@ -189,9 +185,7 @@ def cmd_experiment(args) -> int:
     return 0
 
 
-def cmd_calibrate(args) -> int:
-    cfg = _effective_config(args)
-    spec = _spec(args)
+def cmd_calibrate(args, cfg: SpoConfig, spec) -> int:
     weights = harness.calibrate_weights(spec, episodes=args.episodes, seed=cfg.rng_seed)
     path = args.weights_out or os.path.join(args.out, f"weights_{spec.name}.txt")
     harness.save_weights(path, weights)
@@ -199,9 +193,7 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def cmd_serve(args) -> int:
-    cfg = _effective_config(args)
-    spec = _spec(args)
+def cmd_serve(args, cfg: SpoConfig, spec) -> int:
     world = _world_model(args, spec)
     server = sockets.CloudServer(args.port, spec, cfg, BaselineKind(args.kind), **world)
     print(f"serving on port {server.port}", flush=True)
@@ -258,7 +250,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _effective_config(args)  # config errors before spec errors
+        return args.func(args, cfg, _spec(args))
     except ConfigError as exc:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)

@@ -19,7 +19,7 @@ import numpy as np
 from .ahs import AhsState, update_horizon
 from .environments import EnvironmentSpec, next_values
 from .types import (ActionVector, ConfigError, SpeculativeTuple, SpoConfig, StateVector,
-                    _checked, owned)
+                    _checked, invariant_errors, owned)
 
 
 # The drifted model's per-step bias and noise standard deviation, by default.
@@ -149,11 +149,8 @@ class DriftedWorldModel(OracleWorldModel):
         super().__init__(spec)
         self.bias = float(bias)
         self.noise_std = float(noise_std)
-        errors = [f"{name} = {value} is not finite" for name, value in
-                  (("drift_bias", self.bias), ("drift_noise", self.noise_std))
-                  if not math.isfinite(value)]
-        if self.noise_std < 0:
-            errors.append("drift_noise >= 0 violated")
+        errors = invariant_errors({"drift_bias": self.bias, "drift_noise": self.noise_std},
+                                  {"drift_noise >= 0": self.noise_std < 0})
         if errors:
             raise ConfigError(errors)
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF

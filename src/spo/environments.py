@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import (
-    ActionVector, ConfigError, DimensionError, StateVector, owned, parse_config_file, parse_vector,
-)
+from .types import (ActionVector, ConfigError, DimensionError, StateVector, invariant_errors,
+                    owned, parse_config_file, parse_vector)
 
 
 @dataclass(frozen=True)
@@ -53,13 +52,10 @@ class EnvironmentSpec:
             raise DimensionError("d_s and d_a must be >= 1")
         if self.d_s != self.d_a:
             raise DimensionError("d_s must equal d_a: the action is the velocity of the state")
-        errors = [f"{name} = {value} is not finite" for name, value in vars(self).items()
-                  if isinstance(value, float) and not math.isfinite(value)]
-        violated = {"max_steps >= 1": self.max_steps < 1, "dt > 0": self.dt <= 0,
-                    "gain > 0": self.gain <= 0, "a_max > 0": self.a_max <= 0,
-                    "goal_radius >= 0": self.goal_radius < 0,
-                    "start_jitter >= 0": self.start_jitter < 0}
-        errors += [f"{rule} violated" for rule, bad in violated.items() if bad]
+        errors = invariant_errors(vars(self), {
+            "max_steps >= 1": self.max_steps < 1, "dt > 0": self.dt <= 0,
+            "gain > 0": self.gain <= 0, "a_max > 0": self.a_max <= 0,
+            "goal_radius >= 0": self.goal_radius < 0, "start_jitter >= 0": self.start_jitter < 0})
         steps = [s for s, _ in self.disturbance_schedule]
         if steps != sorted(set(steps)):
             errors.append("disturbance step indices must be strictly increasing")
@@ -199,15 +195,17 @@ _SPEC_FIELD_TYPES = {
 def load_environment(path) -> EnvironmentSpec:
     """Load an environment spec from a ``key = value`` spec file.
 
-    The keys are the fields of :class:`EnvironmentSpec`. ``d_s`` and ``d_a``
-    are required; ``goal_center`` defaults to the last waypoint. A vector is
-    comma-separated floats, ``waypoints`` separates its vectors with ``;``, and
-    ``disturbance_schedule`` is ``step: offset; step: offset; ...``. Any fault
+    The keys are the fields of :class:`EnvironmentSpec`. ``d_s`` and ``d_a`` are
+    required; ``goal_center`` defaults to the last waypoint, ``waypoints`` to the goal.
+    A vector is comma-separated floats, ``waypoints`` separates its vectors with ``;``,
+    and ``disturbance_schedule`` is ``step: offset; step: offset; ...``. Any fault
     in the file raises :class:`~spo.types.ConfigError` naming ``path``.
     """
     values = {"name": "custom", **parse_config_file(path, _SPEC_FIELD_TYPES, ("d_s", "d_a"))}
     if values.get("waypoints"):
         values.setdefault("goal_center", values["waypoints"][-1])
+    elif "goal_center" in values:
+        values["waypoints"] = (values["goal_center"],)
     try:
         return EnvironmentSpec(**values)
     except ValueError as exc:

@@ -2,9 +2,9 @@
 baseline comparison, and result serialization.
 
 One episode couples an :class:`~spo.edge.EdgeSession`, through a link to a
-cloud, to a synthetic environment: on the virtual clock a
-:class:`~spo.cloud.CloudSession` behind a deterministic
-:class:`~spo.transport.VirtualChannel`, in socket mode a TCP peer. All
+cloud, to a synthetic environment: on the virtual clock a :class:`~spo.cloud.CloudSession`
+behind a deterministic :class:`~spo.transport.VirtualChannel`, in socket mode a TCP
+peer whose link's ``due`` sleeps until each tick's wall-clock time. All
 randomness (start jitter, channel jitter, model noise) derives from one seed
 through :func:`episode_seeds`, so a virtual run is bitwise reproducible, and a
 socket run of the same seed draws the same start, delays and model noise.
@@ -156,11 +156,12 @@ def episode_seeds(cfg: SpoConfig, seed: int):
 class VirtualLink:
     """The in-process cloud behind a :class:`VirtualChannel`, as a link of :func:`run_episode`.
 
-    A link has ``wait``, ``answer``, ``due``, ``send``, ``dead``, ``horizons`` and ``generated``.
+    A link has ``answer``, ``due``, ``send``, ``dead``, ``horizons`` and ``generated``.
     ``send`` takes the edge's ``(request_id, request)``; ``answer(now)`` handles the requests at
     the cloud by ``now``, if any, then returns the earliest arrival either way (``inf`` if none;
     ``-inf`` for a link stepped every tick); ``due(now)`` answers, then returns the
     ``(request_id, response)`` pairs at the edge by ``now``: none, at once, on an empty channel.
+    A real-time link's ``due`` first waits for ``now`` to come.
     """
 
     dead = False
@@ -170,9 +171,6 @@ class VirtualLink:
         self.channel = channel
         self.horizons: list[int] = []
         self.generated = 0
-
-    def wait(self, now: float) -> None:
-        pass
 
     def answer(self, now: float) -> float:
         channel = self.channel
@@ -227,7 +225,6 @@ def run_episode(
     tick = 0
     while tick < spec.max_steps:
         now = tick * cfg.control_interval
-        link.wait(now)
         for rid, resp in link.due(now):
             edge.install_response(rid, resp)
         rec, refill = edge.edge_tick(state, tick)

@@ -1,6 +1,7 @@
 """Real-socket mode: a TCP cloud endpoint, and a wall-clock link for the episode loop.
 
-The edge runs :func:`spo.harness.run_episode` with a :class:`SocketLink`. A run of
+The edge runs :func:`spo.harness.run_episode` with a :class:`SocketLink`, whose ``due``
+sleeps until its tick's time before it takes the replies that have arrived. A run of
 seed S draws its start, delays and drift seed from :func:`~spo.harness.episode_seeds`
 as the virtual run of S does; the n-th connection to a server of base seed S serves
 episode S+n-1. The server alone emulates the network: it sleeps the uplink and the
@@ -119,15 +120,13 @@ class SocketLink:
             pass
         self.dead = True
 
-    def wait(self, now: float) -> None:
-        delay = self._t0 + now - time.monotonic()
-        if delay > 0:
-            time.sleep(delay)
-
     def answer(self, now: float) -> float:
         return -math.inf  # the server answers on its own; the loop steps every tick
 
     def due(self, now: float) -> list:
+        delay = self._t0 + now - time.monotonic()
+        if delay > 0:
+            time.sleep(delay)
         inbox, taken = self._inbox, []
         while inbox and inbox[0][0] <= now:
             taken.append(inbox.pop(0)[1])

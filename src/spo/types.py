@@ -74,46 +74,39 @@ def owned(cls, values):
 
 
 @dataclass(frozen=True, eq=False)
-class StateVector:
-    """Dense real state vector of length d_s (normalized components)."""
+class _Vector:
+    """A dense real vector compared by value; a state never equals an action."""
 
     values: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.values.size
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, type(self)) and np.array_equal(self.values, other.values)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.values.tolist()!r})"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class StateVector(_Vector):
+    """Dense real state vector of length d_s (normalized components)."""
 
     def __post_init__(self):
         object.__setattr__(self, "values", _as_finite_vector(self.values, "state"))
 
-    @property
-    def dim(self) -> int:
-        return self.values.size
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, StateVector) and np.array_equal(self.values, other.values)
-
-    def __repr__(self) -> str:
-        return f"StateVector({self.values.tolist()!r})"
-
-
-@dataclass(frozen=True, eq=False)
-class ActionVector:
+@dataclass(frozen=True, eq=False, repr=False)
+class ActionVector(_Vector):
     """Dense real action vector of length d_a (velocity targets + gripper)."""
-
-    values: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "values", _as_finite_vector(self.values, "action"))
 
-    @property
-    def dim(self) -> int:
-        return self.values.size
-
     def is_zero(self) -> bool:
         return not np.any(self.values)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ActionVector) and np.array_equal(self.values, other.values)
-
-    def __repr__(self) -> str:
-        return f"ActionVector({self.values.tolist()!r})"
 
 
 def zero_action(d_a: int) -> ActionVector:
@@ -188,33 +181,29 @@ class SpoConfig:
 _CONFIG_FIELD_TYPES = {f.name: type(f.default) for f in dataclasses.fields(SpoConfig)}
 
 
+def invariant_errors(values: dict, violated: dict) -> list[str]:
+    """``name = value is not finite`` for each non-finite float of ``values``, then
+    ``rule violated`` for each rule that ``violated`` flags, each in its order."""
+    return ([f"{name} = {value} is not finite" for name, value in values.items()
+             if isinstance(value, float) and not math.isfinite(value)]
+            + [f"{rule} violated" for rule, bad in violated.items() if bad])
+
+
 def config_errors(cfg: SpoConfig) -> list[str]:
     """Every violated configuration invariant, as ``field: bound`` messages."""
-    errors = [f"{name} = {value} is not finite" for name, value in vars(cfg).items()
-              if isinstance(value, float) and not math.isfinite(value)]
-    if cfg.epsilon_base <= 0:
-        errors.append("epsilon_base > 0 violated")
-    if cfg.k_min < 1:
-        errors.append("k_min >= 1 violated")
-    if cfg.k_max < 1:
-        errors.append("k_max >= 1 violated")
-    if cfg.k_max > 0xFFFF:  # a response frame counts its tuples in a uint16
-        errors.append("k_max <= 65535 violated")
-    if cfg.k_min > cfg.k_max:
-        errors.append("k_min <= k_max violated")
-    if cfg.beta < 1:
-        errors.append("beta >= 1 violated")
-    if cfg.control_interval <= 0:
-        errors.append("control_interval > 0 violated")
-    if cfg.rtt_base < 0:
-        errors.append("rtt_base >= 0 violated")
-    if cfg.jitter_half_width < 0:
-        errors.append("jitter_half_width >= 0 violated")
-    if cfg.jitter_half_width > cfg.rtt_base:
-        errors.append("jitter_half_width <= rtt_base violated")
-    if cfg.rng_seed < 0:
-        errors.append("rng_seed >= 0 violated")
-    return errors
+    return invariant_errors(vars(cfg), {
+        "epsilon_base > 0": cfg.epsilon_base <= 0,
+        "k_min >= 1": cfg.k_min < 1,
+        "k_max >= 1": cfg.k_max < 1,
+        "k_max <= 65535": cfg.k_max > 0xFFFF,  # a response frame counts its tuples in a uint16
+        "k_min <= k_max": cfg.k_min > cfg.k_max,
+        "beta >= 1": cfg.beta < 1,
+        "control_interval > 0": cfg.control_interval <= 0,
+        "rtt_base >= 0": cfg.rtt_base < 0,
+        "jitter_half_width >= 0": cfg.jitter_half_width < 0,
+        "jitter_half_width <= rtt_base": cfg.jitter_half_width > cfg.rtt_base,
+        "rng_seed >= 0": cfg.rng_seed < 0,
+    })
 
 
 def validate_config(cfg: SpoConfig, spec=None) -> SpoConfig:

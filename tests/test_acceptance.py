@@ -252,6 +252,7 @@ def test_criterion_10_socket_mode_consistency():
     finally:
         proc.terminate()
         proc.wait(timeout=5)
+        proc.stdout.close()
     assert socket_metrics.success
     diff = abs(socket_metrics.hit_rate - virtual.hit_rate)
     assert diff <= 0.05

@@ -449,9 +449,10 @@ def test_environment_errors_exit_two(tmp_path, capsys, argv, message):
     ids=["run", "compare", "sweep", "calibrate", "edge-connect"],
 )
 def test_a_spec_whose_expert_never_moves_is_a_config_error(tmp_path, capsys, argv):
-    # With no waypoints the expert steers to the origin anchor, where every episode starts.
+    # With neither waypoints nor a goal the expert steers to the origin anchor, where
+    # every episode starts.
     spec_path = tmp_path / "still.spec"
-    spec_path.write_text("name = still\nd_s = 2\nd_a = 2\ngoal_center = 1.0,1.0\n")
+    spec_path.write_text("name = still\nd_s = 2\nd_a = 2\n")
     code = cli.main([*argv, "--env", str(spec_path), "--out", str(tmp_path / "out")])
     assert code == 2
     err = capsys.readouterr().err

@@ -155,6 +155,14 @@ def test_load_environment_from_file(tmp_path):
     assert spec.gain == 3.0
 
 
+def test_a_goal_only_spec_file_steers_the_expert_to_its_goal(tmp_path):
+    path = tmp_path / "goal.cfg"
+    path.write_text("name = goal\nd_s = 2\nd_a = 2\ngoal_center = 1.0,1.0\n")
+    spec = load_environment(path)
+    [waypoint] = spec.waypoints
+    assert waypoint is spec.goal_center and np.array_equal(waypoint, [1.0, 1.0])
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

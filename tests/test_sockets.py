@@ -3,7 +3,6 @@
 import concurrent.futures
 import dataclasses
 import json
-import math
 import socket
 import struct
 import threading
@@ -187,7 +186,7 @@ def test_a_socket_run_is_the_episode_its_virtual_twin_plays(quick_spec):
 def test_the_server_sleeps_once_per_request_and_never_for_a_zero_delay(
     quick_spec, monkeypatch, rtt, sleeps_per_request
 ):
-    """Only server session threads count: the edge's ``SocketLink.wait`` sleeps too."""
+    """Only server session threads count: the edge's ``SocketLink.due`` sleeps too."""
     sleeps, requests = [], []
     sleep, recv_frame = time.sleep, transport.recv_frame
 
@@ -447,4 +446,4 @@ def test_a_socket_link_takes_a_reply_only_at_a_tick_whose_time_has_reached_its_a
             assert link.due(float(now)) == [], now
         [(rid, got)] = link.due(arrival)
         assert (rid, len(got.tuples)) == (7, len(resp.tuples))
-        assert link.due(math.inf) == [] and link.generated == len(resp.tuples)
+        assert link._inbox == [] and link.generated == len(resp.tuples)

@@ -23,7 +23,7 @@ from spo.types import (
 
 def test_zero_action_d8():
     a = zero_action(8)
-    assert a.dim == 8
+    assert a == ActionVector([0.0] * 8) and a.dim == 8
     assert np.array_equal(a.values, np.zeros(8))
     assert a.is_zero()
 
@@ -47,10 +47,12 @@ def test_vectors_are_immutable():
         a.values[0] = 1.0
 
 
-def test_vector_equality_is_by_value():
-    assert StateVector([1.0, 2.0]) == StateVector([1.0, 2.0])
-    assert StateVector([1.0, 2.0]) != StateVector([1.0, 2.1])
-    assert ActionVector([0.0]) == zero_action(1)
+@pytest.mark.parametrize("cls, other", [(StateVector, ActionVector), (ActionVector, StateVector)])
+def test_vector_equality_is_by_value(cls, other):
+    assert cls([1.0, 2.0]) == cls([1.0, 2.0])
+    assert cls([1.0, 2.0]) != cls([1.0, 2.1])
+    assert cls([1.0, 2.0]) != other([1.0, 2.0])  # a state never equals an action
+    assert repr(cls([1.0, 2.0])) == f"{cls.__name__}([1.0, 2.0])"
 
 
 def test_constructed_vectors_do_not_alias_input():
@@ -199,8 +201,16 @@ def test_validate_config_negative_rtt_violation():
 
 
 def test_validate_config_reports_all_violations():
-    errs = _build_errors(epsilon_base=-1.0, k_min=5, k_max=2, beta=0)
-    assert len(errs) >= 3
+    # Every rule but k_max <= 65535, which k_max >= 1 excludes (see the test below).
+    errs = _build_errors(epsilon_base=-1.0, k_min=0, k_max=-1, beta=0, control_interval=0.0,
+                         rtt_base=float("-inf"), jitter_half_width=-0.5, rng_seed=-1)
+    assert errs == [
+        "rtt_base = -inf is not finite", "epsilon_base > 0 violated", "k_min >= 1 violated",
+        "k_max >= 1 violated", "k_min <= k_max violated", "beta >= 1 violated",
+        "control_interval > 0 violated", "rtt_base >= 0 violated",
+        "jitter_half_width >= 0 violated", "jitter_half_width <= rtt_base violated",
+        "rng_seed >= 0 violated",
+    ]
 
 
 def test_k_max_bounded_by_the_uint16_tuple_count():
