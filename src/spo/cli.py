@@ -135,7 +135,7 @@ def cmd_run(args, cfg: SpoConfig, spec) -> int:
         result = harness.run_single(kind, spec, cfg, cfg.rng_seed, weights, **world)
     path = os.path.join(args.out, f"run_{kind.value}_{spec.name}_{cfg.rng_seed}.json")
     extra = {"env": spec.name, "mode": mode, "config": echo}
-    doc = harness.run_json_document(result.metrics, cfg, extra)
+    doc = harness.run_json_document(result.metrics, extra)
     harness.write_atomic(path, doc)
     print(doc, end="")
     return 0
@@ -178,7 +178,7 @@ def cmd_experiment(args, cfg: SpoConfig, spec) -> int:
         else:
             for m in report.rows:
                 path = os.path.join(args.out, f"run_{m.kind}_{spec.name}_{m.seed}.json")
-                harness.write_atomic(path, harness.run_json_document(m, cfg, extra))
+                harness.write_atomic(path, harness.run_json_document(m, extra))
         print(report.to_text())
     name = f"sweep_{args.param}" if sweep else "compare"
     harness.write_atomic(os.path.join(args.out, f"{name}_{spec.name}.csv"), "\n".join(lines) + "\n")

@@ -2,9 +2,9 @@
 baseline comparison, and result serialization.
 
 One episode couples an :class:`~spo.edge.EdgeSession`, through a link to a
-cloud, to a synthetic environment: on the virtual clock a :class:`~spo.cloud.CloudSession`
-behind a deterministic :class:`~spo.transport.VirtualChannel`, in socket mode a TCP
-peer whose link's ``due`` sleeps until each tick's wall-clock time. All
+cloud, to a synthetic environment: on the virtual clock a :class:`~spo.transport.VirtualChannel`,
+one deterministic message slot in front of a :class:`~spo.cloud.CloudSession`, in socket
+mode a TCP peer whose link's ``due`` sleeps until each tick's wall-clock time. All
 randomness (start jitter, channel jitter, model noise) derives from one seed
 through :func:`episode_seeds`, so a virtual run is bitwise reproducible, and a
 socket run of the same seed draws the same start, delays and model noise.
@@ -153,46 +153,6 @@ def episode_seeds(cfg: SpoConfig, seed: int):
     return np.random.default_rng(start), latency, int(drift.generate_state(1)[0])
 
 
-class VirtualLink:
-    """The in-process cloud behind a :class:`VirtualChannel`, as a link of :func:`run_episode`.
-
-    A link has ``answer``, ``due``, ``send``, ``dead``, ``horizons`` and ``generated``.
-    ``send`` takes the edge's ``(request_id, request)``; ``answer(now)`` handles the requests at
-    the cloud by ``now``, if any, then returns the earliest arrival either way (``inf`` if none;
-    ``-inf`` for a link stepped every tick); ``due(now)`` answers, then returns the
-    ``(request_id, response)`` pairs at the edge by ``now``: none, at once, on an empty channel.
-    A real-time link's ``due`` first waits for ``now`` to come.
-    """
-
-    dead = False
-
-    def __init__(self, cloud: CloudSession, channel: VirtualChannel):
-        self.cloud = cloud
-        self.channel = channel
-        self.horizons: list[int] = []
-        self.generated = 0
-
-    def answer(self, now: float) -> float:
-        channel = self.channel
-        if channel.to_cloud and channel.to_cloud[0][0] <= now:  # else there is nothing to poll
-            # Respond from the arrival instant, so the response leg is not tick-quantized.
-            for arrived_at, (rid, req) in channel.cloud_inbox_timed(now):
-                resp = self.cloud.handle(req)
-                self.horizons.append(resp.horizon_used)
-                self.generated += len(resp.tuples)
-                channel.send_response((rid, resp), now=arrived_at)
-        return channel.next_delivery()
-
-    def due(self, now: float) -> list:
-        channel = self.channel
-        if not (channel.to_cloud or channel.to_edge):
-            return []  # an empty channel has nothing to answer or deliver
-        return [] if self.answer(now) > now else channel.edge_inbox(now)
-
-    def send(self, refill, now: float) -> None:
-        self.channel.send_request(refill, now)
-
-
 def run_single(
     kind: BaselineKind,
     spec: EnvironmentSpec,
@@ -205,7 +165,7 @@ def run_single(
     start_rng, latency, drift_seed = episode_seeds(cfg, seed)
     model = make_model(spec, seed=drift_seed, **world)
     cloud = CloudSession(cfg, make_policy(spec), model, fixed_horizon=fixed_horizon(kind, cfg))
-    link = VirtualLink(cloud, VirtualChannel(latency))
+    link = VirtualChannel(latency, cloud)
     return run_episode(kind, spec, cfg, seed, weights, link, start_state(spec, start_rng))
 
 
@@ -230,7 +190,7 @@ def run_episode(
         rec, refill = edge.edge_tick(state, tick)
         records.append(rec)
         if refill is not None:
-            link.send(refill, now)
+            link.send_request(refill, now)
         moved = refill is None or tick in disturbed  # a tick that sends a refill holds still
         if moved:
             try:
@@ -420,14 +380,9 @@ def write_atomic(path, data: str) -> None:
         raise
 
 
-def run_json_document(m: RunMetrics, cfg: SpoConfig, extra: dict | None = None) -> str:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "config": dataclasses.asdict(cfg),
-        "metrics": dataclasses.asdict(m),
-    }
-    if extra:
-        doc.update(extra)
+def run_json_document(m: RunMetrics, fields: dict) -> str:
+    """``m`` under ``metrics`` beside ``fields`` (the run's ``config``, ``env`` and ``mode``)."""
+    doc = {"schema_version": SCHEMA_VERSION, "metrics": dataclasses.asdict(m), **fields}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 

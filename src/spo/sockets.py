@@ -11,6 +11,7 @@ downlink delay of each request, as the virtual run of S draws them, before handl
 from __future__ import annotations
 
 import contextlib
+import logging
 import math
 import socket
 import threading
@@ -21,6 +22,8 @@ from .cloud import CloudSession, RolloutError, make_model, make_policy
 from .environments import EnvironmentSpec, start_state
 from .harness import BaselineKind, RunResult, episode_seeds, fixed_horizon, run_episode
 from .types import SpoConfig, WeightMatrix
+
+log = logging.getLogger(__name__)
 
 
 class CloudServer:
@@ -85,8 +88,10 @@ class CloudServer:
                     resp = cloud.handle(req)
                     out = transport.encode_response(rid, resp, step_index=req.step_index)
                     transport.send_frame(conn, out)
-            except (OSError, transport.FrameError, RolloutError):
-                return
+            except OSError:  # a hang-up
+                pass
+            except (transport.FrameError, RolloutError) as exc:
+                log.warning("session %d dropped: %s: %s", session_id, type(exc).__name__, exc)
 
 
 class SocketLink:
@@ -132,7 +137,7 @@ class SocketLink:
             taken.append(inbox.pop(0)[1])
         return taken
 
-    def send(self, refill, now: float) -> None:
+    def send_request(self, refill, now: float) -> None:
         try:
             transport.send_frame(self._sock, transport.encode_request(*refill))
         except (OSError, transport.FrameError):

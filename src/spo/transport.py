@@ -19,9 +19,9 @@ squares below the bound's square proves the range, else each value is checked
 (squares beyond float64 make numpy warn first, as in :func:`spo.types.owned`).
 Socket mode prefixes every frame with a 4B length, at most :data:`MAX_FRAME_BYTES`.
 Both modes draw delays from one :class:`LatencyModel`, an uplink leg then a
-downlink leg per request. The harness delivers both legs through a
-:class:`VirtualChannel` on virtual time; in socket mode the server sleeps both
-legs of each request before handling it.
+downlink leg per request. On virtual time a :class:`VirtualChannel` delivers both
+legs, one message at a time, and its in-process cloud answers each request as it
+arrives; in socket mode the server sleeps both legs of each request before handling it.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cloud import RolloutRequest, RolloutResponse
+from .cloud import CloudSession, RolloutRequest, RolloutResponse
 from .types import ActionVector, SpeculativeTuple, StateVector, _checked, owned
 
 FRAME_TYPE_REQUEST = 1
@@ -153,47 +153,76 @@ class LatencyModel:
         return max(0.0, lo + (hi - lo) * self.rng.random())  # Generator.uniform's own formula
 
 
+class ChannelBusyError(RuntimeError):
+    """A send on a :class:`VirtualChannel` that still holds a message in flight."""
+
+
 @dataclass
 class VirtualChannel:
-    """Deterministic stop-and-wait channel for the virtual-clock harness.
+    """The in-process ``cloud`` behind a one-slot stop-and-wait channel: the virtual twin of
+    :class:`spo.sockets.CloudServer`, as a link of :func:`spo.harness.run_episode`.
 
-    The round-trip is split into two independently jittered one-way legs. Each
-    direction carries at most one message at a time (the edge sends its next
-    request only after the last response arrived), so delivery stays in send order.
+    The edge sends a request only once the last response arrived, so the channel holds at
+    most one message, ``pending = (deliver_at, item, to_cloud)``; a second send raises
+    :class:`ChannelBusyError`. A link has ``answer``, ``due``, ``send_request``, ``dead``,
+    ``horizons`` and ``generated``. ``answer(now)`` handles the request at the cloud by
+    ``now``, if any, then returns the next delivery's time (``inf`` if none; ``-inf`` for a
+    link stepped every tick); ``due(now)`` answers, then returns the ``(request_id, response)``
+    pairs at the edge by ``now``: none, at once, on an empty channel. A real-time link's
+    ``due`` first waits for ``now`` to come.
     """
 
     latency: LatencyModel
-    to_cloud: list = field(default_factory=list)
-    to_edge: list = field(default_factory=list)
+    cloud: CloudSession
+    pending: tuple | None = None
+    horizons: list[int] = field(default_factory=list)
+    generated: int = 0
+    dead = False
+
+    def _send(self, item, now: float, to_cloud: bool) -> None:
+        if self.pending is not None:
+            raise ChannelBusyError(f"send at {now} while a message due at {self.pending[0]} is in flight")
+        self.pending = (now + self.latency.sample(), item, to_cloud)
 
     def send_request(self, item, now: float) -> None:
-        self.to_cloud.append((now + self.latency.sample(), item))
+        self._send(item, now, True)
 
     def send_response(self, item, now: float) -> None:
-        self.to_edge.append((now + self.latency.sample(), item))
+        self._send(item, now, False)
 
     def next_delivery(self) -> float:
-        """The earliest ``deliver_at`` in either direction; ``math.inf`` if both are empty.
+        """The pending message's ``deliver_at``; ``math.inf`` on an empty channel."""
+        return math.inf if self.pending is None else self.pending[0]
 
-        Each direction delivers first in, first out, so only its first entry can be next.
-        """
-        up = self.to_cloud[0][0] if self.to_cloud else math.inf
-        down = self.to_edge[0][0] if self.to_edge else math.inf
-        return min(up, down)
+    def _take(self, now: float, to_cloud: bool) -> list:
+        if self.pending is None or self.pending[2] is not to_cloud or self.pending[0] > now:
+            return []
+        taken, self.pending = self.pending[:2], None
+        return [taken]
 
     def cloud_inbox_timed(self, now: float) -> list:
-        """Pop the ``(deliver_at, item)`` requests due at or before ``now``, in send order."""
-        due = []
-        while self.to_cloud and self.to_cloud[0][0] <= now:
-            due.append(self.to_cloud.pop(0))
-        return due
+        """Take the ``(deliver_at, item)`` request due at the cloud by ``now``, if any."""
+        return self._take(now, True)
 
     def edge_inbox(self, now: float) -> list:
-        """Pop the responses due at or before ``now``, in send order."""
-        due = []
-        while self.to_edge and self.to_edge[0][0] <= now:
-            due.append(self.to_edge.pop(0)[1])
-        return due
+        """Take the response due at the edge by ``now``, if any."""
+        return [item for _, item in self._take(now, False)]
+
+    def answer(self, now: float) -> float:
+        pending = self.pending
+        if pending is not None and pending[2] and pending[0] <= now:  # else nothing to poll
+            [(arrived_at, (rid, req))] = self.cloud_inbox_timed(now)
+            resp = self.cloud.handle(req)
+            self.horizons.append(resp.horizon_used)
+            self.generated += len(resp.tuples)
+            # Respond from the arrival instant, so the response leg is not tick-quantized.
+            self.send_response((rid, resp), now=arrived_at)
+        return self.next_delivery()
+
+    def due(self, now: float) -> list:
+        if self.pending is None:
+            return []  # an empty channel has nothing to answer or deliver
+        return [] if self.answer(now) > now else self.edge_inbox(now)
 
 
 def send_frame(sock, frame: bytes) -> None:

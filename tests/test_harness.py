@@ -165,17 +165,17 @@ def test_wasted_prediction_accounting(free_space_weights):
 def test_refills_are_stop_and_wait_and_wasted_is_flushed_plus_in_flight(monkeypatch):
     """Every install meets an empty cache and the request in flight, so nothing
     is dropped and wasted = flushed + (generated - installed tuples). Every
-    message is sent on an empty channel, so each leg is delivered in send order."""
+    message is sent on an empty channel, whose one slot never refuses a send."""
     sessions = []
-    queued_at_send = []
+    pending_at_send = []
 
     class RecordingChannel(harness.VirtualChannel):
         def send_request(self, item, now):
-            queued_at_send.append(len(self.to_cloud) + len(self.to_edge))
+            pending_at_send.append(self.pending)
             return super().send_request(item, now)
 
         def send_response(self, item, now):
-            queued_at_send.append(len(self.to_cloud) + len(self.to_edge))
+            pending_at_send.append(self.pending)
             return super().send_response(item, now)
 
     class Recording(EdgeSession):
@@ -203,8 +203,8 @@ def test_refills_are_stop_and_wait_and_wasted_is_flushed_plus_in_flight(monkeypa
                 assert edge.stale_dropped == edge.superseded_dropped == 0
                 in_flight = m.generated_predictions - edge.installed
                 assert m.wasted_predictions == edge.flushed + in_flight, (env, kind, seed)
-                assert queued_at_send and set(queued_at_send) == {0}, (env, kind, seed)
-                queued_at_send.clear()
+                assert pending_at_send and set(pending_at_send) == {None}, (env, kind, seed)
+                pending_at_send.clear()
 
 
 def _refill_waits(records):
@@ -325,7 +325,7 @@ def _assert_skipping_is_exact(monkeypatch, cfg, envs, models, seeds):
 def test_skipping_held_ticks_changes_no_record_horizon_or_metric(monkeypatch):
     envs = ("free_space", "tight_tolerance", "multi_stage")
     # A sub-tick round trip: a request and its reply land inside one tick, and every
-    # other tick has nothing due, so ``VirtualLink.due`` returns before the channel.
+    # other tick has nothing due, so ``VirtualChannel.due`` returns before it polls.
     sub_tick = dataclasses.replace(CFG, rtt_base=0.01, jitter_half_width=0.004)
     # No delay: the cloud answers on the send tick's instant and its reply is due on the
     # next tick, which must be stepped.
@@ -472,7 +472,7 @@ def test_a_response_tick_polls_the_cloud_side_of_the_channel_at_most_once(monkey
 
 
 def test_a_tick_that_begins_with_an_empty_channel_makes_no_channel_call(monkeypatch):
-    """``VirtualLink.due`` on an empty channel returns at once: it neither reads the next
+    """``VirtualChannel.due`` on an empty channel returns at once: it neither reads the next
     delivery time nor polls either side. A tick with a message in flight reads the channel."""
     calls = []
     calls_by_tick = {True: [], False: []}  # keyed by whether the tick began on an empty channel
@@ -490,17 +490,14 @@ def test_a_tick_that_begins_with_an_empty_channel_makes_no_channel_call(monkeypa
             calls.append("edge_inbox")
             return super().edge_inbox(now)
 
-    due = harness.VirtualLink.due
-
-    def recording(self, now):
-        empty = not (self.channel.to_cloud or self.channel.to_edge)
-        before = len(calls)
-        got = due(self, now)
-        calls_by_tick[empty].append(len(calls) - before)
-        return got
+        def due(self, now):
+            empty = self.pending is None
+            before = len(calls)
+            got = super().due(now)
+            calls_by_tick[empty].append(len(calls) - before)
+            return got
 
     monkeypatch.setattr(harness, "VirtualChannel", CountingChannel)
-    monkeypatch.setattr(harness.VirtualLink, "due", recording)
     for env in ("free_space", "tight_tolerance", "multi_stage"):
         spec = get_spec(env)
         weights = calibrate_weights(spec, seed=0)
@@ -542,7 +539,7 @@ def test_virtual_clock_determinism(free_space_weights):
             BaselineKind.SPO, spec, CFG, 5, free_space_weights,
             model_kind="drifted", drift_bias=8e-4, drift_noise=2e-4,
         ).metrics
-        docs.append(run_json_document(m, CFG))
+        docs.append(run_json_document(m, {"config": dataclasses.asdict(CFG)}))
     assert docs[0] == docs[1]
 
 
@@ -628,9 +625,10 @@ def test_compare_report_rejects_mismatched_seeds(free_space_weights):
 
 def test_json_document_echoes_config(free_space_weights):
     m = run_single(BaselineKind.T1SC, get_spec("free_space"), CFG, 0, free_space_weights).metrics
-    doc = json.loads(run_json_document(m, CFG, {"env": "free_space"}))
+    doc = json.loads(run_json_document(m, {"env": "free_space", "config": {"k_max": 3}}))
+    assert set(doc) == {"schema_version", "metrics", "env", "config"}
     assert doc["schema_version"] == 1
-    assert doc["config"] == dataclasses.asdict(CFG)
+    assert doc["config"] == {"k_max": 3}  # the caller's echo, as given
     assert doc["metrics"]["kind"] == "t1sc"
     assert doc["env"] == "free_space"
 

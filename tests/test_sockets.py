@@ -3,6 +3,7 @@
 import concurrent.futures
 import dataclasses
 import json
+import logging
 import socket
 import struct
 import threading
@@ -148,7 +149,8 @@ def _waits_per_refill(records):
 
 
 def test_a_socket_run_is_the_episode_its_virtual_twin_plays(quick_spec):
-    """Every kind under both models: the same episode over the wire, up to float32 rounding."""
+    """Every kind under both models: the same episode over the wire, up to float32 rounding,
+    and, for an episode that finishes, the same prediction and cache counts."""
     spec = dataclasses.replace(quick_spec, max_steps=120)  # the baselines run to max_steps
     cfg = SpoConfig(rtt_base=0.06, jitter_half_width=0.01)
     weights = calibrate_weights(spec, seed=0)
@@ -166,6 +168,7 @@ def test_a_socket_run_is_the_episode_its_virtual_twin_plays(quick_spec):
 
     with concurrent.futures.ThreadPoolExecutor(len(runs)) as pool:  # real time, so overlap them
         sockets = list(pool.map(lambda run: socket_run(*run), runs))
+    finished = []
     for (kind, model), sock in zip(runs, sockets):
         virt = run_single(kind, spec, cfg, 0, weights, model_kind=model)
         acted = [[rec for rec in run.records if rec.outcome is not Outcome.AWAITING_REFILL]
@@ -173,6 +176,10 @@ def test_a_socket_run_is_the_episode_its_virtual_twin_plays(quick_spec):
         if sock.metrics.success or virt.metrics.success:
             assert sock.metrics.success == virt.metrics.success, (kind, model)
             assert len(acted[0]) == len(acted[1]), (kind, model)
+            counts = [(m.generated_predictions, m.wasted_predictions, m.hits, m.misses)
+                      for m in (sock.metrics, virt.metrics)]
+            assert counts[0] == counts[1], (kind, model, counts)
+            finished.append(kind)
         assert min(map(len, acted)) >= 30, (kind, model)
         for a, b in zip(*acted):
             assert (a.outcome, a.progress) == (b.outcome, b.progress), (kind, model, b.step_index)
@@ -180,6 +187,8 @@ def test_a_socket_run_is_the_episode_its_virtual_twin_plays(quick_spec):
             assert gap <= 1e-6, (kind, model, b.step_index, gap)
         waits = [_waits_per_refill(run.records) for run in (sock, virt)]
         assert waits[1] and all(s >= v for s, v in zip(*waits)), (kind, model, waits)
+    # The speculating kinds finish; blocking and T1SC run out of steps.
+    assert sorted(k.value for k in finished) == ["nftc", "nftc", "spo", "spo"], finished
 
 
 @pytest.mark.parametrize("rtt, sleeps_per_request", [(0.0, 0), (0.04, 1)])
@@ -396,8 +405,10 @@ def _request_frame(violation_error, d_s):
     ids=["negative-violation-error", "nan-violation-error", "zero-d_s"],
 )
 def test_server_closes_a_connection_on_a_bad_request_and_no_thread_raises(
-    quick_spec, frame, monkeypatch
+    quick_spec, frame, monkeypatch, caplog
 ):
+    """The bad request's session logs one warning naming it and the error; a peer
+    that resets its connection is dropped without a word."""
     raised = []
     monkeypatch.setattr(threading, "excepthook", raised.append)
     server = _serve(quick_spec, FAST)
@@ -405,10 +416,15 @@ def test_server_closes_a_connection_on_a_bad_request_and_no_thread_raises(
         with socket.create_connection(("127.0.0.1", server.port), timeout=5) as conn:
             transport.send_frame(conn, frame)
             assert transport.recv_frame(conn) is None  # closed, with no reply
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as conn:
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
     finally:
         server.stop()
     _join_sessions()
     assert raised == []
+    [warning] = [rec for rec in caplog.records if rec.name == "spo.sockets"]
+    assert warning.levelno == logging.WARNING
+    assert warning.getMessage().startswith("session 1 dropped: FrameError: bad request: ")
 
 
 def test_a_request_the_wire_cannot_carry_marks_the_socket_link_dead_without_raising(quick_spec):
@@ -416,7 +432,7 @@ def test_a_request_the_wire_cannot_carry_marks_the_socket_link_dead_without_rais
     with edge_end, peer_end:
         link = spo.sockets.SocketLink(edge_end, quick_spec, blocking=False)
         req = RolloutRequest(StateVector(np.zeros(quick_spec.d_s)), 0.0, 2**32)
-        link.send((1, req), 0.0)
+        link.send_request((1, req), 0.0)
         assert link.dead
         peer_end.setblocking(False)
         with pytest.raises(BlockingIOError):  # nothing was sent

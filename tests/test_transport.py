@@ -14,6 +14,7 @@ from spo.transport import (
     FRAME_TYPE_REQUEST,
     FRAME_TYPE_RESPONSE,
     MAX_FRAME_BYTES,
+    ChannelBusyError,
     FrameError,
     LatencyModel,
     VirtualChannel,
@@ -321,39 +322,67 @@ def test_episode_seeds_builds_the_halved_latency_model():
     assert [model.sample() for _ in range(4)] == expected
 
 
+def _channel(base_one_way):
+    """A channel whose cloud is never asked: these tests drive its two legs by hand."""
+    return VirtualChannel(LatencyModel(base_one_way, 0.0, np.random.default_rng(0)), cloud=None)
+
+
 def test_virtual_channel_deliver_basics():
-    channel = VirtualChannel(LatencyModel(0.075, 0.0, np.random.default_rng(0)))
+    channel = _channel(0.075)
     channel.send_response("a", now=0.0)
     assert channel.edge_inbox(0.05) == []  # not due yet
     assert channel.edge_inbox(0.08) == ["a"]
-    assert channel.to_edge == []
+    assert channel.pending is None
 
 
-def test_virtual_channel_deliver_preserves_send_order():
-    channel = VirtualChannel(LatencyModel(0.075, 0.0, np.random.default_rng(0)))
+def test_virtual_channel_refuses_a_second_message_in_flight():
+    channel = _channel(0.075)
     channel.send_response("first", now=0.0)
-    channel.send_response("second", now=0.0)  # same deliver-at time
-    assert channel.edge_inbox(0.1) == ["first", "second"]
+    with pytest.raises(ChannelBusyError):
+        channel.send_response("second", now=0.0)
+    assert channel.edge_inbox(0.1) == ["first"]
+    channel.send_response("second", now=0.1)  # the slot is free once the first is taken
+    assert channel.edge_inbox(0.2) == ["second"]
 
 
-def test_virtual_channel_directions_are_independent():
-    channel = VirtualChannel(LatencyModel(0.05, 0.0, np.random.default_rng(0)))
+def test_a_send_in_either_direction_while_a_message_is_in_flight_raises_and_draws_no_delay():
+    rng = np.random.default_rng(0)
+    channel = VirtualChannel(LatencyModel(0.05, 0.01, rng), cloud=None)
     channel.send_request("up", now=0.0)
-    channel.send_response("down", now=0.0)
-    assert channel.edge_inbox(0.06) == ["down"]
+    drawn = rng.bit_generator.state
+    with pytest.raises(ChannelBusyError):
+        channel.send_response("down", now=0.0)
+    with pytest.raises(ChannelBusyError):
+        channel.send_request("up again", now=0.0)
+    assert rng.bit_generator.state == drawn  # a refused send leaves the next leg's draw alone
+    [(_, item)] = channel.cloud_inbox_timed(1.0)
+    assert item == "up"
+    channel.send_response("down", now=1.0)
+    with pytest.raises(ChannelBusyError):
+        channel.send_request("next", now=1.0)
+    assert channel.edge_inbox(2.0) == ["down"]
+
+
+def test_virtual_channel_directions_are_used_one_at_a_time():
+    channel = _channel(0.05)
+    channel.send_request("up", now=0.0)
+    assert channel.edge_inbox(0.06) == []  # a request is never delivered to the edge
     assert [item for _, item in channel.cloud_inbox_timed(0.06)] == ["up"]
+    channel.send_response("down", now=0.06)
+    assert channel.cloud_inbox_timed(0.2) == []  # nor a response to the cloud
+    assert channel.edge_inbox(0.2) == ["down"]
 
 
-def test_virtual_channel_next_delivery_is_the_earliest_in_either_direction():
-    channel = VirtualChannel(LatencyModel(0.05, 0.0, np.random.default_rng(0)))
+def test_virtual_channel_next_delivery_is_its_pending_message_s_deliver_at():
+    channel = _channel(0.05)
     assert channel.next_delivery() == math.inf
     channel.send_response("down", now=0.1)
     assert channel.next_delivery() == 0.1 + 0.05
+    channel.edge_inbox(0.2)
+    assert channel.next_delivery() == math.inf
     channel.send_request("up", now=0.0)
     assert channel.next_delivery() == 0.05
     channel.cloud_inbox_timed(0.05)
-    assert channel.next_delivery() == 0.1 + 0.05
-    channel.edge_inbox(0.2)
     assert channel.next_delivery() == math.inf
 
 
