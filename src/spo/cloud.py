@@ -3,9 +3,10 @@
 Pluggable policy / world-model interfaces, the autoregressive K-step rollout,
 and the per-session refill handler that couples the rollout to the adaptive
 horizon controller. Two world-model families are provided: an oracle that
-wraps the environment's true dynamics, and a drifted variant (oracle plus a
-per-step additive bias and seeded Gaussian noise) standing in for a learned
-predictor of modest accuracy.
+wraps the environment's true dynamics, and a drifted variant (oracle plus one
+row of a seeded noise table drawn around a per-step bias) standing in for a
+learned predictor of modest accuracy. No reduction that reaches a trajectory
+goes through BLAS, so the rollout's floats do not depend on the CPU's kernel.
 """
 
 from __future__ import annotations
@@ -108,16 +109,14 @@ class ScriptedExpertPolicy:
     def act(self, state: StateVector) -> ActionVector:
         pos = state.values
         v = self._target(pos) - pos
-        dist = math.sqrt(v.dot(v))
-        v *= self.spec.gain
-        speed = math.sqrt(v.dot(v))
-        if speed > self.spec.a_max:
-            v *= self.spec.a_max / speed
+        dist = math.hypot(*v.tolist())  # no BLAS: the same bits on every CPU
+        gain, a_max = self.spec.gain, self.spec.a_max
+        scale = gain if gain * dist <= a_max else a_max / dist
         # Speed varies along the path so one-step deltas have usable variance
         # for inverse-variance weight calibration (constant-velocity motion
-        # would be degenerate).
-        v *= 0.7 + 0.3 * math.cos(4.0 * dist)
-        if math.isfinite(speed):  # it bounds every component, and each factor since is <= 1
+        # would be degenerate). math.cos refuses an infinite 4·dist.
+        v *= scale * (0.7 + 0.3 * math.cos(4.0 * dist))
+        if math.isfinite(dist):  # each component is then at most min(gain·dist, a_max)
             v.setflags(write=False)
             return _checked(ActionVector, v)
         return ActionVector(v)
@@ -136,8 +135,9 @@ class OracleWorldModel:
 class DriftedWorldModel(OracleWorldModel):
     """The oracle's physics plus a per-step additive bias and seeded Gaussian noise.
 
-    The step that lands on progress step p adds row p of a noise table. Its block b,
-    ``BLOCK_ROWS`` rows, is drawn from ``default_rng([seed, b])``, so row p is a pure
+    The step that lands on progress step p adds row p of a noise table, drawn around the
+    bias, so the drift is one add. Its block b, ``BLOCK_ROWS`` rows of
+    ``normal(bias, noise_std)``, is drawn from ``default_rng([seed, b])``, so row p is a pure
     function of (drift seed, p) whatever the call order, and a socket server draws the
     rows its virtual twin draws. At most ``BLOCKS_HELD`` blocks are kept. A non-finite
     bias or noise, or a negative noise, is a :class:`~spo.types.ConfigError` listing each.
@@ -162,9 +162,8 @@ class DriftedWorldModel(OracleWorldModel):
             if len(self._blocks) >= self.BLOCKS_HELD:
                 self._blocks.clear()
             block = self._blocks[b] = np.random.default_rng([self.seed, b]).normal(
-                0.0, self.noise_std, (self.BLOCK_ROWS, self.spec.d_s))
+                self.bias, self.noise_std, (self.BLOCK_ROWS, self.spec.d_s))
         nxt = next_values(self.spec, state, action, 0)
-        nxt += self.bias
         nxt += block[row]
         return owned(StateVector, nxt)
 

@@ -100,8 +100,7 @@ def is_success(spec: EnvironmentSpec, state: StateVector) -> bool:
     """True iff the state lies within the goal radius (boundary inclusive)."""
     if spec.goal_center is None:
         return False
-    off = state.values - spec.goal_center
-    return math.sqrt(off.dot(off)) <= spec.goal_radius
+    return math.hypot(*(state.values - spec.goal_center).tolist()) <= spec.goal_radius
 
 
 def start_state(spec: EnvironmentSpec, rng: np.random.Generator | None = None) -> StateVector:

@@ -295,30 +295,42 @@ def run_experiment(
 
 @dataclass
 class ComparisonReport:
+    """Per-kind aggregates and reductions. ``idle_per_action`` is idle ticks per executed
+    action (hits + direct) over all seeds; unlike ``idle_s`` it does not grow with
+    ``max_steps``. ``censored`` counts the runs that ended at ``max_steps`` unfinished."""
+
     rows: list[RunMetrics]
     aggregate: dict
     idle_reduction_vs_blocking_pct: dict
     wasted_reduction_vs_nftc_pct: dict
+    idle_per_action_reduction_vs_blocking_pct: dict
 
     def to_text(self) -> str:
         lines = [f"{'kind':<10}{'idle_s':>14}{'hit_rate':>12}{'mean_k':>10}{'wasted':>12}"
-                 f"{'success':>10}"]
+                 f"{'success':>10}{'idle/act':>10}"]
+        runs = len(self.rows) // max(1, len(self.aggregate))
         for kind, agg in self.aggregate.items():
+            per_action = agg["idle_per_action"]
             lines.append(
                 f"{kind:<10}{agg['idle_mean']:>9.3f}±{agg['idle_std']:<4.3f}"
                 f"{agg['hit_rate_mean']:>12.3f}{agg['mean_k_mean']:>10.2f}"
                 f"{agg['wasted_mean']:>12.1f}{agg['success_rate']:>10.2f}"
+                + (f"{'n/a':>10}" if per_action is None else f"{per_action:>10.2f}")
+                + (f"  censored {agg['censored']}/{runs}" if agg["censored"] else "")
             )
         for name, pcts in (("idle reduction vs blocking", self.idle_reduction_vs_blocking_pct),
+                           ("idle per action reduction vs blocking",
+                            self.idle_per_action_reduction_vs_blocking_pct),
                            ("wasted reduction vs nftc", self.wasted_reduction_vs_nftc_pct)):
             lines += [f"{name} [{kind}]: " + ("n/a" if pct is None else f"{pct:.1f}%")
                       for kind, pct in pcts.items()]
         return "\n".join(lines)
 
 
-def _reduction_pct(baseline: float, value: float) -> float | None:
-    """The reduction from ``baseline`` in percent; None (undefined) when ``baseline`` is 0."""
-    if baseline == 0:
+def _reduction_pct(baseline: float | None, value: float | None) -> float | None:
+    """The reduction from ``baseline`` in percent; None (undefined) when ``baseline`` is 0
+    or either is undefined."""
+    if not baseline or value is None:
         return None
     return 100.0 * (1.0 - value / baseline)
 
@@ -331,6 +343,7 @@ def compare_report(results: dict[BaselineKind, list[RunMetrics]]) -> ComparisonR
     aggregate = {}
     for kind, ms in results.items():
         idle = np.array([m.idle_time for m in ms])
+        executed = sum(m.hits + m.direct for m in ms)
         aggregate[kind.value] = {
             "idle_mean": float(np.mean(idle)),
             "idle_std": float(np.std(idle, ddof=1)) if len(ms) > 1 else 0.0,
@@ -338,9 +351,14 @@ def compare_report(results: dict[BaselineKind, list[RunMetrics]]) -> ComparisonR
             "mean_k_mean": float(np.mean([m.mean_horizon for m in ms])),
             "wasted_mean": float(np.mean([m.wasted_predictions for m in ms])),
             "success_rate": float(np.mean([m.success for m in ms])),
+            "idle_per_action": (sum(m.holds + m.misses + m.awaiting for m in ms) / executed
+                                if executed else None),
+            # Unfinished with no diagnostic: the loop ran out of max_steps.
+            "censored": sum(not m.success and m.diagnostic is None for m in ms),
         }
-    reductions = []  # idle against blocking, then wasted against nftc: empty without the base
-    for base, key in ((BaselineKind.BLOCKING, "idle_mean"), (BaselineKind.NFTC, "wasted_mean")):
+    reductions = []  # in ComparisonReport's field order; empty without the base kind
+    for base, key in ((BaselineKind.BLOCKING, "idle_mean"), (BaselineKind.NFTC, "wasted_mean"),
+                      (BaselineKind.BLOCKING, "idle_per_action")):
         reductions.append({} if base not in results else {
             kind.value: _reduction_pct(aggregate[base.value][key], aggregate[kind.value][key])
             for kind in results if kind is not base})

@@ -134,15 +134,22 @@ class SpeculativeTuple(NamedTuple("SpeculativeTuple", [
 
 @dataclass(frozen=True, eq=False)
 class WeightMatrix:
-    """Diagonal of the inverse-variance normalization matrix (length d_s)."""
+    """Diagonal of the inverse-variance normalization matrix (length d_s).
+
+    ``roots`` holds each weight's square root, for the tube error's root-weighted sum.
+    """
 
     inverse_variances: np.ndarray
+    roots: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
         arr = _as_finite_vector(self.inverse_variances, "weights")
         if np.any(arr <= 0.0):
             raise ValueError("weights must be strictly positive")
         object.__setattr__(self, "inverse_variances", arr)
+        roots = np.sqrt(arr)
+        roots.setflags(write=False)
+        object.__setattr__(self, "roots", roots)
 
     @property
     def dim(self) -> int:

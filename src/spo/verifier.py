@@ -21,15 +21,18 @@ def tracking_error(
     """Inverse-variance weighted distance sqrt(sum_i w_i * (s_i - p_i)^2).
 
     Symmetric in (actual, predicted); zero iff the vectors are equal.
-    Computed in double precision regardless of wire-format rounding.
+    Computed in double precision regardless of wire-format rounding, as the
+    ``math.hypot`` of the root-weighted difference: a fixed-order sum with no
+    BLAS, so the same inputs give the same bits on every CPU.
     """
-    a, p, w = actual.values, predicted.values, weights.inverse_variances
-    if a.size != p.size or a.size != w.size:
+    a, p, r = actual.values, predicted.values, weights.roots
+    if a.size != p.size or a.size != r.size:
         raise DimensionError(
-            f"dimension mismatch: actual={a.size} predicted={p.size} weights={w.size}"
+            f"dimension mismatch: actual={a.size} predicted={p.size} weights={r.size}"
         )
     diff = a - p
-    return math.sqrt(w.dot(diff * diff))
+    diff *= r
+    return math.hypot(*diff.tolist())
 
 
 def verify(

@@ -202,15 +202,16 @@ def test_oracle_is_true_step_without_disturbances():
     )
 
 
-def _noise_row(seed, p, d, std=DRIFT_NOISE):
-    """Row p of the drifted model's noise table, spelled out from its definition."""
+def _noise_row(seed, p, d, std=DRIFT_NOISE, bias=0.0):
+    """Row p of the drifted model's noise table, drawn around ``bias``, from its definition."""
     rows = DriftedWorldModel.BLOCK_ROWS
-    return np.random.default_rng([seed, p // rows]).normal(0.0, std, (rows, d))[p % rows]
+    return np.random.default_rng([seed, p // rows]).normal(bias, std, (rows, d))[p % rows]
 
 
 @pytest.mark.parametrize("name", sorted(canonical_specs()))
 def test_drifted_step_is_the_oracle_step_plus_drift_bit_for_bit(name):
-    """A step landing on progress step p is the oracle step + bias + noise row p, to the bit."""
+    """A step landing on progress step p is the oracle step + row p of normal(bias, noise),
+    to the bit: the bias sits in the noise table, so the drift is one add."""
     spec = get_spec(name)
     clean = dataclasses.replace(spec, disturbance_schedule=())
     model = DriftedWorldModel(spec, DRIFT_BIAS, noise_std=DRIFT_NOISE, seed=11)
@@ -218,7 +219,7 @@ def test_drifted_step_is_the_oracle_step_plus_drift_bit_for_bit(name):
     s = start_state(spec, np.random.default_rng(5))
     for p in [*range(1, 50), 255, 256, 257, 1000, 3]:
         a = policy.act(s)
-        expected = true_step(clean, s, a, 0).values + model.bias + _noise_row(11, p, spec.d_s)
+        expected = true_step(clean, s, a, 0).values + _noise_row(11, p, spec.d_s, bias=model.bias)
         nxt = model.step(s, a, p)
         assert nxt.values.tobytes() == expected.tobytes()
         s = nxt
@@ -457,6 +458,10 @@ def _policy_probe_states(spec, rng, n):
 
 @pytest.mark.parametrize("name", sorted(canonical_specs()) + ["square"])
 def test_expert_policy_is_bit_identical_to_the_reference(name):
+    """The target is the reference's own array, and the action is the scalar formula byte for
+    byte and the reference's to within (8 + 4·dist) ulps of its norm: the reference's BLAS
+    norm and ``hypot`` may differ in the last place, and the cosine turns that into up to
+    4·dist ulps of the speed factor."""
     spec = _square_path_spec() if name == "square" else get_spec(name)
     policy, reference = ScriptedExpertPolicy(spec), _ReferenceExpertPolicy(spec)
     states = _policy_probe_states(spec, np.random.default_rng(11), 200)
@@ -464,10 +469,16 @@ def test_expert_policy_is_bit_identical_to_the_reference(name):
         # Exact ties: (1,0) is on all three segments, (0.5,0.5) and (2,-1) lie
         # as far from the first segment as from the last.
         states += [StateVector(p) for p in ([1.0, 0.0], [0.5, 0.5], [2.0, -1.0])]
+    eps = np.finfo(np.float64).eps
     for s in states:
         pos = s.values
-        assert policy._target(pos) is reference._target(pos)
-        assert policy.act(s).values.tobytes() == reference.act(s).values.tobytes()
+        target = policy._target(pos)
+        assert target is reference._target(pos)
+        got, want = policy.act(s).values, reference.act(s).values
+        assert got.tobytes() == _scalar_formula_act(policy, s).tobytes()
+        dist = math.hypot(*(target - pos).tolist())
+        bound = (8 + 4 * dist) * eps * math.hypot(*want.tolist())
+        assert np.abs(got - want).max() <= bound, (s, got - want)
 
 
 def _bent_spec(d=8):
@@ -635,15 +646,13 @@ def test_rollout_records_cannot_be_assigned_to():
 
 
 def _scalar_formula_act(policy, state):
-    """The expert's action as the out-of-place expression it replaced computed it."""
+    """The expert's action as one out-of-place expression: one norm, one scale."""
     pos = state.values
     to_target = policy._target(pos) - pos
-    v = policy.spec.gain * to_target
-    speed = math.sqrt(v.dot(v))
-    if speed > policy.spec.a_max:
-        v = v * (policy.spec.a_max / speed)
-    dist = math.sqrt(to_target.dot(to_target))
-    return v * (0.7 + 0.3 * np.cos(4.0 * dist))
+    dist = math.hypot(*to_target.tolist())
+    gain, a_max = policy.spec.gain, policy.spec.a_max
+    scale = gain if gain * dist <= a_max else a_max / dist
+    return to_target * (scale * (0.7 + 0.3 * np.cos(4.0 * dist)))
 
 
 @pytest.mark.parametrize("name", sorted(canonical_specs()))
@@ -661,7 +670,7 @@ def test_the_in_place_expert_action_is_the_scalar_formula_byte_for_byte(name):
         assert got.tobytes() == want.tobytes()
         assert not got.flags.writeable
         to_target = policy._target(s.values) - s.values
-        clipped.append(spec.gain * math.sqrt(to_target.dot(to_target)) > spec.a_max)
+        clipped.append(spec.gain * math.hypot(*to_target.tolist()) > spec.a_max)
     assert clipped[-2] and not clipped[-1] and not all(clipped)
     assert policy._target(goal) is policy._path[-1]
     assert not np.any(policy.act(at_target).values)
@@ -671,12 +680,9 @@ def _owned_act(policy, state):
     """The expert's action computed in place as ``act`` does, then wrapped by ``owned``."""
     pos = state.values
     v = policy._target(pos) - pos
-    dist = math.sqrt(v.dot(v))
-    v *= policy.spec.gain
-    speed = math.sqrt(v.dot(v))
-    if speed > policy.spec.a_max:
-        v *= policy.spec.a_max / speed
-    v *= 0.7 + 0.3 * math.cos(4.0 * dist)
+    dist = math.hypot(*v.tolist())
+    gain, a_max = policy.spec.gain, policy.spec.a_max
+    v *= (gain if gain * dist <= a_max else a_max / dist) * (0.7 + 0.3 * math.cos(4.0 * dist))
     return owned(ActionVector, v)
 
 
@@ -690,17 +696,20 @@ def _act_outcome(act, state):
 
 
 def _hot_probe_states():
-    """States 1e-320..1e295 from the goal of a gain-1e300 spec. Moving out, the scaled
-    squares overflow (the zero action), then a component does (a non-finite action), then
-    the distance itself (``math.cos`` refuses it)."""
+    """States 1e-320..1e308 from the goal of a gain-1e300 spec. Moving out, the offset
+    is absorbed into the goal (the zero action), then gain·dist overflows (the a_max scale
+    still holds), then, past a distance of 4.5e307, the cosine's argument 4·dist does
+    (``math.cos`` refuses it)."""
     goal = np.array([1.0, -1.0])
     spec = EnvironmentSpec(name="hot", d_s=2, d_a=2, waypoints=(goal,), gain=1e300)
-    return spec, [StateVector(goal - 10.0**e * np.array([1.0, 0.5])) for e in range(-320, 300, 5)]
+    scales = [10.0**e for e in range(-320, 300, 5)] + [1e300, 1e307, 3.9e307, 5e307, 1e308]
+    return spec, [StateVector(goal - m * np.array([1.0, 0.5])) for m in scales]
 
 
 @pytest.mark.parametrize("name", sorted(canonical_specs()) + ["bent", "hot"])
 def test_an_expert_action_has_the_outcome_of_the_owned_path(name):
-    """Proved finite by its speed, an action is the one ``owned`` wrapped; else the same error."""
+    """Proved finite by its distance, an action is the one ``owned`` wrapped, at most a_max
+    long; else the same error."""
     if name == "hot":
         spec, states = _hot_probe_states()
     else:
@@ -710,11 +719,21 @@ def test_an_expert_action_has_the_outcome_of_the_owned_path(name):
     with np.errstate(all="ignore"):
         outcomes = [_act_outcome(policy.act, s) for s in states]
         assert outcomes == [_act_outcome(lambda x: _owned_act(policy, x), s) for s in states]
+    acted = [(s, o) for s, o in zip(states, outcomes) if not isinstance(o, str)]
+    assert all(o[0] is ActionVector and not o[2] for _, o in acted)
+    eps = np.finfo(np.float64).eps
+    for s, _ in acted:
+        norm = math.hypot(*policy.act(s).values.tolist())
+        assert math.isfinite(norm) and norm <= spec.a_max * (1 + 4 * eps), (s, norm)
     if name == "hot":
+        # hypot does not overflow where a sum of squares did: only the two farthest
+        # states, whose 4·dist is past the largest float, fail.
         assert (ActionVector, bytes(16), False) in outcomes
-        assert {"action contains non-finite entries", "math domain error"} < set(outcomes)
+        failed = [i for i, o in enumerate(outcomes) if isinstance(o, str)]
+        assert {outcomes[i] for i in failed} == {"math domain error"}
+        assert failed == list(range(len(states) - 2, len(states)))
     else:
-        assert all(o[0] is ActionVector and not o[2] for o in outcomes)
+        assert len(acted) == len(states)
 
 
 def test_a_negative_start_step_is_refused_before_the_policy_acts():

@@ -1,8 +1,10 @@
 """Harness: calibration, virtual-clock runs, metrics, comparison, serialization."""
 
 import dataclasses
+import hashlib
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from spo import harness
 from spo.edge import EdgeSession, Outcome
 from spo.environments import (
     EnvironmentSpec,
+    canonical_specs,
     get_spec,
     is_success,
     start_state,
@@ -615,6 +618,29 @@ def test_a_report_without_a_base_kind_has_no_reductions_against_it(kinds, absent
     assert f"{present} [spo]: 0.0%" in text.splitlines()
 
 
+def test_the_idle_per_action_reduction_does_not_measure_max_steps(free_space_weights):
+    """Blocking never finishes, so its idle_s, and every idle_s reduction against it, grows
+    with max_steps; idle ticks per executed action does not, and the report says which
+    kinds ran out of steps."""
+    reports = {}
+    for max_steps in (600, 1200):
+        spec = dataclasses.replace(get_spec("free_space"), max_steps=max_steps)
+        reports[max_steps] = compare_report({kind: run_experiment(
+            kind, spec, CFG, [0, 1, 2], weights=free_space_weights, model_kind="drifted")
+            for kind in BaselineKind})
+    short, long = reports[600], reports[1200]
+    for kind in ("nftc", "spo"):
+        per_action = [r.idle_per_action_reduction_vs_blocking_pct[kind] for r in (short, long)]
+        assert 80.0 < per_action[0] < 95.0 and abs(per_action[0] - per_action[1]) < 2.0
+        idle_s = [r.idle_reduction_vs_blocking_pct[kind] for r in (short, long)]
+        assert idle_s[1] > idle_s[0] + 10.0
+    for report in (short, long):
+        censored = {kind: agg["censored"] for kind, agg in report.aggregate.items()}
+        assert censored == {"blocking": 3, "t1sc": 3, "nftc": 0, "spo": 0}
+        rows = report.to_text().splitlines()[1:5]
+        assert [row.endswith("censored 3/3") for row in rows] == [True, True, False, False]
+
+
 def test_compare_report_rejects_mismatched_seeds(free_space_weights):
     spec = get_spec("free_space")
     a = run_experiment(BaselineKind.SPO, spec, CFG, [0], weights=free_space_weights)
@@ -645,3 +671,33 @@ def test_weights_roundtrip(tmp_path, free_space_weights):
     save_weights(path, free_space_weights)
     back = load_weights(path)
     assert np.array_equal(back.inverse_variances, free_space_weights.inverse_variances)
+
+
+# SHA-256 of the float trajectory of `_trajectory_floats`: the bits of every calibrated weight,
+# executed action, tube error and horizon. No reduction on that path goes through BLAS, so
+# the digest does not depend on which OpenBLAS kernel the CPU selects (CI reruns this test
+# under OPENBLAS_CORETYPE=Haswell and =Prescott). A change that claims the same bits cites it.
+TRAJECTORY_FLOATS_SHA256 = "e1524a2e71955fed19b0bc3a56dd91f5130ac888919bf63c5c6a7f09be51ccdd"
+
+
+def _trajectory_floats():
+    """Each env's weights, then per kind and seed 0-1 of a drifted run its step count, each
+    tick's action and tube error (-1 for none), and its horizons, as little-endian doubles."""
+    floats = []
+    for name in sorted(canonical_specs()):
+        spec = get_spec(name)
+        weights = calibrate_weights(spec, seed=CFG.rng_seed)
+        floats += weights.inverse_variances.tolist()
+        for kind in BaselineKind:
+            for seed in (0, 1):
+                run = run_single(kind, spec, CFG, seed, weights, model_kind="drifted")
+                floats.append(len(run.records))
+                for rec in run.records:
+                    floats += rec.action_executed.values.tolist()
+                    floats.append(-1.0 if rec.error is None else rec.error)
+                floats += run.horizons
+    return struct.pack(f"<{len(floats)}d", *floats)
+
+
+def test_the_trajectory_floats_are_the_pinned_digest():
+    assert hashlib.sha256(_trajectory_floats()).hexdigest() == TRAJECTORY_FLOATS_SHA256
