@@ -68,14 +68,14 @@ class RolloutResponse(NamedTuple):
 class ScriptedExpertPolicy:
     """Waypoint-tracking expert: proportional velocity command, norm-clipped.
 
-    Progress is recovered from the state alone (nearest polyline segment,
-    later segments win ties), so the policy replans from whatever state it
-    is given, including post-disturbance states. The leg search runs on Python
-    floats built once, as numpy's per-call cost would dominate. A leg's distance
-    is to its t = 1 point a + (b - a) past the end (t >= 1), da = |p - a| before
-    the start (t <= 0), and √(da² - t²·|ab|²) between while that square is at
-    least 1e-4·da², so at most four digits cancel: on the tests' probe states it
-    is within 5e-13 of the projection point's for da <= 1e4, inside the 1e-9 tie band.
+    Progress is recovered from the state alone (nearest polyline segment, later segments
+    win ties), so the policy replans from whatever state it is given, including
+    post-disturbance states. The leg search runs on Python floats built once, as numpy's
+    per-call cost would dominate, and measures each junction once: a leg's da = |p - a| is
+    the leg before's db = |p - b|. A leg's distance is to its t = 1 point a + (b - a) past
+    the end (t >= 1), da before the start (t <= 0), and √(da² - t²·|ab|²) between while
+    that square is at least 1e-4·da², so at most four digits cancel: on the tests' probe
+    states it is within 5e-13 of the projection point's for da <= 1e4, inside the 1e-9 tie band.
     """
 
     def __init__(self, spec: EnvironmentSpec):
@@ -91,10 +91,12 @@ class ScriptedExpertPolicy:
             return self._path[-1]
         px, dist, sqrt = pos.tolist(), math.dist, math.sqrt
         best, best_d = self._path[1], math.inf
+        db = dist(px, self._legs[0][0])
         for a, b, ab, end, denom, target in self._legs:
-            d = da = dist(px, a)
+            d = da = db
+            db = dist(px, b)
             if denom:
-                da2, db = da * da, dist(px, b)
+                da2 = da * da
                 # The projection's t by the law of cosines: (p - a)·ab = (da² + denom - db²) / 2.
                 t = (da2 + denom - db * db) / (2 * denom)
                 if t >= 1.0:
@@ -186,10 +188,11 @@ def speculative_rollout(
         raise ValueError("step_index must be nonnegative")
     tuples: list[SpeculativeTuple] = []
     s, dim = start, start.dim
+    act, step = policy.act, (None if model is None else model.step)  # looked up once per rollout
     for k in range(1, horizon + 1):
         try:
-            a = policy.act(s)
-            s_next = s if model is None else model.step(s, a, start_step + k)
+            a = act(s)
+            s_next = s if step is None else step(s, a, start_step + k)
         except (ValueError, FloatingPointError) as exc:
             raise RolloutError(f"rollout diverged at depth {k}: {exc}") from exc
         if s_next.values.size != dim:

@@ -18,7 +18,7 @@ lists each step index with a full offset vector, in increasing step order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,8 +30,9 @@ from .types import (ActionVector, ConfigError, DimensionError, StateVector, inva
 class EnvironmentSpec:
     """Static description of one synthetic task.
 
-    The state is a position and the action its velocity, so d_s = d_a.
-    """
+    The state is a position and the action its velocity, so d_s = d_a. Once checked, a
+    spec builds the per-tick constants: ``dt`` as a read-only float64 vector of length
+    ``d_a`` and the goal as a list of floats (``dataclasses.replace`` builds both anew)."""
 
     name: str
     d_s: int
@@ -46,6 +47,8 @@ class EnvironmentSpec:
     start_jitter: float = 0.0
     gain: float = 2.0
     a_max: float = 1.0
+    _dt_vec: np.ndarray = field(init=False, repr=False, compare=False)
+    _goal: list | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d_s < 1 or self.d_a < 1:
@@ -72,17 +75,23 @@ class EnvironmentSpec:
                 errors.append(f"{label} contains non-finite entries")
         if errors:
             raise ConfigError(errors)
+        object.__setattr__(self, "_dt_vec", np.full(self.d_a, self.dt))
+        self._dt_vec.setflags(write=False)
+        goal = None if self.goal_center is None else np.asarray(self.goal_center, np.float64).tolist()
+        object.__setattr__(self, "_goal", goal)
 
 
 def next_values(
     spec: EnvironmentSpec, state: StateVector, action: ActionVector, step_index: int
 ) -> np.ndarray:
-    """The unchecked array of :func:`true_step`'s next state, for a caller that adds to it."""
+    """The unchecked array of :func:`true_step`'s next state, for a caller that adds to it.
+    The action times the spec's dt vector costs less than times the float, with equal bits."""
     if state.values.size != spec.d_s:
         raise DimensionError(f"state dimension {state.dim} != d_s {spec.d_s}")
     if action.values.size != spec.d_a:
         raise DimensionError(f"action dimension {action.dim} != d_a {spec.d_a}")
-    nxt = state.values + action.values * spec.dt
+    nxt = action.values * spec._dt_vec
+    nxt += state.values
     for when, offset in spec.disturbance_schedule:
         if when == step_index:
             nxt = nxt + np.asarray(offset, dtype=np.float64)
@@ -97,10 +106,11 @@ def true_step(
 
 
 def is_success(spec: EnvironmentSpec, state: StateVector) -> bool:
-    """True iff the state lies within the goal radius (boundary inclusive)."""
-    if spec.goal_center is None:
+    """True iff the state lies within the goal radius (boundary inclusive). ``math.dist`` on the
+    goal's floats is ``math.hypot`` of the difference, bit for bit, and builds no array."""
+    if spec._goal is None:
         return False
-    return math.hypot(*(state.values - spec.goal_center).tolist()) <= spec.goal_radius
+    return math.dist(state.values.tolist(), spec._goal) <= spec.goal_radius
 
 
 def start_state(spec: EnvironmentSpec, rng: np.random.Generator | None = None) -> StateVector:
@@ -162,11 +172,7 @@ def canonical_specs() -> dict[str, EnvironmentSpec]:
         start_jitter=0.05,
         gain=2.0,
     )
-    return {
-        "free_space": free_space,
-        "tight_tolerance": tight_tolerance,
-        "multi_stage": multi_stage,
-    }
+    return {spec.name: spec for spec in (free_space, tight_tolerance, multi_stage)}
 
 
 def get_spec(name: str) -> EnvironmentSpec:

@@ -20,10 +20,8 @@ does no channel work, and a tick that only receives does not poll the cloud side
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import enum
-import json
 import math
 import os
 import tempfile
@@ -288,6 +286,7 @@ def run_experiment(
 
     if jobs <= 1 or len(seeds) <= 1:
         return [one(s) for s in seeds]
+    import concurrent.futures  # here, not at the top: a one-job run never pays for it
     with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
         results = dict(zip(seeds, pool.map(one, seeds)))
     return [results[s] for s in seeds]
@@ -400,6 +399,7 @@ def write_atomic(path, data: str) -> None:
 
 def run_json_document(m: RunMetrics, fields: dict) -> str:
     """``m`` under ``metrics`` beside ``fields`` (the run's ``config``, ``env`` and ``mode``)."""
+    import json  # here, not at the top: only a run's JSON document needs it
     doc = {"schema_version": SCHEMA_VERSION, "metrics": dataclasses.asdict(m), **fields}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

@@ -17,6 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 _F64 = np.dtype(np.float64)  # native byte order: a '>f8' array's dtype is another object
+_new, _setattr = object.__new__, object.__setattr__  # bound once, for :func:`_checked`
 
 
 class DimensionError(ValueError):
@@ -54,8 +55,8 @@ def _as_finite_vector(values, what: str) -> np.ndarray:
 
 def _checked(cls, values: np.ndarray):
     """A ``cls`` holding ``values``, a read-only array that passed the constructor's checks."""
-    vec = object.__new__(cls)
-    object.__setattr__(vec, "values", values)
+    vec = _new(cls)
+    _setattr(vec, "values", values)
     return vec
 
 

@@ -1,7 +1,11 @@
 """Synthetic environments: dynamics, goals, disturbances, loaders."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from spo.cloud import make_policy
 from spo.environments import (
@@ -10,6 +14,7 @@ from spo.environments import (
     get_spec,
     is_success,
     load_environment,
+    next_values,
     start_state,
     true_step,
 )
@@ -44,6 +49,44 @@ def test_success_boundary_inclusive():
     assert is_success(spec, StateVector([0.5, 0.0]))  # exactly on the boundary
     assert not is_success(spec, StateVector([0.49, 0.0]))
     assert not is_success(spec, StateVector([9.0, 9.0]))
+
+
+# Paired components of two vectors of one length, small enough that no product overflows.
+_pairs = st.lists(st.tuples(*[st.floats(-1e6, 1e6, allow_nan=False)] * 2), min_size=1, max_size=8)
+
+
+@pytest.mark.parametrize("dt", [0.02, 1 / 3, 1e-3, 7.0])
+@given(pairs=_pairs)
+def test_next_values_is_state_plus_action_times_dt_to_the_bit(dt, pairs):
+    s, a = (np.array(column) for column in zip(*pairs))
+    spec = EnvironmentSpec(name="dt", d_s=s.size, d_a=s.size, dt=dt)
+    got = next_values(spec, StateVector(s), ActionVector(a), 0)
+    assert got.tobytes() == (s + a * dt).tobytes()
+
+
+@given(pairs=_pairs)
+def test_is_success_is_the_hypot_of_the_difference_to_the_bit(pairs):
+    s, goal = (np.array(column) for column in zip(*pairs))
+    gap = math.hypot(*(s - goal).tolist())
+    radii = [gap, 2.0 * gap, 1.0] + ([float(np.nextafter(gap, 0.0))] if gap > 0 else [])
+    for r in radii:
+        spec = EnvironmentSpec(name="goal", d_s=s.size, d_a=s.size, goal_center=goal, goal_radius=r)
+        assert is_success(spec, StateVector(s)) == (gap <= r), r
+    spec = EnvironmentSpec(name="goal", d_s=s.size, d_a=s.size, goal_center=goal, goal_radius=gap)
+    assert is_success(spec, StateVector(s))  # exactly on the radius
+
+
+def test_a_replaced_spec_steps_and_tests_its_goal_with_its_own_values():
+    base = EnvironmentSpec(name="base", d_s=2, d_a=2, dt=0.02,
+                           goal_center=np.array([1.0, 0.0]), goal_radius=0.1)
+    moved = dataclasses.replace(base, dt=0.5, goal_center=np.array([0.0, 1.0]))
+    s, a = StateVector([0.0, 0.0]), ActionVector([0.0, 2.0])
+    assert true_step(moved, s, a, 0) == StateVector([0.0, 1.0])
+    assert true_step(base, s, a, 0) == StateVector([0.0, 0.04])
+    assert is_success(moved, StateVector([0.0, 1.0]))
+    assert not is_success(moved, StateVector([1.0, 0.0]))
+    assert is_success(base, StateVector([1.0, 0.0]))
+    assert not is_success(dataclasses.replace(base, goal_center=None), StateVector([1.0, 0.0]))
 
 
 def _toy_1d():

@@ -100,10 +100,13 @@ def test_edge_connect_run_json_echoes_only_the_config_the_edge_applies(tmp_path)
 
 
 def _join_sessions():
-    for thread in threading.enumerate():
-        if thread.name.endswith("(_session)"):
-            thread.join(timeout=5)
-            assert not thread.is_alive()
+    """Join the stopped servers' accept loops, then their sessions: until one accept timeout
+    after ``stop``, a loop may still start a session thread that is not yet joinable."""
+    for suffix in ("(serve_forever)", "(_session)"):
+        for thread in threading.enumerate():
+            if thread.name.endswith(suffix):
+                thread.join(timeout=5)
+                assert not thread.is_alive()
 
 
 def test_socket_run_sleeps_the_delays_the_virtual_run_draws(quick_spec, monkeypatch):
