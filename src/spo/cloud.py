@@ -5,8 +5,9 @@ and the per-session refill handler that couples the rollout to the adaptive
 horizon controller. Two world-model families are provided: an oracle that
 wraps the environment's true dynamics, and a drifted variant (oracle plus one
 row of a seeded noise table drawn around a per-step bias) standing in for a
-learned predictor of modest accuracy. No reduction that reaches a trajectory
-goes through BLAS, so the rollout's floats do not depend on the CPU's kernel.
+learned predictor of modest accuracy. States and actions are tuples of floats,
+and each step computes on them in numpy's elementwise order with no BLAS, so the
+rollout's floats do not depend on the CPU's kernel.
 """
 
 from __future__ import annotations
@@ -70,29 +71,31 @@ class ScriptedExpertPolicy:
 
     Progress is recovered from the state alone (nearest polyline segment, later segments
     win ties), so the policy replans from whatever state it is given, including
-    post-disturbance states. The leg search runs on Python floats built once, as numpy's
-    per-call cost would dominate, and measures each junction once: a leg's da = |p - a| is
-    the leg before's db = |p - b|. A leg's distance is to its t = 1 point a + (b - a) past
-    the end (t >= 1), da before the start (t <= 0), and √(da² - t²·|ab|²) between while
-    that square is at least 1e-4·da², so at most four digits cancel: on the tests' probe
-    states it is within 5e-13 of the projection point's for da <= 1e4, inside the 1e-9 tie band.
+    post-disturbance states. The leg search runs on Python floats built once, and measures
+    each junction once: a leg's da = |p - a| is the leg before's db = |p - b|. A leg's
+    distance is to its t = 1 point a + (b - a) past the end (t >= 1), da before the start
+    (t <= 0), and √(da² - t²·|ab|²) between while that square is at least 1e-4·da², so at
+    most four digits cancel: on the tests' probe states it is within 5e-13 of the projection
+    point's for da <= 1e4, inside the 1e-9 tie band. Each leg's |ab|² is a numpy dot, taken
+    once here; no per-step float goes through numpy.
     """
 
     def __init__(self, spec: EnvironmentSpec):
         self.spec = spec
-        anchor = np.zeros(spec.d_s)
-        self._path = [anchor] + [np.asarray(w, dtype=np.float64) for w in spec.waypoints]
-        # Each leg as floats (a, b, b - a, a + (b - a), |b - a|²), then its target b.
-        self._legs = [(a.tolist(), b.tolist(), (b - a).tolist(), (a + (b - a)).tolist(),
-                       float((b - a).dot(b - a)), b) for a, b in zip(self._path, self._path[1:])]
+        path = [np.zeros(spec.d_s)] + [np.asarray(w, dtype=np.float64) for w in spec.waypoints]
+        self._path = [tuple(p.tolist()) for p in path]
+        # Each leg as floats (a, b, b - a, a + (b - a), |b - a|²); b is its target.
+        self._legs = [(pa, pb, tuple((b - a).tolist()), tuple((a + (b - a)).tolist()),
+                       float((b - a).dot(b - a)))
+                      for pa, pb, a, b in zip(self._path, self._path[1:], path, path[1:])]
 
-    def _target(self, pos: np.ndarray) -> np.ndarray:
+    def _target(self, px: tuple) -> tuple:
         if len(self._legs) < 2:
             return self._path[-1]
-        px, dist, sqrt = pos.tolist(), math.dist, math.sqrt
+        dist, sqrt = math.dist, math.sqrt
         best, best_d = self._path[1], math.inf
         db = dist(px, self._legs[0][0])
-        for a, b, ab, end, denom, target in self._legs:
+        for a, b, ab, end, denom in self._legs:
             d = da = db
             db = dist(px, b)
             if denom:
@@ -105,21 +108,21 @@ class ScriptedExpertPolicy:
                     d2 = da2 - t * t * denom
                     d = sqrt(d2) if d2 >= 1e-4 * da2 else dist(px, [x + t * y for x, y in zip(a, ab)])
             if d <= best_d + 1e-9:
-                best, best_d = target, (d if d < best_d else best_d)
+                best, best_d = b, (d if d < best_d else best_d)
         return best
 
     def act(self, state: StateVector) -> ActionVector:
         pos = state.values
-        v = self._target(pos) - pos
-        dist = math.hypot(*v.tolist())  # no BLAS: the same bits on every CPU
+        v = [t - p for t, p in zip(self._target(pos), pos)]
+        dist = math.hypot(*v)  # no BLAS: the same bits on every CPU
         gain, a_max = self.spec.gain, self.spec.a_max
         scale = gain if gain * dist <= a_max else a_max / dist
         # Speed varies along the path so one-step deltas have usable variance
         # for inverse-variance weight calibration (constant-velocity motion
         # would be degenerate). math.cos refuses an infinite 4·dist.
-        v *= scale * (0.7 + 0.3 * math.cos(4.0 * dist))
+        c = scale * (0.7 + 0.3 * math.cos(4.0 * dist))
+        v = tuple([x * c for x in v])
         if math.isfinite(dist):  # each component is then at most min(gain·dist, a_max)
-            v.setflags(write=False)
             return _checked(ActionVector, v)
         return ActionVector(v)
 
@@ -138,10 +141,10 @@ class DriftedWorldModel(OracleWorldModel):
     """The oracle's physics plus a per-step additive bias and seeded Gaussian noise.
 
     The step that lands on progress step p adds row p of a noise table, drawn around the
-    bias, so the drift is one add. Its block b, ``BLOCK_ROWS`` rows of
-    ``normal(bias, noise_std)``, is drawn from ``default_rng([seed, b])``, so row p is a pure
-    function of (drift seed, p) whatever the call order, and a socket server draws the
-    rows its virtual twin draws. At most ``BLOCKS_HELD`` blocks are kept. A non-finite
+    bias, so the drift is one add per component. Its block b, ``BLOCK_ROWS`` rows of
+    ``normal(bias, noise_std)``, is drawn from ``default_rng([seed, b])`` and turned into
+    floats once, so row p is a pure function of (drift seed, p) whatever the call order,
+    and a socket server draws the rows its virtual twin draws. At most ``BLOCKS_HELD`` blocks are kept. A non-finite
     bias or noise, or a negative noise, is a :class:`~spo.types.ConfigError` listing each.
     """
 
@@ -156,7 +159,7 @@ class DriftedWorldModel(OracleWorldModel):
         if errors:
             raise ConfigError(errors)
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        self._blocks: dict[int, np.ndarray] = {}
+        self._blocks: dict[int, list] = {}
 
     def step(self, state: StateVector, action: ActionVector, step_index: int) -> StateVector:
         b, row = divmod(step_index, self.BLOCK_ROWS)
@@ -164,10 +167,8 @@ class DriftedWorldModel(OracleWorldModel):
             if len(self._blocks) >= self.BLOCKS_HELD:
                 self._blocks.clear()
             block = self._blocks[b] = np.random.default_rng([self.seed, b]).normal(
-                self.bias, self.noise_std, (self.BLOCK_ROWS, self.spec.d_s))
-        nxt = next_values(self.spec, state, action, 0)
-        nxt += block[row]
-        return owned(StateVector, nxt)
+                self.bias, self.noise_std, (self.BLOCK_ROWS, self.spec.d_s)).tolist()
+        return owned(StateVector, next_values(self.spec, state, action, 0, block[row]))
 
 
 def speculative_rollout(
@@ -195,7 +196,7 @@ def speculative_rollout(
             s_next = s if step is None else step(s, a, start_step + k)
         except (ValueError, FloatingPointError) as exc:
             raise RolloutError(f"rollout diverged at depth {k}: {exc}") from exc
-        if s_next.values.size != dim:
+        if len(s_next.values) != dim:
             raise RolloutError(
                 f"model output dimension {s_next.dim} != state dimension {dim}"
             )

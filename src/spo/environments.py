@@ -31,8 +31,7 @@ class EnvironmentSpec:
     """Static description of one synthetic task.
 
     The state is a position and the action its velocity, so d_s = d_a. Once checked, a
-    spec builds the per-tick constants: ``dt`` as a read-only float64 vector of length
-    ``d_a`` and the goal as a list of floats (``dataclasses.replace`` builds both anew)."""
+    spec keeps its goal as a tuple of floats (``dataclasses.replace`` builds it anew)."""
 
     name: str
     d_s: int
@@ -47,8 +46,7 @@ class EnvironmentSpec:
     start_jitter: float = 0.0
     gain: float = 2.0
     a_max: float = 1.0
-    _dt_vec: np.ndarray = field(init=False, repr=False, compare=False)
-    _goal: list | None = field(init=False, repr=False, compare=False)
+    _goal: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d_s < 1 or self.d_a < 1:
@@ -75,26 +73,30 @@ class EnvironmentSpec:
                 errors.append(f"{label} contains non-finite entries")
         if errors:
             raise ConfigError(errors)
-        object.__setattr__(self, "_dt_vec", np.full(self.d_a, self.dt))
-        self._dt_vec.setflags(write=False)
-        goal = None if self.goal_center is None else np.asarray(self.goal_center, np.float64).tolist()
+        goal = self.goal_center
+        goal = None if goal is None else tuple(np.asarray(goal, np.float64).tolist())
         object.__setattr__(self, "_goal", goal)
 
 
 def next_values(
-    spec: EnvironmentSpec, state: StateVector, action: ActionVector, step_index: int
-) -> np.ndarray:
-    """The unchecked array of :func:`true_step`'s next state, for a caller that adds to it.
-    The action times the spec's dt vector costs less than times the float, with equal bits."""
-    if state.values.size != spec.d_s:
+    spec: EnvironmentSpec, state: StateVector, action: ActionVector, step_index: int,
+    drift=None,
+) -> tuple:
+    """The unchecked floats of :func:`true_step`'s next state: a·dt + s, plus ``drift`` (a
+    model's noise row) if given, then plus the offset of a disturbance at ``step_index``."""
+    s, a, dt = state.values, action.values, spec.dt
+    if len(s) != spec.d_s:
         raise DimensionError(f"state dimension {state.dim} != d_s {spec.d_s}")
-    if action.values.size != spec.d_a:
+    if len(a) != spec.d_a:
         raise DimensionError(f"action dimension {action.dim} != d_a {spec.d_a}")
-    nxt = action.values * spec._dt_vec
-    nxt += state.values
+    if drift is None:
+        nxt = tuple([x * dt + y for x, y in zip(a, s)])
+    else:
+        nxt = tuple([x * dt + y + n for x, y, n in zip(a, s, drift)])
     for when, offset in spec.disturbance_schedule:
         if when == step_index:
-            nxt = nxt + np.asarray(offset, dtype=np.float64)
+            offset = np.asarray(offset, dtype=np.float64).tolist()
+            nxt = tuple([x + o for x, o in zip(nxt, offset)])
     return nxt
 
 
@@ -106,11 +108,11 @@ def true_step(
 
 
 def is_success(spec: EnvironmentSpec, state: StateVector) -> bool:
-    """True iff the state lies within the goal radius (boundary inclusive). ``math.dist`` on the
-    goal's floats is ``math.hypot`` of the difference, bit for bit, and builds no array."""
+    """True iff the state lies within the goal radius (boundary inclusive). ``math.dist``
+    is ``math.hypot`` of the difference, bit for bit, and builds no array."""
     if spec._goal is None:
         return False
-    return math.dist(state.values.tolist(), spec._goal) <= spec.goal_radius
+    return math.dist(state.values, spec._goal) <= spec.goal_radius
 
 
 def start_state(spec: EnvironmentSpec, rng: np.random.Generator | None = None) -> StateVector:

@@ -34,8 +34,8 @@ from .cloud import CloudSession, Policy, make_model, make_policy
 from .edge import EdgeSession, Outcome, StepRecord
 from .environments import EnvironmentSpec, is_success, start_state, true_step
 from .transport import LatencyModel, VirtualChannel
-from .types import (ConfigError, SpoConfig, StateVector, WeightMatrix, owned,
-                    parse_config_file, parse_vector, validate_config)
+from .types import (ConfigError, SpoConfig, StateVector, WeightMatrix, parse_config_file,
+                    parse_vector, validate_config)
 
 
 class CalibrationError(ConfigError):
@@ -120,7 +120,7 @@ def calibrate_weights(
         for t in range(clean.max_steps):
             a = policy.act(s)
             nxt = true_step(clean, s, a, t)
-            deltas.append(nxt.values - s.values)
+            deltas.append([x - y for x, y in zip(nxt.values, s.values)])
             s = nxt
             if is_success(clean, s):
                 break

@@ -9,14 +9,13 @@ Frame layout (all little-endian):
                payload = tuple_count * 4 * (d_s + d_a) bytes,
                each tuple packed as state then action float32s
 
-Each frame is one header struct and one float32 array, packed and unpacked once.
-A decoder raises :class:`FrameError`, and nothing else, for every malformed frame.
-It widens the payload to float64 once and checks it once, a request's state through
-:func:`spo.types.owned`, a response by one sum of squares, then gives each tuple
-read-only row views of that one array. Each encoder narrows a whole frame to float32
-in one pass, refusing any value that float32 would round to infinity: one sum of
-squares below the bound's square proves the range, else each value is checked
-(squares beyond float64 make numpy warn first, as in :func:`spo.types.owned`).
+Each frame is one header struct and one ``struct`` pack of its floats (``'<Nf'``),
+packed and unpacked once. A decoder raises :class:`FrameError`, and nothing else, for
+every malformed frame. It unpacks the payload as Python floats and checks it once for
+finiteness by one ``math.hypot``, a request's state through :func:`spo.types.owned`,
+then gives each tuple slices of those floats. Each encoder narrows a whole frame to
+float32 in one pack: ``math.hypot`` refuses NaN and ±inf, and ``struct.pack`` raises
+``OverflowError`` exactly where float32 would round a value to infinity.
 Socket mode prefixes every frame with a 4B length, at most :data:`MAX_FRAME_BYTES`.
 Both modes draw delays from one :class:`LatencyModel`, an uplink leg then a
 downlink leg per request. On virtual time a :class:`VirtualChannel` delivers both
@@ -40,9 +39,6 @@ FRAME_TYPE_RESPONSE = 2
 
 _REQUEST = struct.Struct("<BIIfH")  # type, request_id, step_index, violation_error, d_s
 _RESPONSE = struct.Struct("<BIIH")  # type, request_id, step_index, tuple_count
-# The least magnitude that float32 narrowing rounds to infinity: half an ulp above float32 max.
-_F32_OVERFLOW = 2.0**128 - 2.0**103
-_F32_OVERFLOW_SQ = _F32_OVERFLOW**2  # exact: (2**25 - 1)**2 needs only 51 bits
 _LEN_PREFIX = struct.Struct("<I")
 
 # The longest frame either end sends or reads. A peer's length prefix can
@@ -55,18 +51,18 @@ class FrameError(ValueError):
     """Malformed, truncated, or non-finite wire data."""
 
 
-def _narrow(values: np.ndarray) -> bytes:
+def _narrow(values) -> bytes:
     """``values`` as little-endian float32 bytes, refusing any that overflow (or are NaN).
 
-    A rounded sum of non-negative squares is never below its largest rounded square,
-    in any order and with or without FMA, so a sum below the bound's square proves
-    every |v| below the bound; NaN fails the comparison. Any other payload falls
-    through to the per-value bound. Squares that overflow float64 (|v| above about
-    1.3e154) make numpy warn, as in :func:`spo.types.owned`, before the refusal.
+    A finite ``math.hypot`` proves every value finite; ``struct.pack`` then refuses, with
+    ``OverflowError``, exactly the values that float32 narrowing rounds to infinity.
     """
-    if not (values.dot(values) < _F32_OVERFLOW_SQ or np.abs(values).max() < _F32_OVERFLOW):
-        raise FrameError("non-finite value after float32 narrowing")
-    return values.astype("<f4").tobytes()
+    try:
+        if math.isfinite(math.hypot(*values)):
+            return struct.pack(f"<{len(values)}f", *values)
+    except OverflowError:
+        pass
+    raise FrameError("non-finite value after float32 narrowing")
 
 
 def _unpack(frame: bytes, ftype: int, header: struct.Struct, stride: int) -> tuple:
@@ -85,26 +81,26 @@ def encode_request(request_id: int, req: RolloutRequest) -> bytes:
     state = req.observed_state.values
     try:
         header = _REQUEST.pack(
-            FRAME_TYPE_REQUEST, request_id, req.step_index, req.violation_error, state.size)
+            FRAME_TYPE_REQUEST, request_id, req.step_index, req.violation_error, len(state))
     except OverflowError:
         raise FrameError(f"violation_error {req.violation_error} is beyond float32 range") from None
     except struct.error:  # the id and step are uint32s, the state's size a uint16
-        raise FrameError(f"request {request_id} at step {req.step_index} with {state.size} "
+        raise FrameError(f"request {request_id} at step {req.step_index} with {len(state)} "
                          "state components overflows its uint32 ids or uint16 count") from None
     return header + _narrow(state)
 
 
 def decode_request(frame: bytes) -> tuple[int, RolloutRequest]:
-    _, rid, step, violation_error, _ = _unpack(frame, FRAME_TYPE_REQUEST, _REQUEST, 4)
+    _, rid, step, violation_error, d_s = _unpack(frame, FRAME_TYPE_REQUEST, _REQUEST, 4)
     try:
-        state = owned(StateVector, np.frombuffer(frame, "<f4", offset=_REQUEST.size).astype(float))
+        state = owned(StateVector, struct.unpack_from(f"<{d_s}f", frame, _REQUEST.size))
         return rid, RolloutRequest(state, violation_error, step)
     except ValueError as exc:
         raise FrameError(f"bad request: {exc}") from None
 
 
 def encode_response(request_id: int, resp: RolloutResponse, step_index: int = 0) -> bytes:
-    """One frame; all tuples' floats are joined, then narrowed and checked once."""
+    """One frame; all tuples' floats are joined, then checked and narrowed once."""
     count = len(resp.tuples)
     try:
         head = _RESPONSE.pack(FRAME_TYPE_RESPONSE, request_id, step_index, count)
@@ -113,27 +109,30 @@ def encode_response(request_id: int, resp: RolloutResponse, step_index: int = 0)
                          "tuples overflows its uint32 ids or uint16 count") from None
     if not count:
         return head
-    values = [v for t in resp.tuples for v in (t.predicted_state.values, t.action.values)]
-    return head + _narrow(np.concatenate(values))
+    values = []
+    for t in resp.tuples:
+        values += t.predicted_state.values
+        values += t.action.values
+    return head + _narrow(values)
 
 
 def decode_response(frame: bytes, d_s: int, d_a: int) -> tuple[int, RolloutResponse]:
-    """The frame's tuples, each two read-only row views of one widened, checked array.
+    """The frame's tuples, each two slices of the payload's floats, checked once.
 
-    The squares of float32 values cannot overflow float64, so one sum of squares is
-    finite exactly when every value is. The uint32 step makes every index >= 1 unchecked.
+    Float32 values cannot overflow ``math.hypot``, so it is finite exactly when every value
+    is. The uint32 step makes every index >= 1 unchecked.
     """
     if d_s < 1 or d_a < 1:
         raise FrameError(f"row dimensions must be >= 1, got d_s={d_s}, d_a={d_a}")
     _, rid, step, count = _unpack(frame, FRAME_TYPE_RESPONSE, _RESPONSE, 4 * (d_s + d_a))
-    flat = np.frombuffer(frame, "<f4", offset=_RESPONSE.size).astype(float)
-    if not math.isfinite(flat.dot(flat)):
+    width = d_s + d_a
+    flat = struct.unpack_from(f"<{count * width}f", frame, _RESPONSE.size)
+    if not math.isfinite(math.hypot(*flat)):
         raise FrameError("bad tuple: non-finite value in the payload")
-    flat.setflags(write=False)
-    rows = flat.reshape(count, d_s + d_a)
     tuples = tuple([
-        tuple.__new__(SpeculativeTuple, (_checked(StateVector, s), _checked(ActionVector, a), i))
-        for i, s, a in zip(range(step + 1, step + 1 + count), rows[:, :d_s], rows[:, d_s:])])
+        tuple.__new__(SpeculativeTuple, (_checked(StateVector, flat[j:j + d_s]),
+                                         _checked(ActionVector, flat[j + d_s:j + width]), i))
+        for i, j in zip(range(step + 1, step + 1 + count), range(0, count * width, width))])
     return rid, RolloutResponse(tuples, count)
 
 

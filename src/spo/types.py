@@ -1,10 +1,12 @@
 """Shared domain types and run configuration.
 
-All vectors are float64 internally; the wire codec narrows to float32
-(see :mod:`spo.transport`). Every type here is an immutable value object,
-safe to pass between the edge loop, the cloud handler, and test code
-without copying. A public vector constructor checks and copies its input;
-:func:`owned` checks an array the caller has just computed and wraps it as is.
+A state or action vector holds a tuple of Python floats: at eight components
+numpy's per-call cost outweighs the arithmetic, so the hot paths compute on floats
+in numpy's order and get its bits. The wire codec narrows to float32 (see
+:mod:`spo.transport`). Every type here is an immutable value object, safe to pass
+between the edge loop, the cloud handler, and test code without copying. A public
+vector constructor checks and copies its input; :func:`owned` checks a tuple the
+caller has just computed and wraps it as is.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-_F64 = np.dtype(np.float64)  # native byte order: a '>f8' array's dtype is another object
 _new, _setattr = object.__new__, object.__setattr__  # bound once, for :func:`_checked`
 
 
@@ -36,11 +37,9 @@ class ConfigError(ValueError):
 
 
 def _as_finite_vector(values, what: str) -> np.ndarray:
-    """A read-only float64 copy of ``values``, checked to be 1-D, non-empty and finite.
+    """A float64 copy of ``values``, checked to be 1-D, non-empty and finite.
 
-    Every vector the tick loop builds passes through here, so this makes one
-    copy and one reduction (``count_nonzero`` skips the ufunc-reduce set-up
-    that ``.all()`` pays on a short vector).
+    ``count_nonzero`` skips the ufunc-reduce set-up that ``.all()`` pays on a short vector.
     """
     arr = np.array(values, dtype=np.float64)
     if arr.ndim != 1:
@@ -49,27 +48,23 @@ def _as_finite_vector(values, what: str) -> np.ndarray:
         raise DimensionError(f"{what} must have at least one component")
     if np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise ValueError(f"{what} contains non-finite entries")
-    arr.setflags(write=False)
     return arr
 
 
-def _checked(cls, values: np.ndarray):
-    """A ``cls`` holding ``values``, a read-only array that passed the constructor's checks."""
+def _checked(cls, values: tuple):
+    """A ``cls`` holding ``values``, a tuple of floats that passed the constructor's checks."""
     vec = _new(cls)
     _setattr(vec, "values", values)
     return vec
 
 
 def owned(cls, values):
-    """``cls(values)`` without the copy, for a native float64 array the caller has just computed.
+    """``cls(values)`` without the copy, for a tuple of floats the caller has just computed.
 
-    The caller keeps no other reference to ``values``. If it passes the constructor's checks
-    (1-D, non-empty, a finite sum of squares), it is made read-only and wrapped as it is; any
-    other input, a view or a square that overflows (numpy warns) included, goes through ``cls``.
+    A non-empty tuple with a finite ``math.hypot`` (so every component is finite) is
+    wrapped as it is; any other input goes through ``cls``, which keeps its messages.
     """
-    if (type(values) is np.ndarray and values.dtype is _F64 and values.base is None
-            and values.ndim == 1 and values.size > 0 and math.isfinite(values.dot(values))):
-        values.setflags(write=False)
+    if type(values) is tuple and values and math.isfinite(math.hypot(*values)):
         return _checked(cls, values)
     return cls(values)
 
@@ -78,17 +73,17 @@ def owned(cls, values):
 class _Vector:
     """A dense real vector compared by value; a state never equals an action."""
 
-    values: np.ndarray
+    values: tuple
 
     @property
     def dim(self) -> int:
-        return self.values.size
+        return len(self.values)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, type(self)) and np.array_equal(self.values, other.values)
+        return isinstance(other, type(self)) and self.values == other.values
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.values.tolist()!r})"
+        return f"{type(self).__name__}({list(self.values)!r})"
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -96,7 +91,7 @@ class StateVector(_Vector):
     """Dense real state vector of length d_s (normalized components)."""
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_finite_vector(self.values, "state"))
+        object.__setattr__(self, "values", tuple(_as_finite_vector(self.values, "state").tolist()))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -104,17 +99,17 @@ class ActionVector(_Vector):
     """Dense real action vector of length d_a (velocity targets + gripper)."""
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_finite_vector(self.values, "action"))
+        object.__setattr__(self, "values", tuple(_as_finite_vector(self.values, "action").tolist()))
 
     def is_zero(self) -> bool:
-        return not np.any(self.values)
+        return not any(self.values)
 
 
 def zero_action(d_a: int) -> ActionVector:
     """The hold/safe-stop action: all d_a components zero."""
     if d_a < 1:
         raise DimensionError("action dimension must be >= 1")
-    return ActionVector(np.zeros(int(d_a)))
+    return ActionVector([0.0] * int(d_a))
 
 
 class SpeculativeTuple(NamedTuple("SpeculativeTuple", [
@@ -137,20 +132,19 @@ class SpeculativeTuple(NamedTuple("SpeculativeTuple", [
 class WeightMatrix:
     """Diagonal of the inverse-variance normalization matrix (length d_s).
 
-    ``roots`` holds each weight's square root, for the tube error's root-weighted sum.
+    ``roots`` holds each weight's square root as floats, for the tube error's root-weighted sum.
     """
 
     inverse_variances: np.ndarray
-    roots: np.ndarray = dataclasses.field(init=False, repr=False)
+    roots: tuple = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
         arr = _as_finite_vector(self.inverse_variances, "weights")
         if np.any(arr <= 0.0):
             raise ValueError("weights must be strictly positive")
+        arr.setflags(write=False)
         object.__setattr__(self, "inverse_variances", arr)
-        roots = np.sqrt(arr)
-        roots.setflags(write=False)
-        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "roots", tuple(np.sqrt(arr).tolist()))
 
     @property
     def dim(self) -> int:

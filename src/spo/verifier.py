@@ -22,17 +22,15 @@ def tracking_error(
 
     Symmetric in (actual, predicted); zero iff the vectors are equal.
     Computed in double precision regardless of wire-format rounding, as the
-    ``math.hypot`` of the root-weighted difference: a fixed-order sum with no
-    BLAS, so the same inputs give the same bits on every CPU.
+    ``math.hypot`` of the root-weighted difference (a - p)·root, on floats: a
+    fixed-order sum with no BLAS, so the same inputs give the same bits on every CPU.
     """
     a, p, r = actual.values, predicted.values, weights.roots
-    if a.size != p.size or a.size != r.size:
+    if len(a) != len(p) or len(a) != len(r):
         raise DimensionError(
-            f"dimension mismatch: actual={a.size} predicted={p.size} weights={r.size}"
+            f"dimension mismatch: actual={len(a)} predicted={len(p)} weights={len(r)}"
         )
-    diff = a - p
-    diff *= r
-    return math.hypot(*diff.tolist())
+    return math.hypot(*[(x - y) * w for x, y, w in zip(a, p, r)])
 
 
 def verify(

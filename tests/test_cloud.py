@@ -40,6 +40,11 @@ from spo.verifier import tracking_error
 from spo.types import WeightMatrix
 
 
+def _bits(values):
+    """Each float's exact bits, as hex: equal for equal bits only, -0.0 and 0.0 apart."""
+    return tuple(map(float.hex, values))
+
+
 class ConstantPolicy:
     def __init__(self, value, d_a=1):
         self._a = ActionVector(np.full(d_a, value))
@@ -55,7 +60,7 @@ class ToyIntegrator:
         self.dt = dt
 
     def step(self, state, action, step_index):
-        return StateVector(state.values + action.values * self.dt)
+        return StateVector([s + a * self.dt for s, a in zip(state.values, action.values)])
 
 
 def test_rollout_integrator_example():
@@ -155,7 +160,7 @@ def test_rollout_rejects_bad_horizon():
 def test_rollout_aborts_on_model_blowup():
     class Exploding:
         def step(self, state, action, step_index):
-            return StateVector(state.values * np.inf)
+            return StateVector([x * math.inf for x in state.values])
 
     with pytest.raises(RolloutError):
         speculative_rollout(StateVector([1.0]), 3, ConstantPolicy(1.0), Exploding())
@@ -221,7 +226,7 @@ def test_drifted_step_is_the_oracle_step_plus_drift_bit_for_bit(name):
         a = policy.act(s)
         expected = true_step(clean, s, a, 0).values + _noise_row(11, p, spec.d_s, bias=model.bias)
         nxt = model.step(s, a, p)
-        assert nxt.values.tobytes() == expected.tobytes()
+        assert _bits(nxt.values) == _bits(expected)
         s = nxt
 
 
@@ -236,9 +241,9 @@ def test_drifted_noise_row_does_not_depend_on_call_order():
     far = model.step(s, a, 5000).values
     near = model.step(s, a, 3).values
     fresh, _, _ = _drift_only(7)
-    assert near.tobytes() == fresh.step(s, a, 3).values.tobytes()
-    assert near.tobytes() == _noise_row(7, 3, 3).tobytes()
-    assert far.tobytes() == _noise_row(7, 5000, 3).tobytes()
+    assert _bits(near) == _bits(fresh.step(s, a, 3).values)
+    assert _bits(near) == _bits(_noise_row(7, 3, 3))
+    assert _bits(far) == _bits(_noise_row(7, 5000, 3))
 
 
 def test_drifted_noise_rows_follow_the_drift_seed():
@@ -246,7 +251,7 @@ def test_drifted_noise_rows_follow_the_drift_seed():
 
     def rows(seed):
         model, s, a = _drift_only(seed)
-        return [model.step(s, a, p).values.tobytes() for p in steps]
+        return [_bits(model.step(s, a, p).values) for p in steps]
 
     assert rows(7) == rows(7)
     assert all(mine != other for mine, other in zip(rows(7), rows(8)))
@@ -256,7 +261,7 @@ def test_drifted_noise_rows_follow_the_drift_seed():
 def test_a_drifted_step_near_the_uint32_limit_holds_at_most_its_block_bound():
     model, s, a = _drift_only(7)
     last = 2**32 - 1
-    assert model.step(s, a, last).values.tobytes() == _noise_row(7, last, 3).tobytes()
+    assert _bits(model.step(s, a, last).values) == _bits(_noise_row(7, last, 3))
     rows = DriftedWorldModel.BLOCK_ROWS
     for p in [*range(0, 20 * rows, rows // 2), last, 0, last - rows]:
         model.step(s, a, p)
@@ -268,7 +273,8 @@ def test_a_drifted_step_near_the_uint32_limit_holds_at_most_its_block_bound():
 def test_rollout_is_bit_identical_to_one_built_with_the_public_constructors(
     monkeypatch, name, model_kind
 ):
-    """Wrapping fresh arrays without a copy changes no state or action byte and no step index."""
+    """Wrapping fresh tuples without the constructor changes no state or action bit, no
+    component type and no step index."""
     spec = get_spec(name)
     policy = make_policy(spec)
     model = make_model(spec, model_kind, seed=3)
@@ -288,10 +294,10 @@ def test_rollout_is_bit_identical_to_one_built_with_the_public_constructors(
         assert [t.step_index for t in got] == [t.step_index for t in want]
         for g, w in zip(got, want, strict=True):
             assert type(g) is type(w) is SpeculativeTuple
-            assert g.predicted_state.values.tobytes() == w.predicted_state.values.tobytes()
-            assert g.action.values.tobytes() == w.action.values.tobytes()
-            assert not g.predicted_state.values.flags.writeable
-            assert not g.action.values.flags.writeable
+            for got_vec, want_vec in ((g.predicted_state, w.predicted_state), (g.action, w.action)):
+                assert _bits(got_vec.values) == _bits(want_vec.values)
+                assert type(got_vec.values) is tuple
+                assert all(type(x) is float for x in got_vec.values)
 
 
 def _req(e_miss, step_index=0, d=1):
@@ -438,6 +444,17 @@ class _ReferenceExpertPolicy:
         return ActionVector(v)
 
 
+def _waypoint_index(path, target):
+    """The index of ``target`` in ``path``, by identity: a repeated waypoint is two entries."""
+    return [p is target for p in path].index(True)
+
+
+def _same_target(policy, reference, pos):
+    """Whether the expert and the reference pick the same waypoint (by its index) at ``pos``."""
+    return (_waypoint_index(policy._path, policy._target(tuple(pos)))
+            == _waypoint_index(reference._path, reference._target(np.asarray(pos))))
+
+
 def _square_path_spec():
     # Path (0,0) -> (1,0) -> (1,0) -> (1,1): the middle segment has zero length.
     corner, top = np.array([1.0, 0.0]), np.array([1.0, 1.0])
@@ -458,8 +475,8 @@ def _policy_probe_states(spec, rng, n):
 
 @pytest.mark.parametrize("name", sorted(canonical_specs()) + ["square"])
 def test_expert_policy_is_bit_identical_to_the_reference(name):
-    """The target is the reference's own array, and the action is the scalar formula byte for
-    byte and the reference's to within (8 + 4·dist) ulps of its norm: the reference's BLAS
+    """The target is the reference's waypoint, and the action is the scalar formula bit for
+    bit and the reference's to within (8 + 4·dist) ulps of its norm: the reference's BLAS
     norm and ``hypot`` may differ in the last place, and the cosine turns that into up to
     4·dist ulps of the speed factor."""
     spec = _square_path_spec() if name == "square" else get_spec(name)
@@ -473,12 +490,12 @@ def test_expert_policy_is_bit_identical_to_the_reference(name):
     for s in states:
         pos = s.values
         target = policy._target(pos)
-        assert target is reference._target(pos)
+        assert _same_target(policy, reference, pos)
         got, want = policy.act(s).values, reference.act(s).values
-        assert got.tobytes() == _scalar_formula_act(policy, s).tobytes()
-        dist = math.hypot(*(target - pos).tolist())
-        bound = (8 + 4 * dist) * eps * math.hypot(*want.tolist())
-        assert np.abs(got - want).max() <= bound, (s, got - want)
+        assert _bits(got) == _bits(_scalar_formula_act(policy, s))
+        dist = math.dist(target, pos)
+        bound = (8 + 4 * dist) * eps * math.hypot(*want)
+        assert np.abs(np.subtract(got, want)).max() <= bound, (s, got, want)
 
 
 def _bent_spec(d=8):
@@ -534,12 +551,12 @@ def test_expert_target_is_the_per_segment_loop_on_every_probe_state(spec):
     states, ties = _target_probe_states(spec, np.random.default_rng(31))
     assert len(states) >= 10_000
     for pos in states:
-        assert policy._target(pos) is reference._target(pos), pos
+        assert _same_target(policy, reference, pos), pos
     # An exact tie between the legs meeting at waypoint k goes to the later leg, k+1
     # (at a repeated waypoint, the leg after its last copy).
     for pos in ties:
         k = max(i for i, w in enumerate(spec.waypoints, 1) if np.array_equal(w[:4], pos[:4]))
-        assert policy._target(pos) is policy._path[k + 1]
+        assert policy._target(tuple(pos)) is policy._path[k + 1]
 
 
 def test_an_expert_episode_on_a_bent_path_reaches_each_waypoint_in_order():
@@ -564,7 +581,7 @@ def test_expert_policy_later_segment_wins_a_tie():
     spec = _square_path_spec()
     policy = ScriptedExpertPolicy(spec)
     for point in ([1.0, 0.0], [0.5, 0.5], [2.0, -1.0]):
-        assert policy._target(np.array(point)) is policy._path[3], point
+        assert policy._target(tuple(point)) is policy._path[3], point
 
 
 def test_make_model_rejects_unknown_kind():
@@ -646,9 +663,9 @@ def test_rollout_records_cannot_be_assigned_to():
 
 
 def _scalar_formula_act(policy, state):
-    """The expert's action as one out-of-place expression: one norm, one scale."""
+    """The expert's action as one numpy expression: one norm, one scale."""
     pos = state.values
-    to_target = policy._target(pos) - pos
+    to_target = np.subtract(policy._target(pos), pos)
     dist = math.hypot(*to_target.tolist())
     gain, a_max = policy.spec.gain, policy.spec.a_max
     scale = gain if gain * dist <= a_max else a_max / dist
@@ -656,7 +673,7 @@ def _scalar_formula_act(policy, state):
 
 
 @pytest.mark.parametrize("name", sorted(canonical_specs()))
-def test_the_in_place_expert_action_is_the_scalar_formula_byte_for_byte(name):
+def test_the_expert_action_is_the_numpy_scalar_formula_bit_for_bit(name):
     spec = get_spec(name)
     policy = make_policy(spec)
     goal = np.asarray(spec.waypoints[-1], dtype=np.float64)
@@ -667,32 +684,31 @@ def test_the_in_place_expert_action_is_the_scalar_formula_byte_for_byte(name):
     for s in states:
         want = _scalar_formula_act(policy, s)
         got = policy.act(s).values
-        assert got.tobytes() == want.tobytes()
-        assert not got.flags.writeable
-        to_target = policy._target(s.values) - s.values
-        clipped.append(spec.gain * math.hypot(*to_target.tolist()) > spec.a_max)
+        assert _bits(got) == _bits(want)
+        assert type(got) is tuple
+        clipped.append(spec.gain * math.dist(policy._target(s.values), s.values) > spec.a_max)
     assert clipped[-2] and not clipped[-1] and not all(clipped)
-    assert policy._target(goal) is policy._path[-1]
+    assert policy._target(tuple(goal.tolist())) is policy._path[-1]
     assert not np.any(policy.act(at_target).values)
 
 
 def _owned_act(policy, state):
-    """The expert's action computed in place as ``act`` does, then wrapped by ``owned``."""
+    """The expert's action computed on floats as ``act`` does, then wrapped by ``owned``."""
     pos = state.values
-    v = policy._target(pos) - pos
-    dist = math.hypot(*v.tolist())
+    v = [t - p for t, p in zip(policy._target(pos), pos)]
+    dist = math.hypot(*v)
     gain, a_max = policy.spec.gain, policy.spec.a_max
-    v *= (gain if gain * dist <= a_max else a_max / dist) * (0.7 + 0.3 * math.cos(4.0 * dist))
-    return owned(ActionVector, v)
+    c = (gain if gain * dist <= a_max else a_max / dist) * (0.7 + 0.3 * math.cos(4.0 * dist))
+    return owned(ActionVector, tuple([x * c for x in v]))
 
 
 def _act_outcome(act, state):
-    """The action's type, bytes and writeability, or the error text."""
+    """The action's type, the type of its values and their bits, or the error text."""
     try:
         a = act(state)
     except ValueError as exc:
         return str(exc)
-    return type(a), a.values.tobytes(), a.values.flags.writeable
+    return type(a), type(a.values), _bits(a.values)
 
 
 def _hot_probe_states():
@@ -716,19 +732,18 @@ def test_an_expert_action_has_the_outcome_of_the_owned_path(name):
         spec = _bent_spec() if name == "bent" else get_spec(name)
         states = _policy_probe_states(spec, np.random.default_rng(41), 150)
     policy = make_policy(spec)
-    with np.errstate(all="ignore"):
-        outcomes = [_act_outcome(policy.act, s) for s in states]
-        assert outcomes == [_act_outcome(lambda x: _owned_act(policy, x), s) for s in states]
+    outcomes = [_act_outcome(policy.act, s) for s in states]
+    assert outcomes == [_act_outcome(lambda x: _owned_act(policy, x), s) for s in states]
     acted = [(s, o) for s, o in zip(states, outcomes) if not isinstance(o, str)]
-    assert all(o[0] is ActionVector and not o[2] for _, o in acted)
+    assert all(o[:2] == (ActionVector, tuple) for _, o in acted)
     eps = np.finfo(np.float64).eps
     for s, _ in acted:
-        norm = math.hypot(*policy.act(s).values.tolist())
+        norm = math.hypot(*policy.act(s).values)
         assert math.isfinite(norm) and norm <= spec.a_max * (1 + 4 * eps), (s, norm)
     if name == "hot":
         # hypot does not overflow where a sum of squares did: only the two farthest
         # states, whose 4·dist is past the largest float, fail.
-        assert (ActionVector, bytes(16), False) in outcomes
+        assert (ActionVector, tuple, _bits([0.0, 0.0])) in outcomes
         failed = [i for i, o in enumerate(outcomes) if isinstance(o, str)]
         assert {outcomes[i] for i in failed} == {"math domain error"}
         assert failed == list(range(len(states) - 2, len(states)))
@@ -753,15 +768,14 @@ def test_a_negative_start_step_is_refused_before_the_policy_acts():
 
 @pytest.mark.parametrize("model_kind", ["oracle", "drifted"])
 @pytest.mark.parametrize("name", sorted(canonical_specs()))
-def test_a_world_model_step_leaves_its_inputs_and_returns_a_read_only_array(name, model_kind):
+def test_a_world_model_step_leaves_its_inputs_and_returns_a_new_tuple(name, model_kind):
     spec = get_spec(name)
     policy, model = make_policy(spec), make_model(spec, model_kind, seed=2)
     s = start_state(spec, np.random.default_rng(6))
     for p in range(1, 21):
         a = policy.act(s)
-        before = (s.values.tobytes(), a.values.tobytes())
+        before = (s.values, _bits(s.values), a.values, _bits(a.values))
         nxt = model.step(s, a, p)
-        assert (s.values.tobytes(), a.values.tobytes()) == before
-        assert not nxt.values.flags.writeable
-        assert nxt.values is not s.values and nxt.values.base is None
+        assert (s.values, _bits(s.values), a.values, _bits(a.values)) == before
+        assert type(nxt.values) is tuple and nxt.values is not s.values
         s = nxt

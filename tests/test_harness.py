@@ -9,7 +9,8 @@ import struct
 import numpy as np
 import pytest
 
-from spo import harness
+from spo import harness, transport
+from spo.cloud import RolloutRequest, RolloutResponse
 from spo.edge import EdgeSession, Outcome
 from spo.environments import (
     EnvironmentSpec,
@@ -90,7 +91,7 @@ def test_calibration_matches_independent_replication():
         s = start_state(spec, rng)
         for t in range(spec.max_steps):
             nxt = true_step(spec, s, policy.act(s), t)
-            deltas.append(nxt.values - s.values)
+            deltas.append(np.subtract(nxt.values, s.values))
             s = nxt
             if is_success(spec, s):
                 break
@@ -301,9 +302,9 @@ class TickByTickChannel(harness.VirtualChannel):
 
 
 def _fields(rec):
-    """Every field of a record, the executed action as its bytes."""
+    """Every field of a record, the executed action as its floats' bits."""
     return (*dataclasses.astuple(dataclasses.replace(rec, action_executed=None)),
-            rec.action_executed.values.tobytes())
+            tuple(map(float.hex, rec.action_executed.values)))
 
 
 def _assert_skipping_is_exact(monkeypatch, cfg, envs, models, seeds):
@@ -693,7 +694,7 @@ def _trajectory_floats():
                 run = run_single(kind, spec, CFG, seed, weights, model_kind="drifted")
                 floats.append(len(run.records))
                 for rec in run.records:
-                    floats += rec.action_executed.values.tolist()
+                    floats += list(rec.action_executed.values)
                     floats.append(-1.0 if rec.error is None else rec.error)
                 floats += run.horizons
     return struct.pack(f"<{len(floats)}d", *floats)
@@ -701,3 +702,54 @@ def _trajectory_floats():
 
 def test_the_trajectory_floats_are_the_pinned_digest():
     assert hashlib.sha256(_trajectory_floats()).hexdigest() == TRAJECTORY_FLOATS_SHA256
+
+
+def _exact_floats(vec) -> bool:
+    """Whether ``vec`` holds a tuple of exact ``float``s: an ``np.float64`` is a float subclass
+    that leaks in when code iterates an array, slower to compute on and with another repr."""
+    return type(vec.values) is tuple and all(type(x) is float for x in vec.values)
+
+
+def test_every_vector_an_episode_builds_holds_exact_floats(monkeypatch):
+    """Executed actions, both models' predictions, the disturbed states of multi_stage and the
+    decoded request and response vectors are tuples of exact floats."""
+    spec = get_spec("multi_stage")
+    weights = calibrate_weights(spec, seed=CFG.rng_seed)
+    stepped, exchanged = {}, []
+    real_step = harness.true_step
+
+    def recording_step(spec_, state, action, tick):
+        stepped[tick] = real_step(spec_, state, action, tick)
+        return stepped[tick]
+
+    class Recording(harness.VirtualChannel):
+        def send_request(self, item, now):
+            exchanged.append(item)
+            return super().send_request(item, now)
+
+        def send_response(self, item, now):
+            exchanged.append(item)
+            return super().send_response(item, now)
+
+    monkeypatch.setattr(harness, "true_step", recording_step)
+    monkeypatch.setattr(harness, "VirtualChannel", Recording)
+    for model_kind in ("oracle", "drifted"):
+        stepped.clear()
+        exchanged.clear()
+        run = run_single(BaselineKind.SPO, spec, CFG, 0, weights, model_kind=model_kind)
+        assert run.metrics.success
+        assert all(_exact_floats(rec.action_executed) for rec in run.records)
+        assert {220, 520} <= set(stepped) and all(map(_exact_floats, stepped.values()))
+        requests = [req for _, req in exchanged if isinstance(req, RolloutRequest)]
+        responses = [(rid, r) for rid, r in exchanged if isinstance(r, RolloutResponse)]
+        assert requests and len(responses) == len(requests)
+        vectors = [req.observed_state for req in requests]
+        for rid, req in enumerate(requests, start=1):
+            _, wired = transport.decode_request(transport.encode_request(rid, req))
+            vectors.append(wired.observed_state)
+        for rid, resp in responses:
+            frame = transport.encode_response(rid, resp)
+            _, wired = transport.decode_response(frame, spec.d_s, spec.d_a)
+            for t in resp.tuples + wired.tuples:
+                vectors += [t.predicted_state, t.action]
+        assert all(map(_exact_floats, vectors)), model_kind

@@ -186,7 +186,7 @@ def test_a_socket_run_is_the_episode_its_virtual_twin_plays(quick_spec):
         assert min(map(len, acted)) >= 30, (kind, model)
         for a, b in zip(*acted):
             assert (a.outcome, a.progress) == (b.outcome, b.progress), (kind, model, b.step_index)
-            gap = np.max(np.abs(a.action_executed.values - b.action_executed.values))
+            gap = np.max(np.abs(np.subtract(a.action_executed.values, b.action_executed.values)))
             assert gap <= 1e-6, (kind, model, b.step_index, gap)
         waits = [_waits_per_refill(run.records) for run in (sock, virt)]
         assert waits[1] and all(s >= v for s, v in zip(*waits)), (kind, model, waits)
@@ -353,7 +353,7 @@ def test_socket_first_request_carries_the_virtual_start_state(quick_spec):
     thread.join(timeout=5)
     _, req = transport.decode_request(seen[0])
     expected = start_state(spec, episode_seeds(cfg, 3)[0]).values
-    assert np.array_equal(req.observed_state.values, expected.astype(np.float32))
+    assert np.array_equal(req.observed_state.values, np.float32(expected))
     assert not np.array_equal(expected, start_state(spec).values)
 
 

@@ -1,15 +1,19 @@
 """Wire codec byte laws, socket framing, latency model, and virtual channel behavior."""
 
+import hashlib
 import math
 import socket
 import struct
 import time
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spo.cloud import RolloutRequest, RolloutResponse
+from spo import harness
+from spo.cloud import CloudSession, RolloutRequest, RolloutResponse, make_model, make_policy
+from spo.environments import get_spec
 from spo.transport import (
     FRAME_TYPE_REQUEST,
     FRAME_TYPE_RESPONSE,
@@ -25,7 +29,6 @@ from spo.transport import (
     recv_frame,
     send_frame,
 )
-from spo.harness import episode_seeds
 from spo.types import ActionVector, SpeculativeTuple, SpoConfig, StateVector
 
 
@@ -84,9 +87,8 @@ def test_roundtrip_float32_exact():
     t = _random_tuple(rng, 16, 4, step=9)
     back = _roundtrip(t, 16, 4)
     assert np.array_equal(back.predicted_state.values,
-                          t.predicted_state.values.astype(np.float32).astype(np.float64))
-    assert np.array_equal(back.action.values,
-                          t.action.values.astype(np.float32).astype(np.float64))
+                          np.float32(t.predicted_state.values).astype(np.float64))
+    assert np.array_equal(back.action.values, np.float32(t.action.values).astype(np.float64))
     assert back.step_index == 9
 
 
@@ -182,16 +184,15 @@ def test_whole_frame_codec_matches_the_per_tuple_reference(k, d_s):
     assert [t.step_index for t in back.tuples] == [t.step_index for t in expected]
     for got, want in zip(back.tuples, expected, strict=True):
         for vec, ref in ((got.predicted_state, want.predicted_state), (got.action, want.action)):
-            assert type(vec) is type(ref)
-            assert vec.values.dtype == np.float64 and vec.values.ndim == 1
-            assert not vec.values.flags.writeable
-            assert vec.values.tobytes() == ref.values.tobytes()
+            assert type(vec) is type(ref) and type(vec.values) is tuple
+            assert all(type(x) is float for x in vec.values)
+            assert list(map(float.hex, vec.values)) == list(map(float.hex, ref.values))
 
 
 def test_overflow_only_in_the_last_tuples_action_fails_the_frame_encode():
     rng = np.random.default_rng(5)
     tuples = [_random_tuple(rng, 8, 8, step=1 + i) for i in range(10)]
-    action = tuples[-1].action.values.copy()
+    action = list(tuples[-1].action.values)
     action[-1] = 1e39  # finite in float64, beyond float32
     tuples[-1] = SpeculativeTuple(tuples[-1].predicted_state, ActionVector(action), 10)
     resp = RolloutResponse(tuple(tuples), 10)
@@ -313,7 +314,7 @@ def test_sample_delay_uniform_moments():
 
 def test_episode_seeds_builds_the_halved_latency_model():
     cfg = SpoConfig(rtt_base=0.15, jitter_half_width=0.03, rng_seed=2)
-    _, model, _ = episode_seeds(cfg, 5)
+    _, model, _ = harness.episode_seeds(cfg, 5)
     assert model.base_one_way == 0.075
     assert model.jitter_half_width_one_way == 0.015
     # It draws from the episode's channel stream, the second of its three.
@@ -474,8 +475,8 @@ def test_float32_vectors_round_trip_exactly(rid, step, violation, state, d_s, ro
     assert resp.tuples == tuples
     decoded = [req.observed_state] + [v for t in resp.tuples for v in (t.predicted_state, t.action)]
     for vec in decoded:
-        assert not vec.values.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
+        assert type(vec.values) is tuple
+        with pytest.raises(TypeError, match="does not support item assignment"):
             vec.values[0] = 0.0
 
 
@@ -487,13 +488,13 @@ def test_a_value_float32_cannot_hold_is_refused_in_a_request_state_and_a_respons
     # The vector constructors refuse NaN and the infinities, and the encoders must
     # refuse them too, so each value is put into a vector already built.
     state = StateVector([1.0, 2.0])
-    object.__setattr__(state, "values", np.array([1.0, bad]))
+    object.__setattr__(state, "values", (1.0, bad))
     with pytest.raises(FrameError, match="non-finite"):
         encode_request(1, RolloutRequest(state, 0.0, 0))
     rng = np.random.default_rng(8)
     tuples = [_random_tuple(rng, 2, 2, step=1 + i) for i in range(3)]
     action = ActionVector([0.0, 0.0])
-    object.__setattr__(action, "values", np.array([0.5, bad]))
+    object.__setattr__(action, "values", (0.5, bad))
     tuples[-1] = SpeculativeTuple(tuples[-1].predicted_state, action, 3)
     with pytest.raises(FrameError, match="non-finite"):
         encode_response(1, RolloutResponse(tuple(tuples), 3))
@@ -512,9 +513,10 @@ def test_the_largest_value_below_the_overflow_bound_narrows_to_float32_max():
 
 def _encode_both(values, split):
     """``values`` encoded as a request's state and as one tuple split at ``split``."""
-    state = StateVector(np.ones(values.size))
+    values = tuple(np.asarray(values, dtype=np.float64).tolist())
+    state = StateVector(np.ones(len(values)))
     object.__setattr__(state, "values", values)
-    tup_state, action = StateVector(np.ones(split)), ActionVector(np.ones(values.size - split))
+    tup_state, action = StateVector(np.ones(split)), ActionVector(np.ones(len(values) - split))
     object.__setattr__(tup_state, "values", values[:split])
     object.__setattr__(action, "values", values[split:])
     tup = SpeculativeTuple(tup_state, action, 1)
@@ -543,31 +545,34 @@ _special_floats = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8),
        st.lists(_special_floats, min_size=1, max_size=2), st.data())
-def test_the_sum_of_squares_proof_refuses_exactly_what_the_per_value_bound_refuses(
-        ordinary, special, data):
+def test_the_encoders_refuse_exactly_what_the_per_value_bound_refuses(ordinary, special, data):
+    """Past the hypot's finiteness check, ``struct`` refuses exactly the values at or beyond
+    the bound, and packs every other one to numpy's float32 bytes."""
     v = np.array(data.draw(st.permutations(ordinary + special)))
     refused = not np.abs(v).max() < F32_OVERFLOW
     for encode in _encode_both(v, data.draw(st.integers(1, v.size - 1))):
-        with np.errstate(over="ignore"):  # squares near 1e200 overflow the dot; numpy warns
-            if refused:
-                with pytest.raises(FrameError, match="non-finite"):
-                    encode()
-            else:
-                assert encode()[-4 * v.size:] == v.astype("<f4").tobytes()
+        if refused:
+            with pytest.raises(FrameError, match="non-finite"):
+                encode()
+        else:
+            assert encode()[-4 * v.size:] == v.astype("<f4").tobytes()
 
 
-def test_a_payload_whose_sum_of_squares_fails_the_proof_is_checked_value_by_value():
-    v = np.full(8, np.nextafter(F32_OVERFLOW, 0.0))
-    assert not v.dot(v) < F32_OVERFLOW**2
+def test_a_payload_of_values_just_below_the_bound_narrows_to_float32_max():
+    v = [float(np.nextafter(F32_OVERFLOW, 0.0))] * 8
+    assert math.hypot(*v) > F32_OVERFLOW  # finite: the hypot proves no float32 range
     f32_max = np.full(8, np.finfo(np.float32).max, "<f4").tobytes()
     for encode in _encode_both(v, 4):
         assert encode()[-32:] == f32_max
 
 
-def test_a_value_whose_square_overflows_float64_warns_then_is_refused():
-    for encode in _encode_both(np.array([1e200, 0.0]), 1):
-        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(FrameError):
-            encode()
+def test_a_value_whose_square_overflows_float64_is_refused_without_a_warning():
+    for encode in _encode_both([1e200, 0.0], 1), _encode_both([1.7e308, 1.7e308], 1):
+        for one in encode:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(FrameError, match="non-finite"):
+                    one()
 
 
 @pytest.mark.parametrize("tuples", [0, 1])
@@ -580,16 +585,16 @@ def test_decode_response_refuses_a_zero_dimension_even_for_an_empty_frame(tuples
             decode_response(frame, d_s, d_a)
 
 
-def test_every_vector_of_a_decoded_frame_views_one_read_only_array():
+def test_the_vectors_of_a_decoded_frame_are_the_payload_floats_in_order():
     rng = np.random.default_rng(9)
     tuples = tuple(_random_tuple(rng, 4, 2, step=6 + i) for i in range(5))
-    _, resp = decode_response(encode_response(1, RolloutResponse(tuples, 5), step_index=5), 4, 2)
+    frame = encode_response(1, RolloutResponse(tuples, 5), step_index=5)
+    _, resp = decode_response(frame, 4, 2)
     vectors = [v.values for t in resp.tuples for v in (t.predicted_state, t.action)]
-    base = vectors[0].base
-    assert isinstance(base, np.ndarray) and base.dtype == np.float64 and base.size == 5 * 6
-    assert not base.flags.writeable
-    assert all(v.base is base for v in vectors)
-    assert np.array_equal(np.concatenate(vectors), base)
+    assert [len(v) for v in vectors] == [4, 2] * 5
+    assert all(type(v) is tuple and all(type(x) is float for x in v) for v in vectors)
+    payload = np.frombuffer(frame, "<f4", offset=RESPONSE_HEADER).astype(np.float64)
+    assert [x for v in vectors for x in v] == payload.tolist()
 
 
 @pytest.mark.parametrize("rid, step", [(2**32, 0), (0, 2**32)], ids=["id", "step"])
@@ -615,3 +620,40 @@ def test_decoded_tuples_carry_the_indices_after_the_header_step(step, count):
     _, resp = decode_response(encode_response(4, RolloutResponse(tuples, count), step), 3, 2)
     assert [t.step_index for t in resp.tuples] == list(range(step + 1, step + 1 + count))
     assert all(type(t) is SpeculativeTuple for t in resp.tuples)
+
+
+# SHA-256 of every refill frame pair of :func:`_refill_frames`, pinned before the codec
+# moved from numpy arrays to ``struct``: the wire bytes must not change with it.
+REFILL_FRAMES_SHA256 = "055f33d6a3961759ccabb9a59c2c5b141c5756bd85958cd29a228378aa0fc50a"
+
+
+def _refill_frames(monkeypatch) -> list[bytes]:
+    """Request then response frame of every refill of drifted free_space SPO, seeds 0-1, each
+    request answered by an in-process oracle ``CloudSession`` from its decoded frame."""
+    spec, cfg = get_spec("free_space"), SpoConfig()
+    requests = []
+
+    class Recording(VirtualChannel):
+        def send_request(self, item, now):
+            requests.append(item[1])
+            return super().send_request(item, now)
+
+    monkeypatch.setattr(harness, "VirtualChannel", Recording)
+    weights = harness.calibrate_weights(spec, seed=cfg.rng_seed)
+    for seed in (0, 1):
+        harness.run_single(harness.BaselineKind.SPO, spec, cfg, seed, weights,
+                           model_kind="drifted", drift_bias=8e-4, drift_noise=2e-4)
+    cloud = CloudSession(cfg, make_policy(spec), make_model(spec, "oracle"))
+    frames = []
+    for rid, req in enumerate(requests, start=1):
+        frame = encode_request(rid, req)
+        _, decoded = decode_request(frame)
+        resp = cloud.handle(decoded)
+        frames += [frame, encode_response(rid, resp, step_index=decoded.step_index)]
+    return frames
+
+
+def test_the_refill_frames_are_the_pinned_bytes(monkeypatch):
+    frames = _refill_frames(monkeypatch)
+    assert len(frames) > 20
+    assert hashlib.sha256(b"".join(frames)).hexdigest() == REFILL_FRAMES_SHA256

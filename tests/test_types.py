@@ -1,5 +1,7 @@
 """Core value types and configuration validation."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -40,11 +42,13 @@ def test_zero_action_invalid_dimension():
 
 def test_vectors_are_immutable():
     s = StateVector([1.0, 2.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         s.values[0] = 5.0
     a = ActionVector([0.5])
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         a.values[0] = 1.0
+    with pytest.raises(AttributeError):
+        s.values = (5.0, 2.0)
 
 
 @pytest.mark.parametrize("cls, other", [(StateVector, ActionVector), (ActionVector, StateVector)])
@@ -104,26 +108,26 @@ def test_speculative_tuple_is_immutable():
 
 
 def _build(make, values):
-    """What ``make(values)`` gives: the vector's type, bytes and writeability, or its error."""
+    """What ``make(values)`` gives: the vector's type, its components' types and bits, or
+    its error."""
     try:
         vec = make(values)
     except ValueError as exc:
         return type(exc), str(exc)
-    return type(vec), vec.values.dtype, vec.values.tobytes(), vec.values.flags.writeable
+    return type(vec), type(vec.values), [(type(x), float.hex(x)) for x in vec.values]
 
 
 NOT_OWNED = {
     "2-d": np.zeros((2, 2)),
-    "empty": np.zeros(0),
-    "nan": np.array([1.0, np.nan]),
-    "inf": np.array([-np.inf, 0.0]),
-    "plus-inf": np.array([0.0, np.inf]),
-    "both-infs": np.array([np.inf, -np.inf]),
-    "nan-and-inf": np.array([np.nan, np.inf]),
+    "empty": (),
+    "nan": (1.0, math.nan),
+    "inf": (-math.inf, 0.0),
+    "plus-inf": (0.0, math.inf),
+    "both-infs": (math.inf, -math.inf),
+    "nan-and-inf": (math.nan, math.inf),
+    "float64": np.array([0.5, 1.0]),
     "float32": np.array([1.5, -2.25], dtype=np.float32),
     "int64": np.array([1, 2]),
-    "strided-view": np.arange(6.0)[::2],
-    "slice-view": np.arange(4.0)[1:],
     "big-endian": np.array([1.0, 2.0], dtype=">f8"),
     "list": [0.5, 1.0],
 }
@@ -131,38 +135,34 @@ NOT_OWNED = {
 
 @pytest.mark.parametrize("cls", [StateVector, ActionVector])
 @pytest.mark.parametrize("name", sorted(NOT_OWNED))
-def test_owned_builds_what_the_constructor_builds_from_an_array_it_may_not_take(cls, name):
+def test_owned_builds_what_the_constructor_builds_from_an_input_it_may_not_take(cls, name):
     values = NOT_OWNED[name]
     before = np.array(values, copy=True)
     expected = _build(cls, values)
     assert _build(lambda v: owned(cls, v), values) == expected
-    if isinstance(values, np.ndarray):
-        assert values.flags.writeable  # the caller's array is left as it was
-        assert np.array_equal(values, before, equal_nan=True)
-        if expected[0] is cls:
-            assert not np.shares_memory(owned(cls, values).values, values)
+    assert np.array_equal(values, before, equal_nan=True)  # the caller's input is left as it was
+    if expected[0] is cls:
+        assert owned(cls, values).values is not values
 
 
 @pytest.mark.parametrize("cls", [StateVector, ActionVector])
-def test_owned_wraps_a_fresh_float64_array_read_only_without_a_copy(cls):
-    fresh = np.array([0.5, -1.0, 3.0]) * 2.0
+def test_owned_wraps_a_fresh_tuple_of_floats_without_a_copy(cls):
+    fresh = tuple([x * 2.0 for x in (0.5, -1.0, 3.0)])
     vec = owned(cls, fresh)
     assert type(vec) is cls
     assert vec.values is fresh
-    assert not fresh.flags.writeable
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         vec.values[0] = 7.0
     assert vec == cls([1.0, -2.0, 6.0])
 
 
 @pytest.mark.parametrize("cls", [StateVector, ActionVector])
-def test_owned_takes_a_finite_array_whose_square_overflows_through_the_constructor(cls):
-    values = np.array([1e200, 1.0])  # finite, but its sum of squares is not
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        vec = owned(cls, values)
-    assert (type(vec), vec.values.tobytes()) == (cls, cls([1e200, 1.0]).values.tobytes())
-    assert vec == cls([1e200, 1.0]) and not vec.values.flags.writeable
-    assert values.flags.writeable and not np.shares_memory(vec.values, values)
+def test_owned_takes_a_finite_tuple_whose_hypot_overflows_through_the_constructor(cls):
+    values = (1.7e308, -1.7e308)  # finite, but its hypot is not
+    assert math.hypot(*values) == math.inf
+    vec = owned(cls, values)
+    assert _build(lambda v: owned(cls, v), values) == _build(cls, values)
+    assert vec == cls(list(values)) and vec.values is not values
 
 
 def test_weight_matrix_requires_positive_entries():
