@@ -20,8 +20,8 @@ import numpy as np
 
 from .ahs import AhsState, update_horizon
 from .environments import EnvironmentSpec, next_values
-from .types import (ActionVector, ConfigError, SpeculativeTuple, SpoConfig, StateVector,
-                    _checked, invariant_errors, owned)
+from .types import (ActionVector, ConfigError, DimensionError, SpeculativeTuple, SpoConfig,
+                    StateVector, _checked, invariant_errors, owned)
 
 
 # The drifted model's per-step bias and noise standard deviation, by default.
@@ -113,6 +113,8 @@ class ScriptedExpertPolicy:
 
     def act(self, state: StateVector) -> ActionVector:
         pos = state.values
+        if len(pos) != self.spec.d_s:  # else a one-leg path's zip would truncate the action
+            raise DimensionError(f"state dimension {state.dim} != d_s {self.spec.d_s}")
         v = [t - p for t, p in zip(self._target(pos), pos)]
         dist = math.hypot(*v)  # no BLAS: the same bits on every CPU
         gain, a_max = self.spec.gain, self.spec.a_max

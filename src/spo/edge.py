@@ -74,6 +74,8 @@ class EdgeSession:
         self.stale_dropped = 0
         self.superseded_dropped = 0
         self.flushed = 0
+        self.generated = 0  # tuples of every reply taken, installed or dropped
+        self.horizons: list[int] = []  # each reply's horizon: its tuple count, 0 when blocking
         self._hold = zero_action(d_a)  # immutable, so every hold tick shares it
 
     def _issue_request(
@@ -120,7 +122,11 @@ class EdgeSession:
         return StepRecord(tick_index, Outcome.AWAITING_REFILL, None, self._hold, self.progress)
 
     def install_response(self, request_id: int, resp: RolloutResponse) -> None:
-        """Cache the rollout of the request in flight; drop other replies and passed steps."""
+        """Count a reply the edge takes, then cache the rollout of the request in flight and
+        drop other replies and passed steps. Both modes count here, so a reply still on its
+        way at ``max_steps`` is not generated."""
+        self.generated += len(resp.tuples)
+        self.horizons.append(0 if self.blocking else len(resp.tuples))
         if request_id != self.in_flight_id:
             self.superseded_dropped += len(resp.tuples)
             return

@@ -26,12 +26,13 @@ from .types import (ActionVector, ConfigError, DimensionError, StateVector, inva
                     owned, parse_config_file, parse_vector)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnvironmentSpec:
     """Static description of one synthetic task.
 
     The state is a position and the action its velocity, so d_s = d_a. Once checked, a
-    spec keeps its goal as a tuple of floats (``dataclasses.replace`` builds it anew)."""
+    spec keeps its goal as a tuple of floats (``dataclasses.replace`` builds it anew). It
+    holds arrays, so it compares and hashes by identity."""
 
     name: str
     d_s: int

@@ -215,13 +215,11 @@ def run_episode(
                 records.append(edge.awaiting_record(tick))
                 tick += 1
 
-    # One copy: a socket link's reader thread may still be appending.
-    horizons = list(link.horizons)
     metrics = compile_metrics(
-        kind, spec, cfg, seed, records, horizons, link.generated, len(edge.cache),
+        kind, spec, cfg, seed, records, edge.horizons, edge.generated, len(edge.cache),
         success, diagnostic,
     )
-    return RunResult(metrics=metrics, records=records, horizons=horizons)
+    return RunResult(metrics=metrics, records=records, horizons=edge.horizons)
 
 
 def compile_metrics(

@@ -97,19 +97,16 @@ class CloudServer:
 class SocketLink:
     """A remote cloud over TCP, in real time, as a link of :func:`~spo.harness.run_episode`.
 
-    A reader thread decodes each response, counts it, and queues it with its arrival time;
-    the first tick whose time has reached it takes it, as the server slept both delay legs.
-    Any receive, decode or send error marks the link ``dead``.
+    A reader thread decodes each response and queues it with its arrival time; the first
+    tick whose time has reached it takes it, as the server slept both delay legs, and the
+    edge counts it then. Any receive, decode or send error marks the link ``dead``.
     """
 
-    def __init__(self, sock: socket.socket, spec: EnvironmentSpec, blocking: bool):
+    def __init__(self, sock: socket.socket, spec: EnvironmentSpec):
         self._sock = sock
         self._spec = spec
-        self._blocking = blocking
         self._inbox: list = []  # (arrival, reply): the reader appends, the loop pops the front
         self._t0 = time.monotonic()
-        self.horizons: list[int] = []
-        self.generated = 0
         self.dead = False
         threading.Thread(target=self._reader, daemon=True).start()
 
@@ -117,10 +114,7 @@ class SocketLink:
         try:
             while (frame := transport.recv_frame(self._sock)) is not None:
                 rid, resp = transport.decode_response(frame, self._spec.d_s, self._spec.d_a)
-                # The wire carries no horizon; the blocking reply's is 0.
-                self.horizons.append(0 if self._blocking else len(resp.tuples))
-                self.generated += len(resp.tuples)
-                self._inbox.append((time.monotonic() - self._t0, (rid, resp)))  # after counting
+                self._inbox.append((time.monotonic() - self._t0, (rid, resp)))
         except (OSError, transport.FrameError):
             pass
         self.dead = True
@@ -152,7 +146,7 @@ def edge_connect_run(
     start_rng, _, _ = episode_seeds(cfg, seed)
     with socket.create_connection(addr, timeout=10.0) as sock:
         sock.settimeout(None)
-        link = SocketLink(sock, spec, blocking=(kind is BaselineKind.BLOCKING))
+        link = SocketLink(sock, spec)
         try:
             return run_episode(kind, spec, cfg, seed, weights, link, start_state(spec, start_rng))
         finally:

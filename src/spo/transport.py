@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -163,19 +163,17 @@ class VirtualChannel:
 
     The edge sends a request only once the last response arrived, so the channel holds at
     most one message, ``pending = (deliver_at, item, to_cloud)``; a second send raises
-    :class:`ChannelBusyError`. A link has ``answer``, ``due``, ``send_request``, ``dead``,
-    ``horizons`` and ``generated``. ``answer(now)`` handles the request at the cloud by
-    ``now``, if any, then returns the next delivery's time (``inf`` if none; ``-inf`` for a
-    link stepped every tick); ``due(now)`` answers, then returns the ``(request_id, response)``
-    pairs at the edge by ``now``: none, at once, on an empty channel. A real-time link's
-    ``due`` first waits for ``now`` to come.
+    :class:`ChannelBusyError`. A link only moves messages; the edge counts each reply it
+    takes. It has ``answer``, ``due``, ``send_request`` and ``dead``. ``answer(now)`` handles
+    the request at the cloud by ``now``, if any, then returns the next delivery's time
+    (``inf`` if none; ``-inf`` for a link stepped every tick); ``due(now)`` answers, then
+    returns the ``(request_id, response)`` pairs at the edge by ``now``: none, at once, on an
+    empty channel. A real-time link's ``due`` first waits for ``now`` to come.
     """
 
     latency: LatencyModel
     cloud: CloudSession
     pending: tuple | None = None
-    horizons: list[int] = field(default_factory=list)
-    generated: int = 0
     dead = False
 
     def _send(self, item, now: float, to_cloud: bool) -> None:
@@ -212,8 +210,6 @@ class VirtualChannel:
         if pending is not None and pending[2] and pending[0] <= now:  # else nothing to poll
             [(arrived_at, (rid, req))] = self.cloud_inbox_timed(now)
             resp = self.cloud.handle(req)
-            self.horizons.append(resp.horizon_used)
-            self.generated += len(resp.tuples)
             # Respond from the arrival instant, so the response leg is not tick-quantized.
             self.send_response((rid, resp), now=arrived_at)
         return self.next_delivery()

@@ -542,14 +542,14 @@ def test_serve_on_a_port_in_use_is_a_network_error(capsys):
 # SHA-256 of compare_<env>.csv from `spo compare --env <env> --model <model>
 # --seeds 3 --seed 0`: any change to an episode's numbers shows here.
 COMPARE_CSV_SHA256 = {
-    ("free_space", "oracle"): "454825106752e7225ff15aa0b9dcddad145a16ce6db71fecad3e3e91883724be",
-    ("free_space", "drifted"): "e35d74a6e0a1afd458c7595ee1335e56edb62b68846ded09bbe80b113ad65685",
+    ("free_space", "oracle"): "b5bfbbfcd4dd75a2127054a0dbe3dff80fc5bd58911fddde5bc299e7c8151664",
+    ("free_space", "drifted"): "07068d593669373fef3b593ec5d2128bc1a9e7203d3c80bfa796c93ab8f7528b",
     ("tight_tolerance", "oracle"):
-        "485d11e80e9bcaef448e10fe8955627565a2421fa2cfddff446fc1dc30a4712a",
+        "8ef9157b002b09cb5f836e110274ad51354e005f67be021575f6cc32efaa3ed1",
     ("tight_tolerance", "drifted"):
-        "57c12a23b2fdfaa181f43e8a243e5e0671e705511d495d4ac6c612b59128239a",
-    ("multi_stage", "oracle"): "8025b25ed08918d59ce35a3c52c86bd62d91527915886a8f5ce086c99f34c0eb",
-    ("multi_stage", "drifted"): "64b9a9018e015ed7b02c0ffc6954b4de6d36ed01bf64a23d60f11665f6c8b61e",
+        "068d8202064baf7f0fc24eee9161bbb4acbf1cf8f4f6f1217df64e42dda04ae5",
+    ("multi_stage", "oracle"): "1a09af6d9d08aaf15bc7e1b398e5e33477b3c1f9edd9aa81209aa0617942b509",
+    ("multi_stage", "drifted"): "a11214da4ad5c0e1e6eb50262cabd38044ed616d4ac65948f0535af02a691e46",
 }
 
 

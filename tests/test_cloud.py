@@ -382,6 +382,18 @@ def test_a_failing_policy_in_a_blocking_reply_is_a_rollout_error():
         session.handle(_req(0.0))
 
 
+@pytest.mark.parametrize("horizon", [0, 1, 10, None], ids=["blocking", "t1sc", "nftc", "spo"])
+@pytest.mark.parametrize("name", sorted(canonical_specs()))
+def test_every_kind_refuses_a_state_of_another_dimension(name, horizon):
+    """A blocking reply steps no model, so the expert itself refuses the state, rather than
+    answer it with an action as short as the state."""
+    spec = get_spec(name)
+    session = CloudSession(SpoConfig(), make_policy(spec), make_model(spec), horizon)
+    short = StateVector([0.1] * (spec.d_s - 4))
+    with pytest.raises(RolloutError, match=f"state dimension {spec.d_s - 4} != d_s {spec.d_s}$"):
+        session.handle(RolloutRequest(short, 0.0, 0))
+
+
 def test_fixed_horizon_session_ignores_ahs():
     cfg = SpoConfig()
     session = CloudSession(cfg, ConstantPolicy(1.0), ToyIntegrator(), fixed_horizon=10)

@@ -125,6 +125,23 @@ def test_superseded_response_fully_discarded():
     assert edge.in_flight_id == newer_rid
 
 
+def test_install_counts_every_reply_it_takes_and_each_horizon():
+    """``generated`` counts a reply's tuples whether they are cached, stale or superseded;
+    ``horizons`` gets its tuple count, or 0 for a blocking reply."""
+    edge = _session()
+    _install(edge, [_tuple(np.zeros(D), s) for s in (1, 2)])
+    assert (edge.generated, edge.horizons, len(edge.cache)) == (2, [2], 2)
+    edge.cache.clear()
+    edge.progress = 4
+    _install(edge, [_tuple(np.zeros(D), s) for s in (4, 5, 6)])  # step 4 is stale
+    assert (edge.generated, edge.horizons, edge.stale_dropped) == (5, [2, 3], 1)
+    edge.install_response(99, RolloutResponse((_tuple(np.zeros(D), 7),), 1))
+    assert (edge.generated, edge.horizons, edge.superseded_dropped) == (6, [2, 3, 1], 1)
+    blocking = _session(blocking=True)
+    _install(blocking, [_tuple(np.zeros(D), 1)])
+    assert (blocking.generated, blocking.horizons) == (1, [0])
+
+
 def test_blocking_session_executes_direct_without_verification():
     edge = _session(blocking=True)
     # Prediction far outside any tube: blocking mode must not verify it.

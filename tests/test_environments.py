@@ -154,6 +154,14 @@ def test_canonical_specs_cover_the_ladder():
         get_spec("warehouse")
 
 
+def test_specs_compare_and_hash_by_identity():
+    """A spec holds arrays, so a field-wise ``==`` would raise on their truth value."""
+    a, b = get_spec("multi_stage"), get_spec("multi_stage")
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b, dataclasses.replace(a)}) == 3
+
+
 @pytest.mark.parametrize("name", ["free_space", "tight_tolerance", "multi_stage"])
 def test_expert_reaches_goal_without_network(name):
     """Sanity precondition for every baseline comparison."""

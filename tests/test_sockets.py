@@ -433,7 +433,7 @@ def test_server_closes_a_connection_on_a_bad_request_and_no_thread_raises(
 def test_a_request_the_wire_cannot_carry_marks_the_socket_link_dead_without_raising(quick_spec):
     edge_end, peer_end = socket.socketpair()
     with edge_end, peer_end:
-        link = spo.sockets.SocketLink(edge_end, quick_spec, blocking=False)
+        link = spo.sockets.SocketLink(edge_end, quick_spec)
         req = RolloutRequest(StateVector(np.zeros(quick_spec.d_s)), 0.0, 2**32)
         link.send_request((1, req), 0.0)
         assert link.dead
@@ -448,7 +448,7 @@ def test_a_socket_link_takes_a_reply_only_at_a_tick_whose_time_has_reached_its_a
     """A loop running behind its schedule takes no reply before its virtual twin could."""
     edge_end, peer_end = socket.socketpair()
     with edge_end, peer_end:
-        link = spo.sockets.SocketLink(edge_end, quick_spec, blocking=False)
+        link = spo.sockets.SocketLink(edge_end, quick_spec)
         created = time.monotonic()
         time.sleep(0.02)
         req = RolloutRequest(StateVector(np.full(quick_spec.d_s, 0.1)), 0.0, 3)
@@ -465,4 +465,4 @@ def test_a_socket_link_takes_a_reply_only_at_a_tick_whose_time_has_reached_its_a
             assert link.due(float(now)) == [], now
         [(rid, got)] = link.due(arrival)
         assert (rid, len(got.tuples)) == (7, len(resp.tuples))
-        assert link._inbox == [] and link.generated == len(resp.tuples)
+        assert link._inbox == [] and link.due(arrival) == []  # taken once
