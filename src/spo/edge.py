@@ -42,7 +42,8 @@ class Outcome(enum.Enum):
 
 @dataclass(slots=True)
 class StepRecord:
-    """One control tick's record. Plain, not frozen: the loop builds one per tick,
+    """The record of ``ticks`` control ticks from wall tick ``step_index``: one tick, or a
+    held stretch awaiting a refill. Plain, not frozen: the loop builds one per stepped tick,
     and a frozen dataclass costs about three times as much to build."""
 
     step_index: int  # wall tick
@@ -51,6 +52,7 @@ class StepRecord:
     action_executed: ActionVector
     progress: int
     source_request_id: int | None = None
+    ticks: int = 1
 
 
 class EdgeSession:
@@ -117,9 +119,10 @@ class EdgeSession:
             return rec, self._issue_request(observed, 0.0)
         return self.awaiting_record(tick_index), None
 
-    def awaiting_record(self, tick_index: int) -> StepRecord:
-        """The record of a tick held while the refill in flight has not arrived."""
-        return StepRecord(tick_index, Outcome.AWAITING_REFILL, None, self._hold, self.progress)
+    def awaiting_record(self, tick_index: int, ticks: int = 1) -> StepRecord:
+        """The record of ``ticks`` ticks from ``tick_index`` held awaiting the refill in flight."""
+        return StepRecord(tick_index, Outcome.AWAITING_REFILL, None, self._hold, self.progress,
+                          None, ticks)
 
     def install_response(self, request_id: int, resp: RolloutResponse) -> None:
         """Count a reply the edge takes, then cache the rollout of the request in flight and

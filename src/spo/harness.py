@@ -11,7 +11,7 @@ socket run of the same seed draws the same start, delays and model noise.
 
 The virtual clock is event-driven. After a tick that leaves the edge awaiting a refill,
 :func:`run_episode` records the held ticks up to the next delivery to the edge, the next
-disturbance or ``max_steps`` in one go; the link answers a request that reaches the cloud
+disturbance or ``max_steps`` in one record; the link answers a request that reaches the cloud
 meanwhile. This is exact: such a tick delivers nothing to the edge, holds the zero action
 and is not disturbed. A refill tick holds still too, unless disturbed, and checks the goal
 only at tick 0; a stepped tick on an empty channel does not touch it, one with nothing due
@@ -208,12 +208,14 @@ def run_episode(
             # Until a delivery to the edge or a disturbance, each awaiting tick holds still.
             stop = min([t for t in disturbed if t >= tick] + [spec.max_steps])
             arrives = -math.inf  # so the first held tick asks the link
+            first = tick
             while tick < stop:
                 now = tick * cfg.control_interval
                 if now >= arrives and (arrives := link.answer(now)) <= now:
                     break  # a response is due at the edge: this tick is run
-                records.append(edge.awaiting_record(tick))
                 tick += 1
+            if tick > first:
+                records.append(edge.awaiting_record(first, tick - first))
 
     metrics = compile_metrics(
         kind, spec, cfg, seed, records, edge.horizons, edge.generated, len(edge.cache),
@@ -240,8 +242,9 @@ def compile_metrics(
     hits = outcomes.count(Outcome.HIT)
     misses = outcomes.count(Outcome.MISS)
     holds = outcomes.count(Outcome.STARVED_HOLD)
-    awaiting = outcomes.count(Outcome.AWAITING_REFILL)
+    awaiting = sum(rec.ticks for rec in records if rec.outcome is Outcome.AWAITING_REFILL)
     direct = outcomes.count(Outcome.DIRECT)
+    steps = hits + misses + holds + awaiting + direct
     executed = hits + direct
     total_h = sum(horizons)
     dt = cfg.control_interval
@@ -250,8 +253,8 @@ def compile_metrics(
         env=spec.name,
         seed=seed,
         success=success,
-        steps_taken=len(records),
-        sim_wall_time=len(records) * dt,
+        steps_taken=steps,
+        sim_wall_time=steps * dt,
         idle_time=(holds + misses + awaiting) * dt,
         hits=hits,
         misses=misses,

@@ -308,8 +308,15 @@ def _fields(rec):
             tuple(map(float.hex, rec.action_executed.values)))
 
 
+def _per_tick(records):
+    """``records`` with each record of ``ticks = n`` expanded into its n one-tick records."""
+    return [dataclasses.replace(rec, step_index=rec.step_index + i, ticks=1)
+            for rec in records for i in range(rec.ticks)]
+
+
 def _assert_skipping_is_exact(monkeypatch, cfg, envs, models, seeds):
-    """The event-driven loop writes what stepping every tick writes."""
+    """The event-driven loop writes what stepping every tick writes, once each of its
+    stretch records is expanded into one record per tick."""
     runs = {}
     for channel in (TickByTickChannel, harness.VirtualChannel):
         monkeypatch.setattr(harness, "VirtualChannel", channel)
@@ -322,7 +329,9 @@ def _assert_skipping_is_exact(monkeypatch, cfg, envs, models, seeds):
                         result = run_single(kind, spec, cfg, seed, weights, model_kind=model)
                         runs.setdefault((env, kind, model, seed), []).append(result)
     for key, (stepped, skipped) in runs.items():
-        assert list(map(_fields, skipped.records)) == list(map(_fields, stepped.records)), key
+        assert all(rec.ticks == 1 for rec in stepped.records), key
+        expanded = _per_tick(skipped.records)
+        assert list(map(_fields, expanded)) == list(map(_fields, stepped.records)), key
         assert skipped.horizons == stepped.horizons, key
         assert skipped.metrics == stepped.metrics, key
 
@@ -343,6 +352,35 @@ def test_skipping_stops_at_a_delivery_due_exactly_on_a_tick(monkeypatch):
     # Each 0.04 s leg ends exactly on a tick (2 x 0.02 s), where ``deliver_at <= now``.
     cfg = dataclasses.replace(CFG, rtt_base=0.08, jitter_half_width=0.0)
     _assert_skipping_is_exact(monkeypatch, cfg, ("free_space",), ("drifted",), (0,))
+
+
+def test_the_records_tile_the_episode_and_a_held_stretch_is_one_record():
+    """Records run from tick 0 with no gap or overlap to ``steps_taken``; only a held stretch
+    covers more than one tick. A blocking episode writes a few records per refill, not one
+    per held tick: a refill tick, its stretch and the tick that executes the reply, and a
+    disturbance splits a stretch with a stepped tick."""
+    for env in sorted(canonical_specs()):
+        spec = get_spec(env)
+        weights = calibrate_weights(spec, seed=0)
+        for kind in BaselineKind:
+            for model in ("oracle", "drifted"):
+                for seed in range(3):
+                    result = run_single(kind, spec, CFG, seed, weights, model_kind=model)
+                    records, key = result.records, (env, kind, model, seed)
+                    starts = [rec.step_index for rec in records]
+                    ends = [rec.step_index + rec.ticks for rec in records]
+                    assert starts[0] == 0 and starts[1:] == ends[:-1], key
+                    assert ends[-1] == result.metrics.steps_taken, key
+                    for rec in records:
+                        if rec.ticks > 1:
+                            assert rec.outcome is Outcome.AWAITING_REFILL, key
+                            assert rec.action_executed.is_zero(), key
+                            assert rec.error is None and rec.source_request_id is None, key
+                    if kind is BaselineKind.BLOCKING:
+                        refills = sum(rec.outcome in (Outcome.MISS, Outcome.STARVED_HOLD)
+                                      for rec in records)
+                        bound = 3 * refills + 2 * len(spec.disturbance_schedule) + 2
+                        assert len(records) <= bound < result.metrics.steps_taken, key
 
 
 def _held_spec(**overrides):
@@ -377,7 +415,7 @@ def test_max_steps_in_the_middle_of_a_wait_ends_on_a_held_tick():
 
 
 def test_a_virtual_edge_awaits_only_on_disturbance_ticks(monkeypatch):
-    """The skip records every held tick but those it must stop at: the cloud answers a
+    """The skip holds every held tick but those it must stop at: the cloud answers a
     request on its arrival tick without an edge tick, so ``edge_tick`` itself returns
     ``AWAITING_REFILL`` only on a disturbance tick."""
     awaited = []
@@ -689,7 +727,8 @@ TRAJECTORY_FLOATS_SHA256 = "2794561192491be67c2d084289a5b374c6ff30eabe495387018c
 
 def _trajectory_floats():
     """Each env's weights, then per kind and seed 0-1 of a drifted run its step count, each
-    tick's action and tube error (-1 for none), and its horizons, as little-endian doubles."""
+    tick's action and tube error (-1 for none), and its horizons, as little-endian doubles.
+    A record of ``ticks`` ticks writes its action and error once per tick."""
     floats = []
     for name in sorted(canonical_specs()):
         spec = get_spec(name)
@@ -698,10 +737,10 @@ def _trajectory_floats():
         for kind in BaselineKind:
             for seed in (0, 1):
                 run = run_single(kind, spec, CFG, seed, weights, model_kind="drifted")
-                floats.append(len(run.records))
+                floats.append(run.metrics.steps_taken)
                 for rec in run.records:
-                    floats += list(rec.action_executed.values)
-                    floats.append(-1.0 if rec.error is None else rec.error)
+                    tick = [*rec.action_executed.values, -1.0 if rec.error is None else rec.error]
+                    floats += tick * rec.ticks
                 floats += run.horizons
     return struct.pack(f"<{len(floats)}d", *floats)
 

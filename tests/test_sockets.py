@@ -139,11 +139,12 @@ def test_socket_run_sleeps_the_delays_the_virtual_run_draws(quick_spec, monkeypa
 
 
 def _waits_per_refill(records):
-    """Awaiting ticks after each refill record (MISS or STARVED_HOLD) whose response arrived."""
+    """Awaiting ticks after each refill record (MISS or STARVED_HOLD) whose response arrived;
+    a record of a held stretch adds each of its ticks."""
     waits, pending = [], None
     for rec in records:
         if rec.outcome is Outcome.AWAITING_REFILL:
-            pending += 1
+            pending += rec.ticks
             continue
         if pending is not None:
             waits.append(pending)
@@ -154,7 +155,7 @@ def _waits_per_refill(records):
 def test_a_socket_run_is_the_episode_its_virtual_twin_plays(quick_spec):
     """Every kind under both models: the same episode over the wire, up to float32 rounding,
     and, for an episode that finishes, the same prediction and cache counts."""
-    spec = dataclasses.replace(quick_spec, max_steps=120)  # the baselines run to max_steps
+    spec = dataclasses.replace(quick_spec, max_steps=160)  # the baselines run to max_steps
     cfg = SpoConfig(rtt_base=0.06, jitter_half_width=0.01)
     weights = calibrate_weights(spec, seed=0)
     runs = [(kind, model) for kind in BaselineKind for model in ("oracle", "drifted")]
@@ -174,6 +175,7 @@ def test_a_socket_run_is_the_episode_its_virtual_twin_plays(quick_spec):
     finished = []
     for (kind, model), sock in zip(runs, sockets):
         virt = run_single(kind, spec, cfg, 0, weights, model_kind=model)
+        assert all(rec.ticks == 1 for rec in sock.records), (kind, model)  # every tick is run
         acted = [[rec for rec in run.records if rec.outcome is not Outcome.AWAITING_REFILL]
                  for run in (sock, virt)]
         if sock.metrics.success or virt.metrics.success:
