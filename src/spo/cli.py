@@ -133,11 +133,7 @@ def cmd_run(args, cfg: SpoConfig, spec) -> int:
     else:
         mode, echo = "virtual", _config_echo(cfg, world)
         result = harness.run_single(kind, spec, cfg, cfg.rng_seed, weights, **world)
-    path = os.path.join(args.out, f"run_{kind.value}_{spec.name}_{cfg.rng_seed}.json")
-    extra = {"env": spec.name, "mode": mode, "config": echo}
-    doc = harness.run_json_document(result.metrics, extra)
-    harness.write_atomic(path, doc)
-    print(doc, end="")
+    print(harness.write_run_json(args.out, result.metrics, mode, echo), end="")
     return 0
 
 
@@ -166,7 +162,7 @@ def cmd_experiment(args, cfg: SpoConfig, spec) -> int:
     grid = _grid(args, cfg, spec) if sweep else [(None, cfg)]
     world = _world_model(args, spec)
     weights = _weights(args, spec, cfg)
-    extra = {"env": spec.name, "mode": "virtual", "config": _config_echo(cfg, world)}
+    echo = _config_echo(cfg, world)
     lines = [("param_value," if sweep else "") + harness.CSV_HEADER]
     for value, point in grid:
         report = harness.compare_report({kind: harness.run_experiment(
@@ -177,8 +173,7 @@ def cmd_experiment(args, cfg: SpoConfig, spec) -> int:
             print(f"{args.param} = {value!r}")
         else:
             for m in report.rows:
-                path = os.path.join(args.out, f"run_{m.kind}_{spec.name}_{m.seed}.json")
-                harness.write_atomic(path, harness.run_json_document(m, extra))
+                harness.write_run_json(args.out, m, "virtual", echo)
         print(report.to_text())
     name = f"sweep_{args.param}" if sweep else "compare"
     harness.write_atomic(os.path.join(args.out, f"{name}_{spec.name}.csv"), "\n".join(lines) + "\n")

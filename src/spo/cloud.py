@@ -62,6 +62,10 @@ class RolloutRequest(NamedTuple("RolloutRequest", [
 
 
 class RolloutResponse(NamedTuple):
+    """A refill's tuples. ``horizon_used`` is the cloud's horizon, 0 for a blocking reply;
+    it is not sent on the wire, and :func:`~spo.transport.decode_response` sets it to the
+    tuple count, so no code past the wire reads it."""
+
     tuples: tuple
     horizon_used: int
 

@@ -66,7 +66,18 @@ SCHEMA_VERSION = 1
 WEIGHT_CAP = 1e9
 VARIANCE_FLOOR = 1e-12
 
-CSV_HEADER = "kind,seed,success,steps,idle_s,hit_rate,mean_k,wasted,generated"
+# The CSV's columns: (name, RunMetrics field, formatter); each float is its exact repr.
+CSV_COLUMNS = (("kind", "kind", str), ("seed", "seed", str),
+               ("success", "success", lambda ok: str(int(ok))), ("steps", "steps_taken", str),
+               ("idle_s", "idle_time", repr), ("hit_rate", "hit_rate", repr),
+               ("mean_k", "mean_horizon", repr), ("wasted", "wasted_predictions", str),
+               ("generated", "generated_predictions", str))
+CSV_HEADER = ",".join(name for name, _, _ in CSV_COLUMNS)
+
+# The report's reductions in print order: (label, base kind, aggregate key).
+REDUCTIONS = (("idle reduction vs blocking", BaselineKind.BLOCKING, "idle_mean"),
+              ("idle per action reduction vs blocking", BaselineKind.BLOCKING, "idle_per_action"),
+              ("wasted reduction vs nftc", BaselineKind.NFTC, "wasted_mean"))
 
 
 @dataclass(frozen=True)
@@ -217,10 +228,7 @@ def run_episode(
             if tick > first:
                 records.append(edge.awaiting_record(first, tick - first))
 
-    metrics = compile_metrics(
-        kind, spec, cfg, seed, records, edge.horizons, edge.generated, len(edge.cache),
-        success, diagnostic,
-    )
+    metrics = compile_metrics(kind, spec, cfg, seed, records, edge, success, diagnostic)
     return RunResult(metrics=metrics, records=records, horizons=edge.horizons)
 
 
@@ -230,13 +238,12 @@ def compile_metrics(
     cfg: SpoConfig,
     seed: int,
     records: list[StepRecord],
-    horizons: list[int],
-    generated: int,
-    remaining_in_cache: int,
+    edge: EdgeSession,
     success: bool,
     diagnostic: str | None = None,
 ) -> RunMetrics:
-    """Reduce a step-record trace to RunMetrics (shared by virtual and socket modes)."""
+    """Reduce a step-record trace and the edge's reply counts to RunMetrics (shared by
+    virtual and socket modes)."""
     # list.count compares by identity first; counting in a dict would hash each Enum in Python.
     outcomes = [rec.outcome for rec in records]
     hits = outcomes.count(Outcome.HIT)
@@ -246,7 +253,7 @@ def compile_metrics(
     direct = outcomes.count(Outcome.DIRECT)
     steps = hits + misses + holds + awaiting + direct
     executed = hits + direct
-    total_h = sum(horizons)
+    total_h = sum(edge.horizons)
     dt = cfg.control_interval
     return RunMetrics(
         kind=kind.value,
@@ -262,9 +269,9 @@ def compile_metrics(
         awaiting=awaiting,
         direct=direct,
         hit_rate=hits / max(1, hits + misses + holds),
-        mean_horizon=(sum(h * h for h in horizons) / total_h) if total_h else 0.0,
-        wasted_predictions=generated - executed - remaining_in_cache,
-        generated_predictions=generated,
+        mean_horizon=(sum(h * h for h in edge.horizons) / total_h) if total_h else 0.0,
+        wasted_predictions=edge.generated - executed - len(edge.cache),
+        generated_predictions=edge.generated,
         diagnostic=diagnostic,
     )
 
@@ -297,13 +304,13 @@ def run_experiment(
 class ComparisonReport:
     """Per-kind aggregates and reductions. ``idle_per_action`` is idle ticks per executed
     action (hits + direct) over all seeds; unlike ``idle_s`` it does not grow with
-    ``max_steps``. ``censored`` counts the runs that ended at ``max_steps`` unfinished."""
+    ``max_steps``. ``censored`` counts the runs that ended at ``max_steps`` unfinished.
+    ``reductions`` maps each :data:`REDUCTIONS` label to each other kind's percent (None
+    when undefined), empty without the base kind."""
 
     rows: list[RunMetrics]
     aggregate: dict
-    idle_reduction_vs_blocking_pct: dict
-    wasted_reduction_vs_nftc_pct: dict
-    idle_per_action_reduction_vs_blocking_pct: dict
+    reductions: dict
 
     def to_text(self) -> str:
         lines = [f"{'kind':<10}{'idle_s':>14}{'hit_rate':>12}{'mean_k':>10}{'wasted':>12}"
@@ -318,12 +325,8 @@ class ComparisonReport:
                 + (f"{'n/a':>10}" if per_action is None else f"{per_action:>10.2f}")
                 + (f"  censored {agg['censored']}/{runs}" if agg["censored"] else "")
             )
-        for name, pcts in (("idle reduction vs blocking", self.idle_reduction_vs_blocking_pct),
-                           ("idle per action reduction vs blocking",
-                            self.idle_per_action_reduction_vs_blocking_pct),
-                           ("wasted reduction vs nftc", self.wasted_reduction_vs_nftc_pct)):
-            lines += [f"{name} [{kind}]: " + ("n/a" if pct is None else f"{pct:.1f}%")
-                      for kind, pct in pcts.items()]
+        lines += [f"{label} [{kind}]: " + ("n/a" if pct is None else f"{pct:.1f}%")
+                  for label, pcts in self.reductions.items() for kind, pct in pcts.items()]
         return "\n".join(lines)
 
 
@@ -356,31 +359,16 @@ def compare_report(results: dict[BaselineKind, list[RunMetrics]]) -> ComparisonR
             # Unfinished with no diagnostic: the loop ran out of max_steps.
             "censored": sum(not m.success and m.diagnostic is None for m in ms),
         }
-    reductions = []  # in ComparisonReport's field order; empty without the base kind
-    for base, key in ((BaselineKind.BLOCKING, "idle_mean"), (BaselineKind.NFTC, "wasted_mean"),
-                      (BaselineKind.BLOCKING, "idle_per_action")):
-        reductions.append({} if base not in results else {
-            kind.value: _reduction_pct(aggregate[base.value][key], aggregate[kind.value][key])
-            for kind in results if kind is not base})
+    reductions = {label: {} if base not in results else {
+        kind.value: _reduction_pct(aggregate[base.value][key], aggregate[kind.value][key])
+        for kind in results if kind is not base} for label, base, key in REDUCTIONS}
     rows = [m for ms in results.values() for m in ms]
     rows.sort(key=lambda m: (m.kind, m.seed))
-    return ComparisonReport(rows, aggregate, *reductions)
+    return ComparisonReport(rows, aggregate, reductions)
 
 
 def metrics_csv_line(m: RunMetrics) -> str:
-    return ",".join(
-        [
-            m.kind,
-            str(m.seed),
-            str(int(m.success)),
-            str(m.steps_taken),
-            repr(m.idle_time),
-            repr(m.hit_rate),
-            repr(m.mean_horizon),
-            str(m.wasted_predictions),
-            str(m.generated_predictions),
-        ]
-    )
+    return ",".join(fmt(getattr(m, field)) for _, field, fmt in CSV_COLUMNS)
 
 
 def write_atomic(path, data: str) -> None:
@@ -403,6 +391,13 @@ def run_json_document(m: RunMetrics, fields: dict) -> str:
     import json  # here, not at the top: only a run's JSON document needs it
     doc = {"schema_version": SCHEMA_VERSION, "metrics": dataclasses.asdict(m), **fields}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def write_run_json(out, m: RunMetrics, mode: str, config: dict) -> str:
+    """Write ``m``'s document as ``<out>/run_<kind>_<env>_<seed>.json`` and return it."""
+    doc = run_json_document(m, {"env": m.env, "mode": mode, "config": config})
+    write_atomic(os.path.join(out, f"run_{m.kind}_{m.env}_{m.seed}.json"), doc)
+    return doc
 
 
 def save_weights(path, weights: WeightMatrix) -> None:

@@ -564,6 +564,27 @@ def test_compare_csv_is_byte_identical_to_the_pinned_digest(tmp_path, env, model
     assert hashlib.sha256(csv).hexdigest() == COMPARE_CSV_SHA256[env, model]
 
 
+# One SHA-256 over a free_space compare's stdout, then each file it writes (its CSV and
+# 12 run JSONs), name and bytes, sorted by name: the report's text and the run JSONs'
+# floats are pinned beside the CSV.
+COMPARE_OUTPUT_SHA256 = {
+    "drifted": "c36cec6af90b82a1b78d1ae8f6ccc644aca0b040b141fb889b95c5d52eb922a8",
+    "oracle": "9418623f9d38e53508fc9a6bfc19c9fb95e182bc35b6f75b7f0b5985f738b108",
+}
+
+
+@pytest.mark.parametrize("model", sorted(COMPARE_OUTPUT_SHA256))
+def test_the_whole_compare_output_is_the_pinned_digest(tmp_path, capsys, model):
+    argv = ["compare", "--env", "free_space", "--model", model, "--seeds", "3", "--seed", "0"]
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode())
+    paths = sorted(tmp_path.iterdir())
+    assert paths[0].name == "compare_free_space.csv" and len(paths) == 1 + 4 * 3
+    for path in paths:
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == COMPARE_OUTPUT_SHA256[model]
+
+
 def test_a_spec_file_spelling_out_multi_stage_gives_the_canonical_results(tmp_path):
     spec = get_spec("multi_stage")
 

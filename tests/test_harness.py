@@ -627,15 +627,16 @@ def test_compare_report_reduction_arithmetic():
         BaselineKind.SPO: [fake(BaselineKind.SPO, 0, 3.0, 20)],
     }
     report = compare_report(results)
-    assert report.idle_reduction_vs_blocking_pct["spo"] == pytest.approx(70.0)
-    assert report.wasted_reduction_vs_nftc_pct["spo"] == pytest.approx(60.0)
+    assert report.reductions["idle reduction vs blocking"]["spo"] == pytest.approx(70.0)
+    assert report.reductions["wasted reduction vs nftc"]["spo"] == pytest.approx(60.0)
     # Equal idle -> 0% reduction.
     results[BaselineKind.SPO] = [fake(BaselineKind.SPO, 0, 10.0, 20)]
-    assert compare_report(results).idle_reduction_vs_blocking_pct["spo"] == pytest.approx(0.0)
+    idle = compare_report(results).reductions["idle reduction vs blocking"]
+    assert idle["spo"] == pytest.approx(0.0)
     # A zero baseline leaves the reduction undefined: None, printed n/a, not 0.0%.
     results[BaselineKind.NFTC] = [fake(BaselineKind.NFTC, 0, 5.0, 0)]
     report = compare_report(results)
-    assert report.wasted_reduction_vs_nftc_pct == {"blocking": None, "spo": None}
+    assert report.reductions["wasted reduction vs nftc"] == {"blocking": None, "spo": None}
     text = report.to_text().splitlines()
     assert "wasted reduction vs nftc [blocking]: n/a" in text
     assert "wasted reduction vs nftc [spo]: n/a" in text
@@ -654,10 +655,8 @@ def test_a_report_without_a_base_kind_has_no_reductions_against_it(kinds, absent
         idle_time=3.0, hits=5, misses=0, holds=5, awaiting=0, direct=0, hit_rate=0.5,
         mean_horizon=5.0, wasted_predictions=20, generated_predictions=25)] for kind in kinds}
     report = compare_report(results)
-    reductions = {"idle reduction vs blocking": report.idle_reduction_vs_blocking_pct,
-                  "wasted reduction vs nftc": report.wasted_reduction_vs_nftc_pct}
-    assert reductions[absent] == {}
-    assert reductions[present] == {"spo": 0.0}
+    assert report.reductions[absent] == {}
+    assert report.reductions[present] == {"spo": 0.0}
     text = report.to_text()
     assert absent not in text
     assert f"{present} [spo]: 0.0%" in text.splitlines()
@@ -675,9 +674,10 @@ def test_the_idle_per_action_reduction_does_not_measure_max_steps(free_space_wei
             for kind in BaselineKind})
     short, long = reports[600], reports[1200]
     for kind in ("nftc", "spo"):
-        per_action = [r.idle_per_action_reduction_vs_blocking_pct[kind] for r in (short, long)]
+        per_action = [r.reductions["idle per action reduction vs blocking"][kind]
+                      for r in (short, long)]
         assert 80.0 < per_action[0] < 95.0 and abs(per_action[0] - per_action[1]) < 2.0
-        idle_s = [r.idle_reduction_vs_blocking_pct[kind] for r in (short, long)]
+        idle_s = [r.reductions["idle reduction vs blocking"][kind] for r in (short, long)]
         assert idle_s[1] > idle_s[0] + 10.0
     for report in (short, long):
         censored = {kind: agg["censored"] for kind, agg in report.aggregate.items()}

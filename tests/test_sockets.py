@@ -75,7 +75,7 @@ def test_socket_blocking_kind_executes_direct(quick_spec):
     assert m.hit_rate == 0.0
 
 
-def test_edge_connect_run_json_echoes_only_the_config_the_edge_applies(tmp_path):
+def test_edge_connect_run_json_echoes_only_the_config_the_edge_applies(tmp_path, capsys):
     env_path = tmp_path / "quick.cfg"
     env_path.write_text(
         "name = quick\nd_s = 4\nd_a = 4\nmax_steps = 250\ngoal_radius = 0.1\n"
@@ -91,7 +91,9 @@ def test_edge_connect_run_json_echoes_only_the_config_the_edge_applies(tmp_path)
     finally:
         server.stop()
     assert code == 0
-    doc = json.loads((tmp_path / "out" / "run_spo_quick_0.json").read_text())
+    text = (tmp_path / "out" / "run_spo_quick_0.json").read_text()
+    assert capsys.readouterr().out == text  # prints exactly the document it writes
+    doc = json.loads(text)
     # The server's rtt_base, jitter and horizon bounds are not the edge's to report.
     assert doc["config"] == {"control_interval": 0.02, "epsilon_base": 25.0, "rng_seed": 0}
     assert doc["mode"] == "socket"
