@@ -133,7 +133,8 @@ def cmd_run(args, cfg: SpoConfig, spec) -> int:
     else:
         mode, echo = "virtual", _config_echo(cfg, world)
         result = harness.run_single(kind, spec, cfg, cfg.rng_seed, weights, **world)
-    print(harness.write_run_json(args.out, result.metrics, mode, echo), end="")
+    late = {} if result.lateness is None else {"lateness": result.lateness}
+    print(harness.write_run_json(args.out, result.metrics, mode, echo, **late), end="")
     return 0
 
 

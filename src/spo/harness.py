@@ -10,19 +10,18 @@ through :func:`episode_seeds`, so a virtual run is bitwise reproducible, and a
 socket run of the same seed draws the same start, delays and model noise.
 
 The virtual clock is event-driven. After a tick that leaves the edge awaiting a refill,
-:func:`run_episode` records the held ticks up to the next delivery to the edge, the next
-disturbance or ``max_steps`` in one record; the link answers a request that reaches the cloud
-meanwhile. This is exact: such a tick delivers nothing to the edge, holds the zero action
-and is not disturbed. A refill tick holds still too, unless disturbed, and checks the goal
-only at tick 0; a stepped tick on an empty channel does not touch it, one with nothing due
-does no channel work, and a tick that only receives does not poll the cloud side again.
+:func:`run_episode` asks the link once for the time its reply reaches the edge, then records
+the held ticks up to that time, the next disturbance or ``max_steps`` in one record. This
+is exact: refills are stop-and-wait, so a reply is fixed once its request is sent, and a
+held tick delivers nothing to the edge, holds the zero action and is not disturbed. A refill
+tick holds still too, unless disturbed, and checks the goal only at tick 0; a stepped tick
+on an empty channel does not touch it, and one with a reply in flight only takes it if due.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-import math
 import os
 import tempfile
 import warnings
@@ -106,6 +105,7 @@ class RunResult:
     metrics: RunMetrics
     records: list[StepRecord]
     horizons: list[int]
+    lateness: dict | None = None  # a socket run's: see spo.sockets.SocketLink
 
 
 def calibrate_weights(
@@ -218,13 +218,9 @@ def run_episode(
         if edge.in_flight_id is not None and not edge.cache:
             # Until a delivery to the edge or a disturbance, each awaiting tick holds still.
             stop = min([t for t in disturbed if t >= tick] + [spec.max_steps])
-            arrives = -math.inf  # so the first held tick asks the link
-            first = tick
-            while tick < stop:
-                now = tick * cfg.control_interval
-                if now >= arrives and (arrives := link.answer(now)) <= now:
-                    break  # a response is due at the edge: this tick is run
-                tick += 1
+            arrives, first = link.answer(), tick
+            while tick < stop and tick * cfg.control_interval < arrives:
+                tick += 1  # no response is due at the edge yet
             if tick > first:
                 records.append(edge.awaiting_record(first, tick - first))
 
@@ -393,9 +389,9 @@ def run_json_document(m: RunMetrics, fields: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def write_run_json(out, m: RunMetrics, mode: str, config: dict) -> str:
-    """Write ``m``'s document as ``<out>/run_<kind>_<env>_<seed>.json`` and return it."""
-    doc = run_json_document(m, {"env": m.env, "mode": mode, "config": config})
+def write_run_json(out, m: RunMetrics, mode: str, config: dict, **fields) -> str:
+    """``m``'s document and ``fields``, written to ``<out>/run_<kind>_<env>_<seed>.json``."""
+    doc = run_json_document(m, {"env": m.env, "mode": mode, "config": config, **fields})
     write_atomic(os.path.join(out, f"run_{m.kind}_{m.env}_{m.seed}.json"), doc)
     return doc
 

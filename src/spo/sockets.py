@@ -100,11 +100,13 @@ class SocketLink:
     A reader thread decodes each response and queues it with its arrival time; the first
     tick whose time has reached it takes it, as the server slept both delay legs, and the
     edge counts it then. Any receive, decode or send error marks the link ``dead``.
+    ``lateness`` counts the ticks whose ``due`` began a whole tick or more after the tick's
+    wall-clock time, and the largest such lag in whole ticks.
     """
 
-    def __init__(self, sock: socket.socket, spec: EnvironmentSpec):
-        self._sock = sock
-        self._spec = spec
+    def __init__(self, sock: socket.socket, spec: EnvironmentSpec, dt: float):
+        self._sock, self._spec, self._dt = sock, spec, dt
+        self.lateness = {"late_ticks": 0, "max_lag_ticks": 0}  # ticks run a whole tick late
         self._inbox: list = []  # (arrival, reply): the reader appends, the loop pops the front
         self._t0 = time.monotonic()
         self.dead = False
@@ -119,13 +121,17 @@ class SocketLink:
             pass
         self.dead = True
 
-    def answer(self, now: float) -> float:
-        return -math.inf  # the server answers on its own; the loop steps every tick
+    def answer(self) -> float:
+        """``-inf``: the server answers on its own time, so the loop runs every held tick."""
+        return -math.inf
 
     def due(self, now: float) -> list:
         delay = self._t0 + now - time.monotonic()
         if delay > 0:
             time.sleep(delay)
+        elif lag := int(-delay / self._dt):  # this tick begins a whole tick or more late
+            self.lateness["late_ticks"] += 1
+            self.lateness["max_lag_ticks"] = max(lag, self.lateness["max_lag_ticks"])
         inbox, taken = self._inbox, []
         while inbox and inbox[0][0] <= now:
             taken.append(inbox.pop(0)[1])
@@ -146,9 +152,11 @@ def edge_connect_run(
     start_rng, _, _ = episode_seeds(cfg, seed)
     with socket.create_connection(addr, timeout=10.0) as sock:
         sock.settimeout(None)
-        link = SocketLink(sock, spec)
+        link = SocketLink(sock, spec, cfg.control_interval)
         try:
-            return run_episode(kind, spec, cfg, seed, weights, link, start_state(spec, start_rng))
+            result = run_episode(kind, spec, cfg, seed, weights, link, start_state(spec, start_rng))
+            result.lateness = link.lateness
+            return result
         finally:
             # Closing alone would not wake the reader blocked in recv.
             with contextlib.suppress(OSError):

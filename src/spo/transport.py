@@ -19,8 +19,9 @@ float32 in one pack: ``math.hypot`` refuses NaN and ±inf, and ``struct.pack`` r
 Socket mode prefixes every frame with a 4B length, at most :data:`MAX_FRAME_BYTES`.
 Both modes draw delays from one :class:`LatencyModel`, an uplink leg then a
 downlink leg per request. On virtual time a :class:`VirtualChannel` delivers both
-legs, one message at a time, and its in-process cloud answers each request as it
-arrives; in socket mode the server sleeps both legs of each request before handling it.
+legs, one message at a time, and its in-process cloud answers each request once, when
+the edge starts to wait, as of its arrival instant; in socket mode the server sleeps
+both legs of each request before handling it.
 """
 
 from __future__ import annotations
@@ -164,11 +165,12 @@ class VirtualChannel:
     The edge sends a request only once the last response arrived, so the channel holds at
     most one message, ``pending = (deliver_at, item, to_cloud)``; a second send raises
     :class:`ChannelBusyError`. A link only moves messages; the edge counts each reply it
-    takes. It has ``answer``, ``due``, ``send_request`` and ``dead``. ``answer(now)`` handles
-    the request at the cloud by ``now``, if any, then returns the next delivery's time
-    (``inf`` if none; ``-inf`` for a link stepped every tick); ``due(now)`` answers, then
-    returns the ``(request_id, response)`` pairs at the edge by ``now``: none, at once, on an
-    empty channel. A real-time link's ``due`` first waits for ``now`` to come.
+    takes. It has ``answer``, ``due``, ``send_request`` and ``dead``. ``answer()`` has the
+    cloud handle the request in flight, if any, at once: its reply leaves at the request's
+    arrival instant, so a reply is fixed when its request is sent. It returns the time the
+    reply reaches the edge (``inf`` on an empty channel; ``-inf`` for a link stepped every
+    tick). ``due(now)`` returns the ``(request_id, response)`` pairs at the edge by ``now``:
+    none, at once, on an empty channel. A real-time link's ``due`` first waits for ``now``.
     """
 
     latency: LatencyModel
@@ -187,10 +189,6 @@ class VirtualChannel:
     def send_response(self, item, now: float) -> None:
         self._send(item, now, False)
 
-    def next_delivery(self) -> float:
-        """The pending message's ``deliver_at``; ``math.inf`` on an empty channel."""
-        return math.inf if self.pending is None else self.pending[0]
-
     def _take(self, now: float, to_cloud: bool) -> list:
         if self.pending is None or self.pending[2] is not to_cloud or self.pending[0] > now:
             return []
@@ -205,19 +203,14 @@ class VirtualChannel:
         """Take the response due at the edge by ``now``, if any."""
         return [item for _, item in self._take(now, False)]
 
-    def answer(self, now: float) -> float:
-        pending = self.pending
-        if pending is not None and pending[2] and pending[0] <= now:  # else nothing to poll
-            [(arrived_at, (rid, req))] = self.cloud_inbox_timed(now)
-            resp = self.cloud.handle(req)
-            # Respond from the arrival instant, so the response leg is not tick-quantized.
-            self.send_response((rid, resp), now=arrived_at)
-        return self.next_delivery()
+    def answer(self) -> float:
+        if self.pending is not None and self.pending[2]:  # a request: answer it now
+            [(arrived_at, (rid, req))] = self.cloud_inbox_timed(math.inf)
+            self.send_response((rid, self.cloud.handle(req)), now=arrived_at)
+        return math.inf if self.pending is None else self.pending[0]
 
     def due(self, now: float) -> list:
-        if self.pending is None:
-            return []  # an empty channel has nothing to answer or deliver
-        return [] if self.answer(now) > now else self.edge_inbox(now)
+        return [] if self.pending is None else self.edge_inbox(now)
 
 
 def send_frame(sock, frame: bytes) -> None:

@@ -296,9 +296,11 @@ def test_spo_idles_about_one_round_trip_of_ticks_per_refill(rtt):
 
 
 class TickByTickChannel(harness.VirtualChannel):
-    """Reports no next delivery, so ``run_episode`` steps every held tick."""
+    """Answers as its parent does, but reports no delivery time, so ``run_episode`` steps
+    every held tick."""
 
-    def next_delivery(self):
+    def answer(self):
+        super().answer()
         return -math.inf
 
 
@@ -338,8 +340,8 @@ def _assert_skipping_is_exact(monkeypatch, cfg, envs, models, seeds):
 
 def test_skipping_held_ticks_changes_no_record_horizon_or_metric(monkeypatch):
     envs = ("free_space", "tight_tolerance", "multi_stage")
-    # A sub-tick round trip: a request and its reply land inside one tick, and every
-    # other tick has nothing due, so ``VirtualChannel.due`` returns before it polls.
+    # A sub-tick round trip: a request and its reply land inside one tick, so no held
+    # tick is skipped and the next tick takes the reply.
     sub_tick = dataclasses.replace(CFG, rtt_base=0.01, jitter_half_width=0.004)
     # No delay: the cloud answers on the send tick's instant and its reply is due on the
     # next tick, which must be stepped.
@@ -416,7 +418,7 @@ def test_max_steps_in_the_middle_of_a_wait_ends_on_a_held_tick():
 
 def test_a_virtual_edge_awaits_only_on_disturbance_ticks(monkeypatch):
     """The skip holds every held tick but those it must stop at: the cloud answers a
-    request on its arrival tick without an edge tick, so ``edge_tick`` itself returns
+    request when the edge starts to wait, without an edge tick, so ``edge_tick`` itself returns
     ``AWAITING_REFILL`` only on a disturbance tick."""
     awaited = []
     edge_tick = EdgeSession.edge_tick
@@ -520,16 +522,12 @@ def test_a_response_tick_polls_the_cloud_side_of_the_channel_at_most_once(monkey
 
 
 def test_a_tick_that_begins_with_an_empty_channel_makes_no_channel_call(monkeypatch):
-    """``VirtualChannel.due`` on an empty channel returns at once: it neither reads the next
-    delivery time nor polls either side. A tick with a message in flight reads the channel."""
+    """``VirtualChannel.due`` on an empty channel returns at once: it polls neither side.
+    A tick with a message in flight polls the edge side."""
     calls = []
     calls_by_tick = {True: [], False: []}  # keyed by whether the tick began on an empty channel
 
     class CountingChannel(harness.VirtualChannel):
-        def next_delivery(self):
-            calls.append("next_delivery")
-            return super().next_delivery()
-
         def cloud_inbox_timed(self, now):
             calls.append("cloud_inbox_timed")
             return super().cloud_inbox_timed(now)

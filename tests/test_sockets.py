@@ -97,6 +97,7 @@ def test_edge_connect_run_json_echoes_only_the_config_the_edge_applies(tmp_path,
     # The server's rtt_base, jitter and horizon bounds are not the edge's to report.
     assert doc["config"] == {"control_interval": 0.02, "epsilon_base": 25.0, "rng_seed": 0}
     assert doc["mode"] == "socket"
+    assert set(doc["lateness"]) == {"late_ticks", "max_lag_ticks"}
     assert doc["metrics"]["success"]
     assert doc["metrics"]["mean_horizon"] <= server_cfg.k_max
 
@@ -176,24 +177,25 @@ def test_a_socket_run_is_the_episode_its_virtual_twin_plays(quick_spec):
         sockets = list(pool.map(lambda run: socket_run(*run), runs))
     finished = []
     for (kind, model), sock in zip(runs, sockets):
+        case = (kind, model, sock.lateness)  # how late the socket loop ran, if the twins differ
         virt = run_single(kind, spec, cfg, 0, weights, model_kind=model)
-        assert all(rec.ticks == 1 for rec in sock.records), (kind, model)  # every tick is run
+        assert all(rec.ticks == 1 for rec in sock.records), case  # every tick is run
         acted = [[rec for rec in run.records if rec.outcome is not Outcome.AWAITING_REFILL]
                  for run in (sock, virt)]
         if sock.metrics.success or virt.metrics.success:
-            assert sock.metrics.success == virt.metrics.success, (kind, model)
-            assert len(acted[0]) == len(acted[1]), (kind, model)
+            assert sock.metrics.success == virt.metrics.success, case
+            assert len(acted[0]) == len(acted[1]), case
             counts = [(m.generated_predictions, m.wasted_predictions, m.hits, m.misses)
                       for m in (sock.metrics, virt.metrics)]
-            assert counts[0] == counts[1], (kind, model, counts)
+            assert counts[0] == counts[1], (*case, counts)
             finished.append(kind)
-        assert min(map(len, acted)) >= 30, (kind, model)
+        assert min(map(len, acted)) >= 30, case
         for a, b in zip(*acted):
-            assert (a.outcome, a.progress) == (b.outcome, b.progress), (kind, model, b.step_index)
+            assert (a.outcome, a.progress) == (b.outcome, b.progress), (*case, b.step_index)
             gap = np.max(np.abs(np.subtract(a.action_executed.values, b.action_executed.values)))
-            assert gap <= 1e-6, (kind, model, b.step_index, gap)
+            assert gap <= 1e-6, (*case, b.step_index, gap)
         waits = [_waits_per_refill(run.records) for run in (sock, virt)]
-        assert waits[1] and all(s >= v for s, v in zip(*waits)), (kind, model, waits)
+        assert waits[1] and all(s >= v for s, v in zip(*waits)), (*case, waits)
     # The speculating kinds finish; blocking and T1SC run out of steps.
     assert sorted(k.value for k in finished) == ["nftc", "nftc", "spo", "spo"], finished
 
@@ -437,7 +439,7 @@ def test_server_closes_a_connection_on_a_bad_request_and_no_thread_raises(
 def test_a_request_the_wire_cannot_carry_marks_the_socket_link_dead_without_raising(quick_spec):
     edge_end, peer_end = socket.socketpair()
     with edge_end, peer_end:
-        link = spo.sockets.SocketLink(edge_end, quick_spec)
+        link = spo.sockets.SocketLink(edge_end, quick_spec, FAST.control_interval)
         req = RolloutRequest(StateVector(np.zeros(quick_spec.d_s)), 0.0, 2**32)
         link.send_request((1, req), 0.0)
         assert link.dead
@@ -452,7 +454,7 @@ def test_a_socket_link_takes_a_reply_only_at_a_tick_whose_time_has_reached_its_a
     """A loop running behind its schedule takes no reply before its virtual twin could."""
     edge_end, peer_end = socket.socketpair()
     with edge_end, peer_end:
-        link = spo.sockets.SocketLink(edge_end, quick_spec)
+        link = spo.sockets.SocketLink(edge_end, quick_spec, FAST.control_interval)
         created = time.monotonic()
         time.sleep(0.02)
         req = RolloutRequest(StateVector(np.full(quick_spec.d_s, 0.1)), 0.0, 3)
@@ -470,3 +472,14 @@ def test_a_socket_link_takes_a_reply_only_at_a_tick_whose_time_has_reached_its_a
         [(rid, got)] = link.due(arrival)
         assert (rid, len(got.tuples)) == (7, len(resp.tuples))
         assert link._inbox == [] and link.due(arrival) == []  # taken once
+
+
+def test_a_socket_link_counts_the_ticks_it_begins_a_whole_tick_or_more_late(quick_spec):
+    edge_end, peer_end = socket.socketpair()
+    with edge_end, peer_end:
+        link = spo.sockets.SocketLink(edge_end, quick_spec, 0.02)
+        time.sleep(0.13)  # tick 0 begins 6 ticks late, tick 5 only 1 tick late
+        assert link.due(0.0) == [] and link.due(0.1) == []
+        assert link.lateness["late_ticks"] == 2 and link.lateness["max_lag_ticks"] >= 6
+        link.due(time.monotonic() - link._t0 + 0.01)  # a tick still to come sleeps instead
+        assert link.lateness["late_ticks"] == 2, link.lateness

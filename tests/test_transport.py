@@ -374,17 +374,26 @@ def test_virtual_channel_directions_are_used_one_at_a_time():
     assert channel.edge_inbox(0.2) == ["down"]
 
 
-def test_virtual_channel_next_delivery_is_its_pending_message_s_deliver_at():
-    channel = _channel(0.05)
-    assert channel.next_delivery() == math.inf
-    channel.send_response("down", now=0.1)
-    assert channel.next_delivery() == 0.1 + 0.05
-    channel.edge_inbox(0.2)
-    assert channel.next_delivery() == math.inf
-    channel.send_request("up", now=0.0)
-    assert channel.next_delivery() == 0.05
-    channel.cloud_inbox_timed(0.05)
-    assert channel.next_delivery() == math.inf
+def test_virtual_channel_answer_handles_the_request_at_once_and_returns_its_reply_s_deliver_at():
+    """``answer()`` has the cloud handle the request in flight once, at once, its reply
+    leaving at the request's arrival instant, and returns when the reply reaches the edge."""
+    handled = []
+
+    class Cloud:
+        def handle(self, req):
+            handled.append(req)
+            return f"reply to {req}"
+
+    channel = VirtualChannel(LatencyModel(0.05, 0.02, np.random.default_rng(3)), Cloud())
+    twin = LatencyModel(0.05, 0.02, np.random.default_rng(3))
+    assert channel.answer() == math.inf
+    channel.send_request((1, "req"), now=0.3)
+    up, down = twin.sample(), twin.sample()  # the uplink at send, the downlink at answer
+    assert up != down
+    assert channel.answer() == (0.3 + up) + down and handled == ["req"]
+    assert channel.answer() == (0.3 + up) + down and handled == ["req"]  # nothing more to handle
+    assert channel.edge_inbox((0.3 + up) + down) == [(1, "reply to req")]
+    assert channel.answer() == math.inf and handled == ["req"]
 
 
 def test_recv_frame_refuses_an_oversized_declared_length_before_the_body():
